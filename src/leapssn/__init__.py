@@ -13,25 +13,25 @@ from .baselines import (BaselineConfig, backtracking_newton, baseline_run,
 from .driver import (CONVERGED, EXIT_CODES, INNER_BUDGET, OUTER_BUDGET,
                      SOLVE_BUDGET, SUBPROBLEM_FAILURE, TRACE_HEADER, Record,
                      Result, Trace, leap_ssn)
-from .hilbert import Metric, NumericalError, cg_certified, solve_posdef
+from .hilbert import (Metric, NumericalError, Operator, cg_certified,
+                      solve_posdef)
 from .problem import Problem
 from .subsolver import SubproblemResult, composite_step, smooth_step
 from .verify import (RateReport, assumption2_sample, audit_trace,
                      dm_condition_sample, grad_check, hess_symmetry_check,
-                     manifold_check, sample_points, step_alignment_bound,
-                     step_length_bound, step_shift_bound, superlinear_check)
+                     manifold_check, sample_points, step_length_bound,
+                     step_shift_bound, superlinear_check)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "leap_ssn", "plain_newton", "backtracking_newton", "l2_newton",
-    "baseline_run", "BaselineConfig", "Problem", "Metric",
+    "baseline_run", "BaselineConfig", "Problem", "Metric", "Operator",
     "NumericalError", "cg_certified", "solve_posdef", "Result", "Trace",
     "Record", "SubproblemResult", "composite_step", "smooth_step",
     "RateReport", "assumption2_sample", "audit_trace", "dm_condition_sample",
     "grad_check", "hess_symmetry_check", "manifold_check", "sample_points",
-    "step_alignment_bound", "step_length_bound", "step_shift_bound",
-    "superlinear_check",
+    "step_length_bound", "step_shift_bound", "superlinear_check",
     "CONVERGED", "OUTER_BUDGET", "INNER_BUDGET", "SOLVE_BUDGET",
     "SUBPROBLEM_FAILURE", "EXIT_CODES", "TRACE_HEADER", "__version__",
 ]

@@ -116,13 +116,12 @@ def _resolve_x0(spec, problem):
 
 def _run_solver(solver, problem, x0, tol, budget, settings):
     if solver == "leapssn":
-        return leap_ssn(
-            problem, x0=x0, grad_tol=tol, max_solves=budget,
-            alpha=settings.get("alpha") or 0.5,
-            beta=settings.get("beta") or 0.25,
-            m=settings.get("m") or 2.0,
-            lambda0=settings.get("lambda0"),
-        )
+        # only the constants that were set; leap_ssn holds the defaults
+        constants = {key: settings[key]
+                     for key in ("alpha", "beta", "m", "lambda0")
+                     if settings[key] is not None}
+        return leap_ssn(problem, x0=x0, grad_tol=tol, max_solves=budget,
+                        **constants)
     cfg = BaselineConfig(kind=_BASELINE_KINDS[solver], grad_tol=tol,
                          max_linear_solves=budget if budget else 10000)
     return baseline_run(problem, x0, cfg)
@@ -290,16 +289,14 @@ def cmd_verify(ns) -> int:
     tol = settings["tol"] if settings["tol"] is not None else default_tol(name)
     budget = settings["budget"] or 300
 
+    try:
+        result = _run_solver("leapssn", problem, None, tol, budget, settings)
+    except ValueError as e:
+        return _fail(str(e))
     points = sample_points(problem, 4)
     grad_err = grad_check(problem, points)
     hess_err = hess_symmetry_check(problem, points)
     L_hat = assumption2_sample(problem)
-
-    result = leap_ssn(problem, grad_tol=tol, max_solves=budget,
-                      alpha=settings.get("alpha") or 0.5,
-                      beta=settings.get("beta") or 0.25,
-                      m=settings.get("m") or 2.0,
-                      lambda0=settings.get("lambda0"))
     report = audit_trace(result.trace, problem, L_hat=L_hat)
 
     violations = list(report.to_dict()["violations"])

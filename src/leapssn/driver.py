@@ -1,12 +1,14 @@
 """Adaptive proximal Levenberg-Marquardt / semismooth Newton driver.
 
-Each outer iteration fixes the current point ``x_k``, caches ``f(x_k)``,
-``f'(x_k)`` and ``H(x_k)``, and walks a trial ladder ``lambda = 2^j *
-Lambda_k`` (``j = 0, 1, ...``, exact in binary floating point).  For every
-trial the regularised model subproblem is solved; a non-computable step
-(indefinite system, failed inner loop) moves to the next rung.  A computable
-candidate ``x_plus`` with certified composite gradient ``F'(x_plus)`` is
-accepted iff both
+Each outer iteration fixes the current point ``x_k``, whose ``F(x_k)`` and
+``f'(x_k)`` carry over from the previous acceptance, wraps ``H(x_k)`` once
+as an :class:`~leapssn.hilbert.Operator` (so work that every rung shares,
+like the composite step size, is done once), and walks a trial ladder
+``lambda = 2^j * Lambda_k`` (``j = 0, 1, ...``, exact in binary floating
+point).  For every trial the regularised model subproblem is solved; a
+non-computable step (indefinite system, failed inner loop) moves to the
+next rung.  A computable candidate ``x_plus`` with certified composite
+gradient ``F'(x_plus)`` is accepted iff both
 
     <F'(x_plus), x_k - x_plus>  >=  (alpha/lambda) ||F'(x_plus)||_*^2
     F(x_k) - F(x_plus)          >=  beta * lambda * ||x_plus - x_k||_R^2
@@ -28,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .hilbert import Operator
 from .problem import Problem
 from .subsolver import smooth_step, composite_step
 
@@ -165,9 +168,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     last_gpn = g0_norm
 
     for k in range(max_outer):
-        if k > 0:
-            g = np.asarray(problem.f_grad(x), dtype=float)
-        H = problem.hess(x)
+        H = Operator(problem.hess(x), problem.dim, psd=problem.hess_psd)
 
         accepted = False
         computable_seen = False
@@ -187,12 +188,11 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             x_plus = sub.x_plus
             d = x_plus - x
 
+            fg_plus = np.asarray(problem.f_grad(x_plus), dtype=float)
             if problem.smooth:
-                g_plus = np.asarray(problem.f_grad(x_plus), dtype=float)
-                psi_xp = 0.0
+                g_plus, psi_xp = fg_plus, 0.0
             else:
-                g_plus = np.asarray(problem.f_grad(x_plus), dtype=float) + sub.psi_grad
-                psi_xp = sub.psi_value
+                g_plus, psi_xp = fg_plus + sub.psi_grad, sub.psi_value
 
             gpn2 = float(g_plus @ problem.metric.solve(g_plus))
             gpn = float(np.sqrt(max(0.0, gpn2)))
@@ -211,7 +211,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             status = INNER_BUDGET if computable_seen else SUBPROBLEM_FAILURE
             break
 
-        x = x_plus
+        x, g = x_plus, fg_plus
         F = F - dec
         psix = psi_xp
         last_gpn = gpn

@@ -1,22 +1,32 @@
-"""Hilbert-space plumbing: metrics, dual norms, and certified SPD solves.
+"""Hilbert-space plumbing: operators, metrics and certified SPD solves.
 
 Vectors are dense numpy arrays and the duality pairing is the plain dot
-product.  A problem's inner product ``<x, y>_R = <Rx, y>`` is carried by a
-:class:`Metric`, which owns the Riesz solves ``R^{-1} g`` behind dual norms.
+product.  :class:`Operator` is the only code that looks at how a symmetric
+operator is stored (identity, dense ndarray, scipy sparse matrix or callable
+matvec).  It gives the curvature ``H(x)``, the shifted system ``H + lambda
+R`` and the metric ``R`` one interface: ``apply``, ``shift``, a cached
+certified ``solver()`` and a cached power-iteration ``norm_estimate()``.
+Sparse input with at most ``DENSE_LIMIT`` unknowns is densified on
+construction.
 
-Solve strategy: dense Cholesky up to ``DENSE_LIMIT`` unknowns, sparse LU for
-larger operators that are declared positive semidefinite by the caller, and a
-plain conjugate-gradient loop with an indefiniteness certificate for implicit
-operators.  The dense certificate is that Cholesky completes *and* its
-smallest pivot clears ``n * PIVOT_FLOOR`` of its largest (pivots are the LDL^T
-diagonal ``d_i = c_ii**2``).  Each ``d_i`` is a diagonal entry of a Schur
-complement, so ``lambda_min(M) <= min d_i`` and ``max d_i <= lambda_max(M)``:
-a pivot below the floor shows ``M`` singular to working precision at any
-scale, whichever side of zero rounding leaves that pivot.  The sparse
-certificate is the relative residual check.  An uncertifiable trial solve
-returns ``None`` so the caller can treat the step as non-computable, while a
-broken *metric* raises :class:`NumericalError` (the metric is part of the
-problem contract and must be SPD).
+Certificates: dense operators use Cholesky, which must complete *and* whose
+smallest pivot must clear ``n * PIVOT_FLOOR`` of its largest (pivots are the
+LDL^T diagonal ``d_i = c_ii**2``).  Each ``d_i`` is a diagonal entry of a
+Schur complement, so ``lambda_min <= min d_i`` and ``max d_i <=
+lambda_max``: a pivot below the floor shows the operator singular to working
+precision at any scale, whichever side of zero rounding leaves that pivot.
+Sparse operators declared positive semidefinite by the caller use sparse LU
+with a relative residual check per solve; anything else goes to a plain
+conjugate-gradient loop that refuses a direction of nonpositive curvature.
+An uncertifiable trial solve returns ``None`` so the caller can treat the
+step as non-computable.
+
+A problem's inner product ``<x, y>_R = <Rx, y>`` is carried by a
+:class:`Metric`, an operator that owns the Riesz solves ``R^{-1} g`` behind
+dual norms.  A broken metric raises :class:`NumericalError` (the metric is
+part of the problem contract and must be SPD); a sparse metric is also
+certified definite once, by the same pivot floor applied to a symmetric,
+non-pivoting SuperLU factorization.
 """
 
 from __future__ import annotations
@@ -29,31 +39,13 @@ import scipy.sparse.linalg as spla
 DENSE_LIMIT = 2000
 CG_TOL = 1e-12
 RESIDUAL_TOL = 1e-6
-# dense Cholesky is refused when min d_i <= n * PIVOT_FLOOR * max d_i
+# Cholesky (or LDL^T) is refused when min d_i <= n * PIVOT_FLOOR * max d_i
 PIVOT_FLOOR = np.finfo(float).eps
+POWER_ITERS = 30
 
 
 class NumericalError(RuntimeError):
-    """A linear solve could not be certified.
-
-    Carries the relative residual (when one was computed) so callers can
-    report how badly the certification failed.
-    """
-
-    def __init__(self, message, residual=None):
-        if residual is not None:
-            message = f"{message} (relative residual {residual:.3e})"
-        super().__init__(message)
-        self.residual = residual
-
-
-def _is_sparse(A):
-    return sp.issparse(A)
-
-
-def _sym_dense(A):
-    # symmetrize against roundoff before factorizing
-    return 0.5 * (A + A.T)
+    """A metric solve could not be certified."""
 
 
 def cg_certified(matvec, b, tol=CG_TOL, maxiter=None):
@@ -90,127 +82,175 @@ def cg_certified(matvec, b, tol=CG_TOL, maxiter=None):
     return None
 
 
-def solve_posdef(M, rhs, *, psd_hint=False):
-    """Solve ``M x = rhs`` for symmetric positive definite ``M``.
-
-    Returns ``None`` when ``M`` is (numerically) not positive definite or the
-    solution cannot be certified -- callers treat that as a non-computable
-    step.  On the dense path the certificate is that Cholesky completes *and*
-    its smallest pivot clears ``n * PIVOT_FLOOR`` of its largest; on the
-    sparse LU path it is the relative residual check against
-    ``RESIDUAL_TOL``.  ``psd_hint`` asserts that the caller knows ``M`` is
-    positive semidefinite, which licenses the sparse LU path.
-    """
-    if callable(M) and not (_is_sparse(M) or isinstance(M, np.ndarray)):
-        return cg_certified(M, rhs)
-    if _is_sparse(M):
-        n = M.shape[0]
-        if n <= DENSE_LIMIT:
-            return _dense_chol_solve(M.toarray(), rhs)
-        if not psd_hint:
-            return cg_certified(lambda v: M @ v, rhs)
-        try:
-            with np.errstate(all="ignore"):
-                lu = spla.splu(M.tocsc())
-                x = lu.solve(rhs)
-        except Exception:
-            return None
-        if not np.all(np.isfinite(x)):
-            return None
-        res = np.linalg.norm(M @ x - rhs) / max(1e-300, np.linalg.norm(rhs))
-        if res > RESIDUAL_TOL:
-            return None
-        return x
-    return _dense_chol_solve(np.asarray(M, dtype=float), rhs)
+def _pivots_clear_floor(d):
+    return d.min() > d.shape[0] * PIVOT_FLOOR * d.max()
 
 
-def _dense_chol_solve(M, rhs):
+def _cholesky_solver(A):
     try:
-        c, low = sla.cho_factor(_sym_dense(M), check_finite=False)
+        c, low = sla.cho_factor(0.5 * (A + A.T), check_finite=False)
     except (sla.LinAlgError, ValueError):
         return None
-    d = np.diag(c) ** 2
-    if d.min() <= M.shape[0] * PIVOT_FLOOR * d.max():
+    if not _pivots_clear_floor(np.diag(c) ** 2):
         return None
-    x = sla.cho_solve((c, low), rhs, check_finite=False)
-    if not np.all(np.isfinite(x)):
-        return None
-    return x
+
+    def solve(rhs):
+        x = sla.cho_solve((c, low), rhs, check_finite=False)
+        return x if np.all(np.isfinite(x)) else None
+    return solve
 
 
-class Metric:
+def _sparse_lu_solver(A):
+    try:
+        with np.errstate(all="ignore"):
+            lu = spla.splu(A.tocsc())
+    except Exception:
+        return None
+
+    def solve(rhs):
+        with np.errstate(all="ignore"):
+            x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            return None
+        res = np.linalg.norm(A @ x - rhs) / max(1e-300, np.linalg.norm(rhs))
+        return x if res <= RESIDUAL_TOL else None
+    return solve
+
+
+def _sparse_definite(A):
+    """Pivot-floor certificate from a symmetric, non-pivoting SuperLU."""
+    try:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return False
+    # without pivoting U's diagonal holds the LDL^T pivots of P A P^T
+    return (np.array_equal(lu.perm_r, lu.perm_c)
+            and _pivots_clear_floor(lu.U.diagonal()))
+
+
+class Operator:
+    """A symmetric operator on R^dim in one of four forms (``kind``).
+
+    ``A`` may be ``None`` (identity), a dense ndarray, a scipy sparse
+    matrix, or a callable matvec (which needs ``dim``).  ``psd`` records
+    that the caller knows the operator is positive semidefinite, which
+    licenses the sparse LU path.
+    """
+
+    def __init__(self, A=None, dim=None, *, psd=False):
+        if A is None:
+            kind, apply = "identity", (lambda v: v)
+        elif callable(A):
+            kind, apply = "matvec", A
+        else:
+            if not sp.issparse(A):
+                kind, A = "dense", np.asarray(A, dtype=float)
+            elif A.shape[0] > DENSE_LIMIT:
+                kind = "sparse"
+            else:
+                kind, A = "dense", A.toarray()
+            apply, dim = A.__matmul__, A.shape[0]
+        self.A, self.dim, self.kind, self.apply = A, dim, kind, apply
+        self.psd = psd
+        self._cache = {}
+
+    @staticmethod
+    def of(A, dim=None, *, psd=False):
+        """``A`` itself when it already is an Operator, else a new one."""
+        return A if isinstance(A, Operator) else Operator(A, dim, psd=psd)
+
+    def shift(self, lam, R):
+        """The operator ``A + lam * R`` (``R`` an Operator, e.g. a Metric)."""
+        if "matvec" in (self.kind, R.kind):
+            apply, r_apply = self.apply, R.apply
+            return Operator(lambda v: apply(v) + lam * r_apply(v), self.dim,
+                            psd=self.psd)
+        if self.kind == "sparse":
+            B = (sp.identity(self.dim, format="csr") if R.kind == "identity"
+                 else sp.csr_matrix(R.A))
+            return Operator((self.A + lam * B).tocsr(), psd=self.psd)
+        M = np.array(self.A, dtype=float, copy=True)
+        if R.kind == "identity":
+            M[np.diag_indices_from(M)] += lam
+        else:
+            M += lam * (R.A.toarray() if R.kind == "sparse" else R.A)
+        return Operator(M, psd=self.psd)
+
+    def solver(self):
+        """Cached certified solve ``rhs -> x``, or ``None`` when the operator
+        is not positive definite.  The solve returns ``None`` for a
+        right-hand side it cannot certify."""
+        if "solver" not in self._cache:
+            self._cache["solver"] = self._factor()
+        return self._cache["solver"]
+
+    def _factor(self):
+        if self.kind == "identity":
+            return lambda rhs: rhs
+        if self.kind == "dense":
+            return _cholesky_solver(self.A)
+        if self.kind == "sparse" and self.psd:
+            return _sparse_lu_solver(self.A)
+        apply = self.apply
+        return lambda rhs: cg_certified(apply, rhs)
+
+    def norm_estimate(self):
+        """Deterministic power-iteration estimate of ``||A||_2`` (cached)."""
+        if "norm" not in self._cache:
+            v = np.ones(self.dim) / np.sqrt(self.dim)
+            # break symmetry for checkerboard-null operators
+            v[0] += 0.5 / np.sqrt(self.dim)
+            v /= np.linalg.norm(v)
+            est = 0.0
+            for _ in range(POWER_ITERS):
+                w = self.apply(v)
+                est = float(np.linalg.norm(w))
+                if est == 0.0:
+                    break
+                v = w / est
+            self._cache["norm"] = est
+        return self._cache["norm"]
+
+
+def solve_posdef(M, rhs, *, psd_hint=False):
+    """Certified solve of ``M x = rhs`` for SPD ``M``, else ``None``.
+
+    ``M`` is an Operator or anything an Operator accepts; ``psd_hint``
+    asserts that a raw ``M`` is positive semidefinite (see ``Operator``).
+    """
+    solve = Operator.of(M, psd=psd_hint).solver()
+    return None if solve is None else solve(rhs)
+
+
+class Metric(Operator):
     """SPD operator R defining ``<x, y>_R`` and the dual norm.
 
-    ``R`` may be ``None`` (identity), a dense ndarray, a scipy sparse matrix,
-    or a callable matvec.  Factorizations are cached -- a metric is built once
-    per problem and queried a couple of times per trial step.
+    Built once per problem; its factorization is cached by ``solver``.
     """
 
     def __init__(self, R=None, dim=None):
-        self.R = R
-        self.dim = dim
-        self._chol = None
-        self._lu = None
-        if R is None:
-            self.kind = "identity"
-        elif callable(R) and not (_is_sparse(R) or isinstance(R, np.ndarray)):
-            self.kind = "matvec"
-        elif _is_sparse(R):
-            n = R.shape[0]
-            self.dim = n
-            if n <= DENSE_LIMIT:
-                self.kind = "dense"
-                self.R = R.toarray()
-            else:
-                self.kind = "sparse"
-        else:
-            self.R = np.asarray(R, dtype=float)
-            self.dim = self.R.shape[0]
-            self.kind = "dense"
+        super().__init__(R, dim, psd=True)
 
-    # -- products ----------------------------------------------------------
-
-    def matvec(self, x):
-        if self.kind == "identity":
-            return x
-        if self.kind == "matvec":
-            return self.R(x)
-        return self.R @ x
+    def _factor(self):
+        # the sparse LU certifies residuals only: certify definiteness once
+        if self.kind == "sparse" and not _sparse_definite(self.A):
+            return None
+        return super()._factor()
 
     def inner(self, x, y):
-        return float(self.matvec(x) @ y)
+        return float(self.apply(x) @ y)
 
     def norm(self, x):
         return float(np.sqrt(max(0.0, self.inner(x, x))))
 
-    # -- Riesz solves -------------------------------------------------------
-
     def solve(self, g):
         """R^{-1} g with a cached factorization; raises on a broken metric."""
-        if self.kind == "identity":
-            return g
-        if self.kind == "matvec":
-            x = cg_certified(self.R, g)
-            if x is None:
-                raise NumericalError("metric operator is not SPD or CG failed")
-            return x
-        if self.kind == "dense":
-            if self._chol is None:
-                try:
-                    self._chol = sla.cho_factor(_sym_dense(self.R), check_finite=False)
-                except (sla.LinAlgError, ValueError) as e:
-                    raise NumericalError("metric is not positive definite") from e
-            return sla.cho_solve(self._chol, g, check_finite=False)
-        if self._lu is None:
-            try:
-                with np.errstate(all="ignore"):
-                    self._lu = spla.splu(self.R.tocsc())
-            except Exception as e:
-                raise NumericalError("metric factorization failed") from e
-        x = self._lu.solve(g)
-        res = np.linalg.norm(self.R @ x - g) / max(1e-300, np.linalg.norm(g))
-        if not np.all(np.isfinite(x)) or res > RESIDUAL_TOL:
-            raise NumericalError("metric solve failed certification", residual=res)
+        solve = self.solver()
+        x = None if solve is None else solve(g)
+        if x is None:
+            raise NumericalError("metric is not positive definite "
+                                 "or its solve failed certification")
         return x
 
     def dual_norm(self, g):

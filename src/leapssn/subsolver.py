@@ -23,13 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import solve_posdef
+from .hilbert import Operator, solve_posdef
 from .problem import Problem
 
 INNER_TOL = 1e-10
 INNER_REL = 1e-4     # residual reduction relative to the base point's own
 INNER_MAXIT = 10000
-POWER_ITERS = 30
 
 
 @dataclass
@@ -43,51 +42,16 @@ class SubproblemResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _add_reg(H, lam, metric, dim):
-    """Assemble H + lambda*R in a type matching H."""
-    import scipy.sparse as sp
-
-    if callable(H) and not (sp.issparse(H) or isinstance(H, np.ndarray)):
-        if metric.kind == "identity":
-            return lambda v: H(v) + lam * v
-        return lambda v: H(v) + lam * metric.matvec(v)
-    if sp.issparse(H):
-        if metric.kind == "identity":
-            return (H + lam * sp.identity(dim, format="csr")).tocsr()
-        return (H + lam * sp.csr_matrix(metric.R)).tocsr()
-    M = np.array(H, dtype=float, copy=True)
-    if metric.kind == "identity":
-        M[np.diag_indices_from(M)] += lam
-        return M
-    return M + lam * np.asarray(metric.R)
-
-
 def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """Minimise the model for a smooth problem: one certified SPD solve."""
     if not problem.smooth:
         raise ValueError("smooth_step requires psi == 0")
-    M = _add_reg(H, lam, problem.metric, problem.dim)
-    d = solve_posdef(M, -grad, psd_hint=problem.hess_psd)
+    H = Operator.of(H, problem.dim, psd=problem.hess_psd)
+    d = solve_posdef(H.shift(lam, problem.metric), -grad)
     if d is None:
         return SubproblemResult(None, False)
     x_plus = x + d
     return SubproblemResult(x_plus, True, linear_solves=1)
-
-
-def _power_norm(H, dim):
-    """Deterministic power-iteration estimate of ||H||_2."""
-    v = np.ones(dim) / np.sqrt(dim)
-    v[0] += 0.5 / np.sqrt(dim)  # break symmetry for checkerboard-null operators
-    v /= np.linalg.norm(v)
-    matvec = H if callable(H) and not isinstance(H, np.ndarray) else (lambda u: H @ u)
-    est = 0.0
-    for _ in range(POWER_ITERS):
-        w = matvec(v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        v = w / est
-    return est
 
 
 def composite_step(problem: Problem, x, grad, H, lam,
@@ -97,13 +61,14 @@ def composite_step(problem: Problem, x, grad, H, lam,
     Termination is by the prox fixed-point residual; the returned point is
     always the output of a prox step from the last smooth iterate, so
     ``(v - x_plus)/t`` is an exact element of ``partial psi(x_plus)``.
-    Counts as one trial solve in the driver's accounting.
+    Counts as one trial solve in the driver's accounting.  Passing ``H``
+    as an :class:`Operator` shares its cached step-size estimate across
+    the rungs of one outer iteration.
     """
     prox = problem.prox if not problem.smooth else (lambda v, t: v)
-    matvec = H if callable(H) and not isinstance(H, np.ndarray) else (lambda u: H @ u)
-
-    Hnorm = _power_norm(H, problem.dim)
-    t = 1.0 / (1.1 * Hnorm + lam)
+    H = Operator.of(H, problem.dim)
+    matvec = H.apply
+    t = 1.0 / (1.1 * H.norm_estimate() + lam)
 
     def model_grad(y):
         d = y - x

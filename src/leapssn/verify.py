@@ -16,11 +16,10 @@ Three layers:
   local regime, ``manifold_check`` the finite identification of the
   nonsmooth manifold;
 
-* step-map bounds — ``step_length_bound``, ``step_shift_bound`` and
-  ``step_alignment_bound`` evaluate the three a-priori inequalities the
-  regularised proximal step satisfies (step length vs subgradient norm,
-  lambda-sensitivity, and the alignment lower bound that motivates the
-  first acceptance test) as (lhs, rhs) pairs for property tests.
+* step-map bounds — ``step_length_bound`` and ``step_shift_bound``
+  evaluate two a-priori inequalities the regularised proximal step
+  satisfies (step length vs subgradient norm, and lambda-sensitivity) as
+  (lhs, rhs) pairs for property tests.
 
 Every envelope check is one-sided: the harness asserts trace <= bound,
 never tightness.  Sampled constants may undershoot the truth, so all
@@ -38,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import Trace
+from .hilbert import Operator
 from .problem import Problem
 from .subsolver import composite_step, smooth_step
 from .suite.rng import SplitMix64
@@ -46,12 +46,6 @@ SLACK = 1e-8        # relative arithmetic slack on audited inequalities
 L_INFLATION = 1.05  # sampled model-error constants may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
-
-
-def _apply_H(H, v):
-    if callable(H):
-        return np.asarray(H(v), dtype=float)
-    return np.asarray(H @ v, dtype=float)
 
 
 def _sample_bounds(problem: Problem, radius: float):
@@ -111,12 +105,12 @@ def hess_symmetry_check(problem: Problem, points, pairs_per_point: int = 5,
     rng = SplitMix64(seed)
     worst = 0.0
     for x in points:
-        H = problem.hess(np.asarray(x, dtype=float))
+        H = Operator(problem.hess(np.asarray(x, dtype=float))).apply
         for _ in range(pairs_per_point):
             u = rng.normals(problem.dim)
             v = rng.normals(problem.dim)
-            a = float(_apply_H(H, u) @ v)
-            b = float(_apply_H(H, v) @ u)
+            a = float(H(u) @ v)
+            b = float(H(v) @ u)
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     return worst
 
@@ -128,7 +122,7 @@ def _model_error_ratio(problem: Problem, x, y) -> Optional[float]:
         return None
     gx = np.asarray(problem.f_grad(x), dtype=float)
     gy = np.asarray(problem.f_grad(y), dtype=float)
-    err = gy - gx - _apply_H(problem.hess(x), d)
+    err = gy - gx - Operator(problem.hess(x)).apply(d)
     return problem.metric.dual_norm(err) / nd
 
 
@@ -456,8 +450,8 @@ def dm_condition_sample(trace: Trace, problem: Problem,
         if dn <= 1e-300:
             out.append(0.0)
             continue
-        dH = (_apply_H(problem.hess(x_plus), x_plus - x_star)
-              - _apply_H(problem.hess(x_k), x_plus - x_star))
+        dH = (Operator(problem.hess(x_plus)).apply(x_plus - x_star)
+              - Operator(problem.hess(x_k)).apply(x_plus - x_star))
         out.append(problem.metric.dual_norm(dH) / dn)
     return out
 
@@ -520,26 +514,4 @@ def step_shift_bound(problem: Problem, x, lam: float, lam2: float):
         return None
     lhs = problem.metric.norm(s1.x_plus - s2.x_plus)
     rhs = (lam2 - lam) / lam2 * problem.metric.norm(x - s1.x_plus)
-    return lhs, rhs
-
-
-def step_alignment_bound(problem: Problem, x, lam: float, L: float):
-    """(lhs, rhs) for the alignment inequality behind the acceptance test.
-
-    With model error bounded by L * r over the step of length r:
-    <F'(x+), x - x+>  >=  ||F'(x+)||_*^2/(2 lam) + lam r^2/2 - (L r)^2/(2 lam).
-    Returns None when the step is not computable.
-    """
-    x = np.asarray(x, dtype=float)
-    sub = _resolve_step(problem, x, lam)
-    if not sub.computable:
-        return None
-    x_plus = sub.x_plus
-    g_plus = np.asarray(problem.f_grad(x_plus), dtype=float)
-    if not problem.smooth:
-        g_plus = g_plus + sub.psi_grad
-    r = problem.metric.norm(x - x_plus)
-    gd = problem.metric.dual_norm(g_plus)
-    lhs = float(g_plus @ (x - x_plus))
-    rhs = gd * gd / (2.0 * lam) + lam * r * r / 2.0 - (L * r) ** 2 / (2.0 * lam)
     return lhs, rhs

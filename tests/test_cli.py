@@ -108,6 +108,18 @@ def test_config_file_unknown_key_is_an_error(tmp_path):
     assert _run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("command,alpha", [("verify", "0.7"), ("run", "0")])
+def test_bad_solver_constant_in_config_exits_one(tmp_path, capsys, command,
+                                                 alpha):
+    # the driver validates the constants; an explicit 0 is not the default
+    cfg = tmp_path / "bad_alpha.cfg"
+    cfg.write_text(f"problem = quadratic\nalpha = {alpha}\n")
+    out = tmp_path / "o"
+    assert _run(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert "alpha must lie in (0, 1/2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_table_and_csv(tmp_path):
     out = tmp_path / "cmp"
     code = _run("compare", "--problem", "membrane", "--n", "17",

@@ -122,3 +122,21 @@ def test_custom_lambda0_is_respected():
     res = leap_ssn(prob, x0=prob.solution + 2.0, lambda0=32.0)
     assert res.trace.records[0].Lam == 32.0
     assert res.trace.config["lambda0"] == 32.0
+
+
+def test_gradient_is_evaluated_once_per_computable_trial():
+    # f' at an accepted candidate is reused as the next iteration's f'(x_k)
+    prob = quadratic()
+    calls = 0
+    f_grad = prob.f_grad
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return f_grad(x)
+
+    prob.f_grad = counted
+    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    assert res.status == "converged" and res.iterations > 1
+    # every trial is computable on a convex quadratic, plus one call at x0
+    assert calls == 1 + res.solves

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from leapssn import Metric, cg_certified, solve_posdef
+from leapssn import (Metric, NumericalError, Problem, cg_certified,
+                     smooth_step, solve_posdef)
 from leapssn.hilbert import DENSE_LIMIT
 from leapssn.suite.obstacle import plate_problem
 
@@ -23,7 +24,7 @@ def test_identity_metric_basics():
     assert m.inner(x, y) == 11.0
     assert m.norm(x) == pytest.approx(np.sqrt(5.0))
     assert m.dual_norm(x) == pytest.approx(np.sqrt(5.0))
-    assert np.array_equal(m.matvec(x), x)
+    assert np.array_equal(m.apply(x), x)
 
 
 def test_dense_metric_norms_against_direct_linear_algebra():
@@ -58,6 +59,69 @@ def test_matvec_metric_agrees_with_dense():
     g = np.random.default_rng(3).standard_normal(n)
     assert mm.inner(g, g) == pytest.approx(md.inner(g, g), rel=1e-12)
     assert mm.dual_norm(g) == pytest.approx(md.dual_norm(g), rel=1e-8)
+
+
+def test_dense_metric_refuses_a_near_singular_factorization():
+    # Cholesky completes, but the pivot ratio 1e-20 is far below n * eps
+    with pytest.raises(NumericalError):
+        Metric(np.diag([1.0, 1e-20])).solve(np.ones(2))
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "matvec"])
+def test_indefinite_metric_raises_in_every_representation(kind):
+    n = DENSE_LIMIT + 1 if kind == "sparse" else 3
+    D = sp.diags(np.r_[np.ones(n - 1), -1.0]).tocsr()
+    R = {"dense": D.toarray(), "sparse": D, "matvec": lambda v: D @ v}[kind]
+    metric = Metric(R, dim=n)
+    assert metric.kind == kind
+    with pytest.raises(NumericalError):
+        metric.solve(np.ones(n))
+
+
+def _banded_spd(n, diag):
+    """Tridiagonal SPD matrix: diag on the diagonal, -1 off it."""
+    return sp.diags([-np.ones(n - 1), np.full(n, diag), -np.ones(n - 1)],
+                    [-1, 0, 1]).tocsr()
+
+
+H_FORMS = {
+    "dense": (40, lambda A: A.toarray()),
+    "dense_large": (DENSE_LIMIT + 1, lambda A: A.toarray()),
+    "sparse_small": (40, lambda A: A),
+    "sparse_large": (DENSE_LIMIT + 1, lambda A: A),
+    "callable": (40, lambda A: (lambda v: A @ v)),
+}
+R_FORMS = {
+    "identity": lambda R: None,
+    "dense": lambda R: R.toarray(),
+    "sparse": lambda R: R,
+    "callable": lambda R: (lambda v: R @ v),
+}
+
+
+# dense_large covers the one branch no other form reaches: a dense H shifted
+# by a sparse metric above DENSE_LIMIT
+FORMS = [(h, r) for h in H_FORMS if h != "dense_large" for r in R_FORMS]
+FORMS.append(("dense_large", "sparse"))
+
+
+@pytest.mark.parametrize("h_form,r_form", FORMS)
+def test_smooth_step_agrees_across_representations(h_form, r_form):
+    n, as_h = H_FORMS[h_form]
+    H, R = _banded_spd(n, 3.0), _banded_spd(n, 2.5)
+    metric = Metric(R_FORMS[r_form](R), dim=n)
+    if r_form == "identity":
+        R = sp.identity(n, format="csr")
+    prob = Problem(dim=n, f_value=lambda x: 0.0, f_grad=lambda x: H @ x,
+                   hess=lambda x: H, metric=metric, hess_psd=True)
+    x = np.linspace(-1.0, 1.0, n)
+    g = H @ x + 1.0
+    lam = 0.75
+    res = smooth_step(prob, x, g, as_h(H), lam)
+    assert res.computable
+    M = (H + lam * R).tocsc()
+    d = res.x_plus - x
+    assert np.linalg.norm(M @ d + g) <= 1e-9 * np.linalg.norm(g)
 
 
 def test_solve_posdef_matches_numpy_on_spd():
