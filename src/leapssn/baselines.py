@@ -27,6 +27,8 @@ from .hilbert import solve_posdef
 from .problem import Problem
 
 _STEP_LIMIT = 1e13   # a "solution" this large is a blow-up, not a step
+_SHRINK = 0.5        # dyadic step lengths 1, 1/2, ..., 2^-_MAX_HALVINGS
+_MAX_HALVINGS = 40
 
 BASELINE_KINDS = ("plain", "backtracking", "l2_linesearch")
 
@@ -38,8 +40,6 @@ class BaselineConfig:
     max_outer: int = 500
     max_linear_solves: int = 10000
     armijo_c: float = 1e-4
-    shrink: float = 0.5
-    max_halvings: int = 40
 
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
@@ -50,17 +50,13 @@ class BaselineConfig:
             raise ValueError("budgets must be at least 1")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
 
 
-def _dyadic_steps(cfg: BaselineConfig):
+def _dyadic_steps():
     t = 1.0
-    for _ in range(cfg.max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         yield t
-        t *= cfg.shrink
+        t *= _SHRINK
 
 
 def baseline_run(problem: Problem, x0=None,
@@ -88,7 +84,7 @@ def baseline_run(problem: Problem, x0=None,
         if solves >= cfg.max_linear_solves:
             status = SOLVE_BUDGET
             break
-        d = solve_posdef(problem.hess(x), -g, psd_hint=problem.hess_psd)
+        d = solve_posdef(problem.hess(x), -g)
         solves += 1
         if d is None or not np.all(np.isfinite(d)) or np.abs(d).max() > _STEP_LIMIT:
             status = SUBPROBLEM_FAILURE
@@ -99,7 +95,7 @@ def baseline_run(problem: Problem, x0=None,
         elif cfg.kind == "backtracking":
             slope = float(g @ d)
             t = None
-            for cand in _dyadic_steps(cfg):
+            for cand in _dyadic_steps():
                 if (float(problem.f_value(x + cand * d))
                         <= F + cfg.armijo_c * cand * slope):
                     t = cand
@@ -110,7 +106,7 @@ def baseline_run(problem: Problem, x0=None,
         else:  # l2_linesearch
             t = None
             best_t, best_gpn = None, np.inf
-            for cand in _dyadic_steps(cfg):
+            for cand in _dyadic_steps():
                 gc = problem.metric.dual_norm(
                     np.asarray(problem.f_grad(x + cand * d), dtype=float))
                 if gc < gpn:

@@ -168,7 +168,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     last_gpn = g0_norm
 
     for k in range(max_outer):
-        H = Operator(problem.hess(x), problem.dim, psd=problem.hess_psd)
+        H = Operator(problem.hess(x), problem.dim)
 
         accepted = False
         computable_seen = False

@@ -6,17 +6,20 @@ operator is stored (identity, dense ndarray, scipy sparse matrix or callable
 matvec).  It gives the curvature ``H(x)``, the shifted system ``H + lambda
 R`` and the metric ``R`` one interface: ``apply``, ``shift``, a cached
 certified ``solver()`` and a cached power-iteration ``norm_estimate()``.
-Sparse input with at most ``DENSE_LIMIT`` unknowns is densified on
-construction.
+Operators are applied and shifted in the form they were given; sparse input
+with at most ``DENSE_LIMIT`` unknowns is densified only to be factored.
 
-Certificates: dense operators use Cholesky, which must complete *and* whose
-smallest pivot must clear ``n * PIVOT_FLOOR`` of its largest (pivots are the
-LDL^T diagonal ``d_i = c_ii**2``).  Each ``d_i`` is a diagonal entry of a
-Schur complement, so ``lambda_min <= min d_i`` and ``max d_i <=
+Certificate: one rule, the pivot floor, for dense and sparse operators.  A
+factorization is accepted only when it is an LDL^T one without pivoting and
+its smallest pivot clears ``n * PIVOT_FLOOR`` of its largest.  Dense
+operators use Cholesky (pivots ``d_i = c_ii**2``); sparse ones use SuperLU
+in symmetric mode with the diagonal pivot threshold at zero, so no rows are
+exchanged and U's diagonal holds the pivots.  Each ``d_i`` is a diagonal
+entry of a Schur complement, so ``lambda_min <= min d_i`` and ``max d_i <=
 lambda_max``: a pivot below the floor shows the operator singular to working
-precision at any scale, whichever side of zero rounding leaves that pivot.
-Sparse operators declared positive semidefinite by the caller use sparse LU
-with a relative residual check per solve; anything else goes to a plain
+precision at any scale, whichever side of zero rounding leaves that pivot,
+and a negative one shows it indefinite.  Sparse solves also keep a relative
+residual check (``RESIDUAL_TOL``).  Matvec-only operators go to a plain
 conjugate-gradient loop that refuses a direction of nonpositive curvature.
 An uncertifiable trial solve returns ``None`` so the caller can treat the
 step as non-computable.
@@ -24,9 +27,7 @@ step as non-computable.
 A problem's inner product ``<x, y>_R = <Rx, y>`` is carried by a
 :class:`Metric`, an operator that owns the Riesz solves ``R^{-1} g`` behind
 dual norms.  A broken metric raises :class:`NumericalError` (the metric is
-part of the problem contract and must be SPD); a sparse metric is also
-certified definite once, by the same pivot floor applied to a symmetric,
-non-pivoting SuperLU factorization.
+part of the problem contract and must be SPD).
 """
 
 from __future__ import annotations
@@ -100,12 +101,29 @@ def _cholesky_solver(A):
     return solve
 
 
-def _sparse_lu_solver(A):
-    try:
-        with np.errstate(all="ignore"):
-            lu = spla.splu(A.tocsc())
-    except Exception:
+def _sparse_ldl_solver(A, lasting=False):
+    """Symmetric-mode SuperLU: no row pivoting, so U's diagonal holds the
+    LDL^T pivots of ``P A P^T``, certified by the same floor as Cholesky.
+
+    Reading U makes the SuperLU object keep full copies of L and U, so a
+    ``lasting`` factor (one kept as long as its problem) is computed again
+    after the certificate and the read one is dropped.
+    """
+    def factor():
+        try:
+            return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True))
+        except RuntimeError:    # an exactly zero pivot
+            return None
+
+    lu = factor()
+    if (lu is None or not np.array_equal(lu.perm_r, lu.perm_c)
+            or not _pivots_clear_floor(lu.U.diagonal())):
         return None
+    if lasting:
+        del lu      # free it first, so the kept factor can reuse its memory
+        lu = factor()
 
     def solve(rhs):
         with np.errstate(all="ignore"):
@@ -117,65 +135,47 @@ def _sparse_lu_solver(A):
     return solve
 
 
-def _sparse_definite(A):
-    """Pivot-floor certificate from a symmetric, non-pivoting SuperLU."""
-    try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError:
-        return False
-    # without pivoting U's diagonal holds the LDL^T pivots of P A P^T
-    return (np.array_equal(lu.perm_r, lu.perm_c)
-            and _pivots_clear_floor(lu.U.diagonal()))
-
-
 class Operator:
     """A symmetric operator on R^dim in one of four forms (``kind``).
 
     ``A`` may be ``None`` (identity), a dense ndarray, a scipy sparse
-    matrix, or a callable matvec (which needs ``dim``).  ``psd`` records
-    that the caller knows the operator is positive semidefinite, which
-    licenses the sparse LU path.
+    matrix, or a callable matvec (which needs ``dim``).
     """
 
-    def __init__(self, A=None, dim=None, *, psd=False):
+    def __init__(self, A=None, dim=None):
         if A is None:
             kind, apply = "identity", (lambda v: v)
         elif callable(A):
             kind, apply = "matvec", A
         else:
-            if not sp.issparse(A):
-                kind, A = "dense", np.asarray(A, dtype=float)
-            elif A.shape[0] > DENSE_LIMIT:
+            if sp.issparse(A):
                 kind = "sparse"
             else:
-                kind, A = "dense", A.toarray()
+                kind, A = "dense", np.asarray(A, dtype=float)
             apply, dim = A.__matmul__, A.shape[0]
         self.A, self.dim, self.kind, self.apply = A, dim, kind, apply
-        self.psd = psd
         self._cache = {}
 
     @staticmethod
-    def of(A, dim=None, *, psd=False):
+    def of(A, dim=None):
         """``A`` itself when it already is an Operator, else a new one."""
-        return A if isinstance(A, Operator) else Operator(A, dim, psd=psd)
+        return A if isinstance(A, Operator) else Operator(A, dim)
 
     def shift(self, lam, R):
         """The operator ``A + lam * R`` (``R`` an Operator, e.g. a Metric)."""
         if "matvec" in (self.kind, R.kind):
             apply, r_apply = self.apply, R.apply
-            return Operator(lambda v: apply(v) + lam * r_apply(v), self.dim,
-                            psd=self.psd)
+            return Operator(lambda v: apply(v) + lam * r_apply(v), self.dim)
         if self.kind == "sparse":
             B = (sp.identity(self.dim, format="csr") if R.kind == "identity"
                  else sp.csr_matrix(R.A))
-            return Operator((self.A + lam * B).tocsr(), psd=self.psd)
+            return Operator((self.A + lam * B).tocsr())
         M = np.array(self.A, dtype=float, copy=True)
         if R.kind == "identity":
             M[np.diag_indices_from(M)] += lam
         else:
             M += lam * (R.A.toarray() if R.kind == "sparse" else R.A)
-        return Operator(M, psd=self.psd)
+        return Operator(M)
 
     def solver(self):
         """Cached certified solve ``rhs -> x``, or ``None`` when the operator
@@ -185,13 +185,15 @@ class Operator:
             self._cache["solver"] = self._factor()
         return self._cache["solver"]
 
-    def _factor(self):
+    def _factor(self, lasting=False):
         if self.kind == "identity":
             return lambda rhs: rhs
         if self.kind == "dense":
             return _cholesky_solver(self.A)
-        if self.kind == "sparse" and self.psd:
-            return _sparse_lu_solver(self.A)
+        if self.kind == "sparse":
+            if self.dim <= DENSE_LIMIT:
+                return _cholesky_solver(self.A.toarray())
+            return _sparse_ldl_solver(self.A, lasting)
         apply = self.apply
         return lambda rhs: cg_certified(apply, rhs)
 
@@ -213,30 +215,24 @@ class Operator:
         return self._cache["norm"]
 
 
-def solve_posdef(M, rhs, *, psd_hint=False):
+def solve_posdef(M, rhs):
     """Certified solve of ``M x = rhs`` for SPD ``M``, else ``None``.
 
-    ``M`` is an Operator or anything an Operator accepts; ``psd_hint``
-    asserts that a raw ``M`` is positive semidefinite (see ``Operator``).
+    ``M`` is an Operator or anything an Operator accepts.
     """
-    solve = Operator.of(M, psd=psd_hint).solver()
+    solve = Operator.of(M).solver()
     return None if solve is None else solve(rhs)
 
 
 class Metric(Operator):
     """SPD operator R defining ``<x, y>_R`` and the dual norm.
 
-    Built once per problem; its factorization is cached by ``solver``.
+    Built once per problem; its factorization is cached by ``solver`` and
+    kept as long as the problem.
     """
 
-    def __init__(self, R=None, dim=None):
-        super().__init__(R, dim, psd=True)
-
     def _factor(self):
-        # the sparse LU certifies residuals only: certify definiteness once
-        if self.kind == "sparse" and not _sparse_definite(self.A):
-            return None
-        return super()._factor()
+        return super()._factor(lasting=True)
 
     def inner(self, x, y):
         return float(self.apply(x) @ y)

@@ -3,9 +3,10 @@
 A :class:`Problem` bundles the smooth part ``f`` (value, gradient, and a
 symmetric curvature operator ``H(x)``), an optional nonsmooth part ``psi``
 given by its value and Euclidean proximal map, the SPD metric defining norms,
-and optional declarations (known minimum value, strong-convexity modulus,
-curvature-variation bound, sampling region) that the verification harness
-uses to decide which theory checks apply.
+and optional declarations (known minimum value, positive semidefinite
+curvature, strong-convexity modulus, curvature-variation bound, sampling
+region) that the verification harness uses to decide which theory checks
+apply.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ class Problem:
 
     # optional structure/performance hooks
     f_decrease: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    hess_psd: bool = False          # every H(x) is positive semidefinite
     x0: Optional[np.ndarray] = None
     lambda0: Optional[float] = None
 
     # optional declarations consumed by the verification harness
     f_star: Optional[float] = None
+    hess_psd: bool = False          # every H(x) is positive semidefinite
     strong_convexity: Optional[float] = None    # PL / strong-convexity modulus
     curvature_bound: Optional[float] = None     # bound on the H-variation scale
     solution: Optional[np.ndarray] = None

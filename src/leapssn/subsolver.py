@@ -46,7 +46,7 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """Minimise the model for a smooth problem: one certified SPD solve."""
     if not problem.smooth:
         raise ValueError("smooth_step requires psi == 0")
-    H = Operator.of(H, problem.dim, psd=problem.hess_psd)
+    H = Operator.of(H, problem.dim)
     d = solve_posdef(H.shift(lam, problem.metric), -grad)
     if d is None:
         return SubproblemResult(None, False)

@@ -47,10 +47,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BaselineConfig(kind="damped")
     with pytest.raises(ValueError):
-        BaselineConfig(shrink=1.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(max_halvings=-1)
-    with pytest.raises(ValueError):
         BaselineConfig(armijo_c=0.0)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from leapssn import (Metric, NumericalError, Problem, cg_certified,
-                     smooth_step, solve_posdef)
+from leapssn import (Metric, NumericalError, Operator, Problem,
+                     cg_certified, smooth_step, solve_posdef)
 from leapssn.hilbert import DENSE_LIMIT
 from leapssn.suite.obstacle import plate_problem
 
@@ -45,6 +45,8 @@ def test_sparse_and_dense_metrics_agree():
     R = _spd(n, seed=0)
     md = Metric(R)
     ms = Metric(sp.csr_matrix(R))
+    # small sparse input is applied as given and densified only to factor
+    assert ms.kind == "sparse"
     g = np.random.default_rng(1).standard_normal(n)
     assert md.dual_norm(g) == pytest.approx(ms.dual_norm(g), rel=1e-10)
     assert np.allclose(md.solve(g), ms.solve(g), atol=1e-10)
@@ -124,6 +126,18 @@ def test_smooth_step_agrees_across_representations(h_form, r_form):
     assert np.linalg.norm(M @ d + g) <= 1e-9 * np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("h_form", [h for h in H_FORMS if h != "dense_large"])
+def test_indefinite_curvature_is_refused_in_every_representation(h_form):
+    # no caller's promise is needed: each path certifies definiteness itself
+    n, as_h = H_FORMS[h_form]
+    D = sp.diags(np.r_[np.ones(n - 1), -1.0]).tocsr()
+    prob = Problem(dim=n, f_value=lambda x: 0.0, f_grad=lambda x: D @ x,
+                   hess=lambda x: D, hess_psd=False)
+    g = np.ones(n)
+    assert solve_posdef(Operator(as_h(D), n), -g) is None
+    assert not smooth_step(prob, np.zeros(n), g, as_h(D), 0.5).computable
+
+
 def test_solve_posdef_matches_numpy_on_spd():
     A = _spd(12, seed=4)
     b = np.arange(12, dtype=float)
@@ -137,6 +151,9 @@ def test_solve_posdef_rejects_indefinite_and_singular():
     assert solve_posdef(np.diag([1.0, 0.0]), np.ones(2)) is None
     # Cholesky completes here, but the pivot ratio 1e-20 is far below n * eps
     assert solve_posdef(np.diag([1.0, 1e-20]), np.ones(2)) is None
+    # the same floor on the sparse path, where SuperLU completes too
+    S = sp.diags(np.r_[np.ones(DENSE_LIMIT), 1e-20]).tocsr()
+    assert solve_posdef(S, np.ones(DENSE_LIMIT + 1)) is None
 
 
 def test_solve_posdef_pivot_floor_is_relative_to_scale():
@@ -152,12 +169,12 @@ def test_dense_and_sparse_paths_agree_on_singular_plate_system():
     # singular; both certificates must refuse it, whatever the BLAS rounding.
     prob = plate_problem(47, 1e6)
     x = prob.start_point(None)
-    d = solve_posdef(prob.hess(x), -prob.f_grad(x), psd_hint=prob.hess_psd)
+    d = solve_posdef(prob.hess(x), -prob.f_grad(x))
     assert d is not None
     x = x + d
     H, g = prob.hess(x), prob.f_grad(x)
     assert sp.issparse(H) and H.shape[0] > DENSE_LIMIT
-    assert solve_posdef(H, -g, psd_hint=prob.hess_psd) is None
+    assert solve_posdef(H, -g) is None
     assert solve_posdef(H.toarray(), -g) is None
 
 
