@@ -3,7 +3,8 @@
 Each outer iteration fixes the current point ``x_k``, whose ``F(x_k)`` and
 ``f'(x_k)`` carry over from the previous acceptance, wraps ``H(x_k)`` once
 as an :class:`~leapssn.hilbert.Operator` (so work that every rung shares,
-like the composite step size, is done once), and walks a trial ladder
+like the composite step size, is done once, and escalated rungs of a large
+sparse ``H`` reuse an earlier rung's factor), and walks a trial ladder
 ``lambda = 2^j * Lambda_k`` (``j = 0, 1, ...``, exact in binary floating
 point).  For every trial the regularised model subproblem is solved; a
 non-computable step (indefinite system, failed inner loop) moves to the
@@ -136,7 +137,7 @@ def _initial_stationarity(problem, x, g):
 
 
 def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
-             max_solves=None, max_inner_trials=60, alpha=0.5, beta=0.25,
+             max_solves=None, max_inner_trials=60, alpha=None, beta=None,
              m=2.0, lambda0=None, callback=None) -> Result:
     """Run the adaptive solver on ``problem`` from ``x0``.
 
@@ -144,9 +145,15 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     record unless a budget expires before the first acceptance.  Convergence
     is declared when the certified gradient at an *accepted* iterate has dual
     norm at most ``grad_tol`` (the start point is never tested, so a trace is
-    never empty on the converged path).
+    never empty on the converged path).  ``alpha``, ``beta`` and
+    ``lambda0`` default to the problem's declarations, else to 0.5, 0.25
+    and 1.
     """
     Lam = lambda0 if lambda0 is not None else (problem.lambda0 or 1.0)
+    if alpha is None:
+        alpha = problem.alpha if problem.alpha is not None else 0.5
+    if beta is None:
+        beta = problem.beta if problem.beta is not None else 0.25
     _validate(alpha, beta, m, Lam, max_inner_trials)
 
     x = problem.start_point(x0)
@@ -204,6 +211,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             if cond1 and cond2:
                 accepted = True
                 break
+        H = None    # free H and its kept rung factor before the next hess
 
         if status == SOLVE_BUDGET:
             break

@@ -24,6 +24,18 @@ conjugate-gradient loop that refuses a direction of nonpositive curvature.
 An uncertifiable trial solve returns ``None`` so the caller can treat the
 step as non-computable.
 
+Escalated rungs: the shifts ``H + lambda R`` of one sparse ``H`` above
+``DENSE_LIMIT`` share a factor.  ``H`` keeps the factor of its last rung at
+``lambda0`` that cleared the pivot floor.  A later rung ``lambda >= lambda0``
+with the same certified metric ``R`` satisfies ``H + lambda R = (H + lambda0
+R) + (lambda - lambda0) R``, which lies above an SPD operator in the Loewner
+order, so it is SPD without a factorization of its own.  It is solved by
+conjugate gradients preconditioned with the kept factor, which still refuses
+``<Ap, p> <= 0`` and is still followed by the ``RESIDUAL_TOL`` check.  When
+that fails (``_PCG_MAXIT`` reached, say), the kept factor is dropped and the
+rung is factored and certified as above; its factor is kept in turn.  Dense
+operators factor every rung, since Cholesky is cheap at their sizes.
+
 A problem's inner product ``<x, y>_R = <Rx, y>`` is carried by a
 :class:`Metric`, an operator that owns the Riesz solves ``R^{-1} g`` behind
 dual norms.  A broken metric raises :class:`NumericalError` (the metric is
@@ -39,6 +51,9 @@ import scipy.sparse.linalg as spla
 
 DENSE_LIMIT = 2000
 CG_TOL = 1e-12
+# PCG on an escalated rung gives up after this many iterations and the rung
+# is factored; at plate and TV sizes they cost about 1.4 factorizations
+_PCG_MAXIT = 30
 RESIDUAL_TOL = 1e-6
 # Cholesky (or LDL^T) is refused when min d_i <= n * PIVOT_FLOOR * max d_i
 PIVOT_FLOOR = np.finfo(float).eps
@@ -49,13 +64,15 @@ class NumericalError(RuntimeError):
     """A metric solve could not be certified."""
 
 
-def cg_certified(matvec, b, tol=CG_TOL, maxiter=None):
+def cg_certified(matvec, b, tol=CG_TOL, maxiter=None, precond=None):
     """Conjugate gradients with an indefiniteness certificate.
 
     Returns the solution of ``A x = b`` for symmetric positive definite
     ``A`` given by ``matvec``, or ``None`` when a direction with
     ``<Ap, p> <= 0`` is encountered (the operator is not positive definite)
-    or the iteration fails to reach the relative tolerance.
+    or the recursive residual fails to reach ``tol * ||b||`` within
+    ``maxiter`` iterations.  ``precond``, when given, applies an SPD
+    approximation of ``A^{-1}`` (preconditioned CG).
     """
     n = b.shape[0]
     if maxiter is None:
@@ -65,21 +82,27 @@ def cg_certified(matvec, b, tol=CG_TOL, maxiter=None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x
-    p = r.copy()
-    rs = float(r @ r)
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rz = float(r @ z)
     for _ in range(maxiter):
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             return None
-        a = rs / pAp
+        a = rz / pAp
         x += a * p
         r -= a * Ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * bnorm:
+        rr = float(r @ r)
+        if np.sqrt(rr) <= tol * bnorm:
             return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        if precond is None:
+            z, rz_new = r, rr
+        else:
+            z = precond(r)
+            rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return None
 
 
@@ -101,37 +124,83 @@ def _cholesky_solver(A):
     return solve
 
 
+def _symmetric_splu(A):
+    """Symmetric-mode SuperLU of ``A``: no row pivoting, so U's diagonal
+    holds the LDL^T pivots of ``P A P^T``.  ``None`` on an exactly zero
+    pivot."""
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return None
+
+
+def _certified(lu):
+    """The pivot floor on a symmetric-mode factor, as for Cholesky."""
+    return (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
+            and _pivots_clear_floor(lu.U.diagonal()))
+
+
+def _checked(A, x, rhs):
+    """``x`` when it is finite and solves ``A x = rhs`` to ``RESIDUAL_TOL``."""
+    if x is None or not np.all(np.isfinite(x)):
+        return None
+    res = np.linalg.norm(A @ x - rhs) / max(1e-300, np.linalg.norm(rhs))
+    return x if res <= RESIDUAL_TOL else None
+
+
+def _lu_solve(lu, A, rhs):
+    with np.errstate(all="ignore"):
+        x = lu.solve(rhs)
+    return _checked(A, x, rhs)
+
+
 def _sparse_ldl_solver(A, lasting=False):
-    """Symmetric-mode SuperLU: no row pivoting, so U's diagonal holds the
-    LDL^T pivots of ``P A P^T``, certified by the same floor as Cholesky.
+    """Certified symmetric-mode SuperLU solve of ``A``, or ``None``.
 
     Reading U makes the SuperLU object keep full copies of L and U, so a
     ``lasting`` factor (one kept as long as its problem) is computed again
     after the certificate and the read one is dropped.
     """
-    def factor():
-        try:
-            return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0,
-                             options=dict(SymmetricMode=True))
-        except RuntimeError:    # an exactly zero pivot
-            return None
-
-    lu = factor()
-    if (lu is None or not np.array_equal(lu.perm_r, lu.perm_c)
-            or not _pivots_clear_floor(lu.U.diagonal())):
+    lu = _symmetric_splu(A)
+    if not _certified(lu):
         return None
     if lasting:
         del lu      # free it first, so the kept factor can reuse its memory
-        lu = factor()
+        lu = _symmetric_splu(A)
+    return lambda rhs: _lu_solve(lu, A, rhs)
 
+
+def _rung_solver(A, H, lam, R):
+    """Solve with the rung ``A = H + lam R`` of the sparse operator ``H``.
+
+    ``H`` keeps the factor of its last rung that cleared the pivot floor
+    as ``(lam0, R, lu)``.  For ``lam >= lam0`` and a certified ``R``,
+    ``A = (H + lam0 R) + (lam - lam0) R`` is SPD, and that factor is a
+    preconditioner whose generalized eigenvalues with ``A`` lie in
+    ``[1, lam / lam0]`` when ``H`` is PSD; the rung is solved by PCG on it.
+    When PCG fails, the kept factor is dropped and this rung is factored
+    and kept in its place.  A refused factor is never kept.
+    """
     def solve(rhs):
-        with np.errstate(all="ignore"):
-            x = lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
+        kept = H._cache.get("rung")
+        if (kept is not None and kept[1] is R and kept[0] <= lam
+                and R.solver() is not None):
+            with np.errstate(all="ignore"):
+                x = cg_certified(A.__matmul__, rhs, maxiter=_PCG_MAXIT,
+                                 precond=kept[2].solve)
+            x = _checked(A, x, rhs)
+            if x is not None:
+                return x
+        # drop the kept factor first, so this rung's can reuse its memory
+        kept = None
+        H._cache.pop("rung", None)
+        lu = _symmetric_splu(A)
+        if not _certified(lu):
             return None
-        res = np.linalg.norm(A @ x - rhs) / max(1e-300, np.linalg.norm(rhs))
-        return x if res <= RESIDUAL_TOL else None
+        H._cache["rung"] = (lam, R, lu)
+        return _lu_solve(lu, A, rhs)
     return solve
 
 
@@ -169,7 +238,12 @@ class Operator:
         if self.kind == "sparse":
             B = (sp.identity(self.dim, format="csr") if R.kind == "identity"
                  else sp.csr_matrix(R.A))
-            return Operator((self.A + lam * B).tocsr())
+            out = Operator((self.A + lam * B).tocsr())
+            if out.dim > DENSE_LIMIT:
+                # the rungs of one H share its last certified factor; the
+                # solve holds out.A but not out, so no reference cycle forms
+                out._cache["solver"] = _rung_solver(out.A, self, lam, R)
+            return out
         M = np.array(self.A, dtype=float, copy=True)
         if R.kind == "identity":
             M[np.diag_indices_from(M)] += lam

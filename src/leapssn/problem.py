@@ -54,6 +54,8 @@ class Problem:
     f_decrease: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     x0: Optional[np.ndarray] = None
     lambda0: Optional[float] = None
+    alpha: Optional[float] = None     # preferred acceptance constants, used
+    beta: Optional[float] = None      # when the caller sets none
 
     # optional declarations consumed by the verification harness
     f_star: Optional[float] = None

@@ -38,7 +38,6 @@ class SubproblemResult:
     linear_solves: int = 1
     psi_grad: Optional[np.ndarray] = None    # exact subgradient of psi at x_plus
     psi_value: Optional[float] = None
-    stationarity: float = 0.0                # model-gradient residual at x_plus
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -131,8 +130,6 @@ def composite_step(problem: Problem, x, grad, H, lam,
     x_plus = prox(v, t)
     psi_grad = (v - x_plus) / t
     psi_val = problem.psi(x_plus)
-    stat = float(np.linalg.norm(model_grad(x_plus) + psi_grad))
     return SubproblemResult(x_plus, True, linear_solves=1,
                             psi_grad=psi_grad, psi_value=psi_val,
-                            stationarity=stat,
                             diagnostics={"inner_iters": it + 1, "step": t})

@@ -138,6 +138,8 @@ def tv_dual_problem(omega, gamma: float, delta: float = 1e-4,
         name="tv",
         x0=-delta * np.sign(B.T @ w),
         lambda0=64.0,
+        alpha=1e-4,
+        beta=1e-4,
         curvature_bound=gamma / (2.0 * a),   # worst per-face flip over metric diagonal
         sample_box=(np.full(dim, -4.0 * delta), np.full(dim, 4.0 * delta)),
         near_kink=near_kink,
@@ -151,7 +153,8 @@ def tv_denoise(noisy: GridImage, gamma: float, delta: float = 1e-4,
                max_solves: int = 300):
     """Run the adaptive solver on the flux problem; returns (image, result).
 
-    Uses the imaging configuration (alpha = beta = 1e-4, Lambda_0 = 64):
+    Uses the imaging configuration that ``tv_dual_problem`` declares
+    (alpha = beta = 1e-4, Lambda_0 = 64):
     the nearly-free acceptance lets the regulariser settle at whatever
     level the active-set geometry demands instead of enforcing a large
     fraction of the Cauchy decrease, which on flux boxes is what keeps
@@ -162,6 +165,5 @@ def tv_denoise(noisy: GridImage, gamma: float, delta: float = 1e-4,
     from ..driver import leap_ssn
 
     prob = tv_dual_problem(noisy, gamma, delta=delta, eps=eps)
-    res = leap_ssn(prob, x0=x0, grad_tol=grad_tol, max_solves=max_solves,
-                   alpha=1e-4, beta=1e-4)
+    res = leap_ssn(prob, x0=x0, grad_tol=grad_tol, max_solves=max_solves)
     return prob.reconstruct(res.x), res

@@ -1,0 +1,27 @@
+"""Shared fixtures."""
+
+import pytest
+
+from leapssn import hilbert
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count SuperLU factorizations and preconditioned CG runs in hilbert."""
+    counts = {"splu": 0, "pcg": 0, "pcg_failed": 0}
+    splu, cg = hilbert.spla.splu, hilbert.cg_certified
+
+    def counted_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counted_cg(*args, **kwargs):
+        x = cg(*args, **kwargs)
+        if kwargs.get("precond") is not None:
+            counts["pcg"] += 1
+            counts["pcg_failed"] += x is None
+        return x
+
+    monkeypatch.setattr(hilbert.spla, "splu", counted_splu)
+    monkeypatch.setattr(hilbert, "cg_certified", counted_cg)
+    return counts

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from leapssn import cli
 from leapssn.cli import main
-from leapssn.driver import TRACE_HEADER
+from leapssn.driver import TRACE_HEADER, leap_ssn
 from leapssn.suite import read_pgm, read_svm_data
 
 SUMMARY_KEYS = {"problem", "solver", "seed", "status", "iterations",
@@ -191,6 +192,27 @@ def test_tv_run_writes_images(tmp_path):
     assert code == 0
     assert read_pgm(out / "restored.pgm").data.shape == (16, 16)
     assert read_pgm(out / "noisy.pgm").data.shape == (16, 16)
+
+
+def test_run_tv_uses_the_declared_constants(tmp_path, monkeypatch):
+    # tv_dual_problem declares alpha = beta = 1e-4; a set constant still wins
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(leap_ssn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "leap_ssn", spy)
+    args = ("run", "--problem", "tv", "--n", "16", "--gamma", "1e2",
+            "--budget", "120")
+    assert _run(*args, "--out", str(tmp_path / "declared")) == 0
+    config = tmp_path / "alpha.cfg"
+    config.write_text("alpha = 0.25\n")
+    assert _run(*args, "--config", str(config),
+                "--out", str(tmp_path / "set")) == 0
+    declared, set_alpha = (r.trace.config for r in results)
+    assert (declared["alpha"], declared["beta"]) == (1e-4, 1e-4)
+    assert (set_alpha["alpha"], set_alpha["beta"]) == (0.25, 1e-4)
 
 
 def test_usage_error_exits_one():

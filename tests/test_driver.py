@@ -5,6 +5,7 @@ import pytest
 
 from leapssn import EXIT_CODES, TRACE_HEADER, leap_ssn
 from leapssn.suite import partial_smooth_2d, quadratic, rosenbrock
+from leapssn.suite.obstacle import plate_problem
 from leapssn.suite.registry import broken_gradient_problem
 
 
@@ -140,3 +141,17 @@ def test_gradient_is_evaluated_once_per_computable_trial():
     assert res.status == "converged" and res.iterations > 1
     # every trial is computable on a convex quadratic, plus one call at x0
     assert calls == 1 + res.solves
+
+
+def test_escalated_sparse_rungs_reuse_the_iterations_factor(counted):
+    # each outer iteration factors its first rung; an escalated rung is
+    # solved by PCG on that factor and is factored only when PCG fails
+    prob = plate_problem(65, 1e4)
+    prob.metric.solver()        # the metric's own factorizations come first
+    base = counted["splu"]
+    res = leap_ssn(prob)
+    assert res.status == "converged"
+    assert res.solves > res.iterations
+    rung_factors = counted["splu"] - base
+    assert rung_factors == res.iterations + counted["pcg_failed"]
+    assert rung_factors < res.solves

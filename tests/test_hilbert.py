@@ -1,9 +1,14 @@
 """Metric geometry and the certified SPD solve."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from leapssn import hilbert
 from leapssn import (Metric, NumericalError, Operator, Problem,
                      cg_certified, smooth_step, solve_posdef)
 from leapssn.hilbert import DENSE_LIMIT
@@ -205,3 +210,76 @@ def test_cg_certified_zero_rhs():
     A = _spd(4, seed=8)
     x = cg_certified(lambda v: A @ v, np.zeros(4))
     assert np.array_equal(x, np.zeros(4))
+
+
+# ------------------------------------------------ escalated rungs of one H
+
+
+def test_escalated_rung_by_pcg_agrees_with_its_direct_solve(counted):
+    prob = plate_problem(65, 1e4)
+    x = prob.start_point(None)
+    H = Operator(prob.hess(x), prob.dim)
+    R = prob.metric
+    R.solver()              # the metric's own factorizations come first
+    g = prob.f_grad(x)
+    base = counted["splu"]
+    assert H.kind == "sparse" and H.dim > DENSE_LIMIT
+    assert solve_posdef(H.shift(1.0, R), -g) is not None
+    steps = {lam: solve_posdef(H.shift(lam, R), -g) for lam in (2.0, 8.0)}
+    assert counted["splu"] == base + 1 and counted["pcg"] == 2
+    for lam, d in steps.items():
+        A = (H.A + lam * R.A).tocsr()
+        direct = hilbert._sparse_ldl_solver(A)(-g)
+        # the exact step to working accuracy: refine with a pivoting LU
+        lu, exact = spla.splu(A.tocsc()), direct.copy()
+        for _ in range(4):
+            exact += lu.solve(-g - A @ exact)
+        assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)
+        if lam == 2.0:      # at 8 the direct solve itself is 1.7e-8 off
+            assert (np.linalg.norm(d - direct)
+                    <= 1e-8 * np.linalg.norm(direct))
+
+
+def test_a_refused_rung_factor_is_never_a_preconditioner(counted):
+    n = DENSE_LIMIT + 1
+    H = Operator(sp.diags(np.r_[np.ones(n - 1), -1.0]).tocsr())
+    R, rhs = Metric(), np.ones(n)
+    for lam in (0.5, 1.0):          # H + lam I is indefinite, then singular
+        assert solve_posdef(H.shift(lam, R), rhs) is None
+    assert counted["pcg"] == 0 and H._cache.get("rung") is None
+    x = solve_posdef(H.shift(2.0, R), rhs)      # factored, not preconditioned
+    assert counted["pcg"] == 0 and counted["splu"] == 3
+    assert np.allclose(x, rhs / np.r_[np.full(n - 1, 3.0), 1.0])
+    x = solve_posdef(H.shift(4.0, R), rhs)      # now the lam = 2 factor serves
+    assert counted["pcg"] == 1 and counted["splu"] == 3
+    assert np.allclose(x, rhs / np.r_[np.full(n - 1, 5.0), 3.0])
+
+
+def test_a_stalled_pcg_rung_falls_back_to_one_factorization(counted):
+    # generalized eigenvalues spread over [1, 5e7]: 30 PCG steps cannot
+    # reach CG_TOL, so the rung is factored and its factor is kept instead
+    n = DENSE_LIMIT + 1
+    h = np.logspace(-4.0, 4.0, n)
+    H = Operator(sp.diags(h).tocsr())
+    R, rhs = Metric(), np.ones(n)
+    assert solve_posdef(H.shift(1e-4, R), rhs) is not None
+    assert counted["splu"] == 1
+    x = solve_posdef(H.shift(1e4, R), rhs)
+    assert counted == {"splu": 2, "pcg": 1, "pcg_failed": 1}
+    assert np.allclose(x, rhs / (h + 1e4), rtol=1e-12, atol=0)
+    assert H._cache["rung"][0] == 1e4
+
+
+def test_a_solved_rung_is_freed_without_the_cycle_collector():
+    n = DENSE_LIMIT + 1
+    H = Operator(_banded_spd(n, 3.0))
+    gc.disable()
+    try:
+        for lam in (1.0, 2.0):      # one factored rung, one PCG rung
+            rung = H.shift(lam, Metric())
+            assert solve_posdef(rung, np.ones(n)) is not None
+            ref = weakref.ref(rung)
+            del rung
+            assert ref() is None
+    finally:
+        gc.enable()
