@@ -4,12 +4,11 @@ Minimises composite objectives F = f + psi where f has a semismooth
 gradient with a known generalized derivative and psi is convex with a
 cheap prox.  The driver walks a doubling regularisation ladder per
 iteration, certifies every trial step, and halves the ladder base after
-each acceptance; plain and constantly-regularised Newton baselines share
-the same trace format for side-by-side sweeps.
+each acceptance; unregularised full-step and Armijo-backtracking Newton
+baselines share the same trace format for side-by-side sweeps.
 """
 
-from .baselines import (BaselineConfig, backtracking_newton, baseline_run,
-                        l2_newton, plain_newton)
+from .baselines import backtracking_newton, plain_newton
 from .driver import (CONVERGED, EXIT_CODES, INNER_BUDGET, OUTER_BUDGET,
                      SOLVE_BUDGET, SUBPROBLEM_FAILURE, TRACE_HEADER, Record,
                      Result, Trace, leap_ssn)
@@ -25,10 +24,9 @@ from .verify import (RateReport, assumption2_sample, audit_trace,
 __version__ = "0.1.0"
 
 __all__ = [
-    "leap_ssn", "plain_newton", "backtracking_newton", "l2_newton",
-    "baseline_run", "BaselineConfig", "Problem", "Metric", "Operator",
-    "NumericalError", "cg_certified", "solve_posdef", "Result", "Trace",
-    "Record", "SubproblemResult", "composite_step", "smooth_step",
+    "leap_ssn", "plain_newton", "backtracking_newton", "Problem", "Metric",
+    "Operator", "NumericalError", "cg_certified", "solve_posdef", "Result",
+    "Trace", "Record", "SubproblemResult", "composite_step", "smooth_step",
     "RateReport", "assumption2_sample", "audit_trace", "dm_condition_sample",
     "grad_check", "hess_symmetry_check", "manifold_check", "sample_points",
     "step_length_bound", "step_shift_bound", "superlinear_check",

@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-run       solve one problem instance, writing trace.csv + summary.json
-          (+ restored.pgm for the image problem)
+run       solve one problem instance with one solver (leapssn, or the
+          plain / backtracking Newton baseline), writing trace.csv +
+          summary.json (+ restored.pgm for the image problem)
 compare   sweep a penalty parameter, tabulating linear-solve counts per
           solver ("-" marks a failure), written as CSV and aligned text
 verify    run the derivative checks and the trace audit on one problem,
@@ -17,7 +18,9 @@ Configuration: flags may also be given in a ``--config`` file of plain
 ``key = value`` lines ('#' starts a comment).  Built-in defaults are
 overridden by the file, which is overridden by explicit flags.  The file
 may additionally set solver constants (alpha, beta, m, lambda0) that
-have no dedicated flag.
+have no dedicated flag.  ``--budget`` (max linear solves) must be at
+least 1; unset, leapssn is unbounded and the baselines stop at 10000 in
+``run``, and every solver gets 300 in ``compare`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import time
 
 import numpy as np
 
-from .baselines import BaselineConfig, baseline_run
+from .baselines import backtracking_newton, plain_newton
 from .driver import EXIT_CODES, leap_ssn
 from .suite.imaging import write_pgm
 from .suite.registry import (PROBLEM_NAMES, SVM_SAMPLES, TV_SIGMA,
@@ -40,9 +43,9 @@ from .verify import (assumption2_sample, audit_trace, dm_condition_sample,
                      grad_check, hess_symmetry_check, manifold_check,
                      sample_points)
 
-SOLVER_NAMES = ("leapssn", "plain", "backtracking", "l2")
-_BASELINE_KINDS = {"plain": "plain", "backtracking": "backtracking",
-                   "l2": "l2_linesearch"}
+SOLVERS = {"leapssn": leap_ssn, "plain": plain_newton,
+           "backtracking": backtracking_newton}
+SOLVER_NAMES = tuple(SOLVERS)
 GRAD_CHECK_TOL = 1e-5
 HESS_SYM_TOL = 1e-9
 
@@ -97,6 +100,8 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
         val = getattr(ns, key, None)
         if val is not None:
             settings[key] = val
+    if settings["budget"] is not None and settings["budget"] < 1:
+        raise ValueError(f"--budget must be at least 1, got {settings['budget']}")
     return settings
 
 
@@ -115,16 +120,13 @@ def _resolve_x0(spec, problem):
 
 
 def _run_solver(solver, problem, x0, tol, budget, settings):
+    # pass on only what was set; the solver functions hold the defaults
+    options = {} if budget is None else {"max_solves": budget}
     if solver == "leapssn":
-        # only the constants that were set; leap_ssn holds the defaults
-        constants = {key: settings[key]
-                     for key in ("alpha", "beta", "m", "lambda0")
-                     if settings[key] is not None}
-        return leap_ssn(problem, x0=x0, grad_tol=tol, max_solves=budget,
-                        **constants)
-    cfg = BaselineConfig(kind=_BASELINE_KINDS[solver], grad_tol=tol,
-                         max_linear_solves=budget if budget else 10000)
-    return baseline_run(problem, x0, cfg)
+        options.update((key, settings[key])
+                       for key in ("alpha", "beta", "m", "lambda0")
+                       if settings[key] is not None)
+    return SOLVERS[solver](problem, x0, grad_tol=tol, **options)
 
 
 def _float_list(text: str):
@@ -221,7 +223,11 @@ def cmd_compare(ns) -> int:
     if name is None:
         return _fail("compare needs --problem")
     try:
-        sweep = _float_list(ns.gamma) if ns.gamma else []
+        # the flag is a comma list; a config file gives a single value
+        if ns.gamma is not None:
+            sweep = _float_list(ns.gamma)
+        else:
+            sweep = [] if settings["gamma"] is None else [settings["gamma"]]
     except ValueError:
         return _fail(f"bad sweep {ns.gamma!r}")
     if not sweep:
@@ -376,7 +382,8 @@ def _add_common(sub, *, gamma_help):
     sub.add_argument("--n", help="problem size parameter")
     sub.add_argument("--seed", type=int, help="seed for synthetic data")
     sub.add_argument("--tol", type=float, help="gradient dual-norm tolerance")
-    sub.add_argument("--budget", type=int, help="max linear solves")
+    sub.add_argument("--budget", type=int,
+                     help="max linear solves, at least 1")
     sub.add_argument("--out", help="output directory (default: .)")
     sub.add_argument("--config", help="file of 'key = value' overrides")
 
@@ -402,8 +409,8 @@ def main(argv=None) -> int:
                             description="Sweep --gamma values per solver; "
                             "writes compare.csv and compare.txt to --out.")
     _add_common(p_cmp, gamma_help="comma-separated sweep, e.g. 1e2,1e3,1e4")
-    p_cmp.add_argument("--solvers", help="comma-separated solver list "
-                       "(default: leapssn,plain)")
+    p_cmp.add_argument("--solvers", help="comma-separated list from "
+                       f"{', '.join(SOLVER_NAMES)} (default: leapssn,plain)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = subs.add_parser("verify", help="derivative checks + trace audit",

@@ -50,6 +50,8 @@ EXIT_CODES = {
     SUBPROBLEM_FAILURE: 3,
 }
 
+MAX_TRIALS = 60     # ladder rungs per outer iteration
+
 TRACE_HEADER = "k,j_k,lambda_k,Lambda_k,F,grad_dual_norm,step_norm,cum_linear_solves"
 
 
@@ -110,7 +112,7 @@ class Result:
         return EXIT_CODES[self.status]
 
 
-def _validate(alpha, beta, m, lambda0, max_inner_trials):
+def _validate(alpha, beta, m, lambda0):
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
     if m < 1.0:
@@ -119,8 +121,6 @@ def _validate(alpha, beta, m, lambda0, max_inner_trials):
         raise ValueError(f"beta must lie in (0, (m-1)/(2m)] = (0, {(m-1)/(2*m)}], got {beta}")
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if max_inner_trials < 1:
-        raise ValueError("max_inner_trials must be >= 1")
 
 
 def _initial_stationarity(problem, x, g):
@@ -137,8 +137,8 @@ def _initial_stationarity(problem, x, g):
 
 
 def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
-             max_solves=None, max_inner_trials=60, alpha=None, beta=None,
-             m=2.0, lambda0=None, callback=None) -> Result:
+             max_solves=None, alpha=None, beta=None, m=2.0, lambda0=None,
+             callback=None) -> Result:
     """Run the adaptive solver on ``problem`` from ``x0``.
 
     Returns a :class:`Result`; ``result.trace`` always holds at least one
@@ -154,7 +154,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
         alpha = problem.alpha if problem.alpha is not None else 0.5
     if beta is None:
         beta = problem.beta if problem.beta is not None else 0.25
-    _validate(alpha, beta, m, Lam, max_inner_trials)
+    _validate(alpha, beta, m, Lam)
 
     x = problem.start_point(x0)
     fx = float(problem.f_value(x))
@@ -167,7 +167,6 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
         "problem": problem.name, "dim": problem.dim, "alpha": alpha,
         "beta": beta, "m": m, "lambda0": Lam, "grad_tol": grad_tol,
         "max_outer": max_outer, "max_solves": max_solves,
-        "max_inner_trials": max_inner_trials,
     }
     trace = Trace(x0=x.copy(), F0=F, g0_norm=g0_norm, config=config)
     solves = 0
@@ -179,7 +178,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
 
         accepted = False
         computable_seen = False
-        for j in range(max_inner_trials):
+        for j in range(MAX_TRIALS):
             if max_solves is not None and solves >= max_solves:
                 status = SOLVE_BUDGET
                 break

@@ -54,7 +54,7 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
 
 
 def composite_step(problem: Problem, x, grad, H, lam,
-                   inner_tol=INNER_TOL, maxit=INNER_MAXIT) -> SubproblemResult:
+                   maxit=INNER_MAXIT) -> SubproblemResult:
     """Minimise the composite model with a monotone accelerated prox loop.
 
     Termination is by the prox fixed-point residual; the returned point is
@@ -85,7 +85,7 @@ def composite_step(problem: Problem, x, grad, H, lam,
     m_best = model_total(y)
     theta = 1.0
     res_scale = max(1.0, float(np.linalg.norm(x)))
-    threshold = inner_tol * res_scale
+    threshold = INNER_TOL * res_scale
     converged = False
     it = 0
     for it in range(maxit):

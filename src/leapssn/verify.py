@@ -226,17 +226,16 @@ def trajectory_pairs(trace: Trace):
 
 
 def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
-                config: Optional[dict] = None, d0: Optional[float] = None,
-                include_trajectory: bool = True) -> RateReport:
+                d0: Optional[float] = None) -> RateReport:
     """Re-derive every audited inequality of a finished run.
 
-    ``L_hat`` is the sampled model-error constant (see
-    ``assumption2_sample``); the trace's own consecutive-iterate pairs
-    are folded in by default, since the theory bounds must hold along
-    the segments the run actually visited.  ``d0`` optionally declares
-    the sublevel-set diameter for the convex envelope.
+    The solver constants come from ``trace.config``.  ``L_hat`` is the
+    sampled model-error constant (see ``assumption2_sample``); the
+    trace's own consecutive-iterate pairs are folded in, since the theory
+    bounds must hold along the segments the run actually visited.  ``d0``
+    optionally declares the sublevel-set diameter for the convex envelope.
     """
-    cfg = config if config is not None else trace.config
+    cfg = trace.config
     alpha = cfg["alpha"]
     beta = cfg["beta"]
     m = cfg["m"]
@@ -245,11 +244,10 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     violations = []
 
     L_eff = float(L_hat)
-    if include_trajectory:
-        for x, y in trajectory_pairs(trace):
-            r = _model_error_ratio(problem, x, y)
-            if r is not None and np.isfinite(r):
-                L_eff = max(L_eff, r)
+    for x, y in trajectory_pairs(trace):
+        r = _model_error_ratio(problem, x, y)
+        if r is not None and np.isfinite(r):
+            L_eff = max(L_eff, r)
     lam_bar = max(2.0 * m * L_INFLATION * L_eff, Lam0)
 
     # (a) monotone objective

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from leapssn import (BaselineConfig, backtracking_newton, baseline_run,
-                     l2_newton, leap_ssn, plain_newton)
+from leapssn import backtracking_newton, leap_ssn, plain_newton
 from leapssn.suite import partial_smooth_2d, plate_problem, quadratic, rosenbrock
 
 
 def test_all_kinds_converge_in_one_solve_on_a_quadratic():
     prob = quadratic()
     x0 = prob.solution + 3.0
-    for runner in (plain_newton, backtracking_newton, l2_newton):
+    for runner in (plain_newton, backtracking_newton):
         res = runner(prob, x0=x0)
         assert res.status == "converged", runner.__name__
         assert res.solves == 1, runner.__name__
@@ -44,20 +43,30 @@ def test_baselines_reject_composite_problems():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(kind="damped")
-    with pytest.raises(ValueError):
-        BaselineConfig(armijo_c=0.0)
+    prob = quadratic()
+    for runner in (plain_newton, backtracking_newton):
+        for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-8},
+                    {"max_outer": 0}, {"max_solves": 0}):
+            with pytest.raises(ValueError):
+                runner(prob, **bad)
+    for armijo_c in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError):
+            backtracking_newton(prob, armijo_c=armijo_c)
 
 
 def test_records_and_config_shape():
     prob = quadratic()
-    cfg = BaselineConfig(kind="backtracking")
-    res = baseline_run(prob, x0=prob.solution + 1.0, cfg=cfg)
-    assert res.trace.config["solver"] == "backtracking"
-    for r in res.trace.records:
-        assert r.j == 0 and r.lam == 0.0 and r.Lam == 0.0
-        assert r.cum_solves == r.k + 1
+    for runner, solver in ((plain_newton, "plain"),
+                           (backtracking_newton, "backtracking")):
+        res = runner(prob, x0=prob.solution + 1.0, grad_tol=1e-9,
+                     max_outer=7, max_solves=9)
+        assert res.trace.config == {"problem": prob.name, "dim": prob.dim,
+                                    "solver": solver, "grad_tol": 1e-9,
+                                    "max_outer": 7, "max_solves": 9}
+        assert res.trace.records
+        for r in res.trace.records:
+            assert r.j == 0 and r.lam == 0.0 and r.Lam == 0.0
+            assert r.cum_solves == r.k + 1
 
 
 def test_solve_budget_status():

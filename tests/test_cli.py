@@ -51,6 +51,39 @@ def test_run_rejects_unknown_solver(tmp_path):
     assert code == 1
 
 
+def test_run_rejects_the_removed_l2_solver(tmp_path, capsys):
+    code = _run("run", "--problem", "quadratic", "--solver", "l2",
+                "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown solver 'l2'" in err
+    assert "('leapssn', 'plain', 'backtracking')" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--problem", "quadratic"),
+    ("run", "--problem", "quadratic", "--solver", "plain"),
+    ("run", "--problem", "quadratic", "--solver", "backtracking"),
+    ("compare", "--problem", "quadratic", "--gamma", "1"),
+    ("verify", "--problem", "quadratic"),
+])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, argv, budget):
+    out = tmp_path / "o"
+    assert _run(*argv, "--budget", budget, "--out", str(out)) == 1
+    assert "--budget must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_budget_below_one_in_config_is_a_usage_error(tmp_path):
+    config = tmp_path / "b.cfg"
+    config.write_text("problem = quadratic\nsolver = plain\nbudget = 0\n")
+    out = tmp_path / "o"
+    assert _run("run", "--config", str(config), "--out", str(out)) == 1
+    assert not out.exists()
+
+
 def test_run_baseline_solver(tmp_path):
     out = tmp_path / "plain"
     code = _run("run", "--problem", "quadratic", "--solver", "plain",
@@ -138,6 +171,18 @@ def test_compare_empty_sweep_fails(tmp_path):
                 "--out", str(tmp_path / "c")) == 1
 
 
+def test_compare_takes_gamma_from_config(tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("problem = quadratic\ngamma = 1e3\n")
+    out = tmp_path / "c"
+    assert _run("compare", "--config", str(config), "--out", str(out)) == 0
+    csv_lines = (out / "compare.csv").read_text().strip().splitlines()
+    assert csv_lines[0] == "gamma,leapssn,plain"
+    gamma, *cells = csv_lines[1].split(",")
+    assert len(csv_lines) == 2 and gamma == "1000"
+    assert all(cell.isdigit() for cell in cells)     # both converged
+
+
 def test_verify_clean_problem(tmp_path):
     out = tmp_path / "v"
     code = _run("verify", "--problem", "partial_smooth", "--tol", "1e-10",
@@ -202,7 +247,7 @@ def test_run_tv_uses_the_declared_constants(tmp_path, monkeypatch):
         results.append(leap_ssn(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cli, "leap_ssn", spy)
+    monkeypatch.setitem(cli.SOLVERS, "leapssn", spy)
     args = ("run", "--problem", "tv", "--n", "16", "--gamma", "1e2",
             "--budget", "120")
     assert _run(*args, "--out", str(tmp_path / "declared")) == 0
