@@ -6,7 +6,8 @@ run       solve one problem instance with one solver (leapssn, or the
           plain / backtracking Newton baseline), writing trace.csv +
           summary.json (+ restored.pgm for the image problem)
 compare   sweep a penalty parameter, tabulating linear-solve counts per
-          solver ("-" marks a failure), written as CSV and aligned text
+          solver ("-" marks a run that did not converge, or a baseline
+          given a composite problem), written as CSV and aligned text
 verify    run the derivative checks and the trace audit on one problem,
           writing report.json; exits 0 iff no violations
 gen-data  write seeded synthetic inputs (SVM text file / noisy PGM)
@@ -34,7 +35,7 @@ import time
 import numpy as np
 
 from .baselines import backtracking_newton, plain_newton
-from .driver import EXIT_CODES, leap_ssn
+from .driver import EXIT_CODES, leap_ssn, solver_constants
 from .suite.imaging import write_pgm
 from .suite.registry import (PROBLEM_NAMES, SVM_SAMPLES, TV_SIGMA,
                              build_problem, default_tol)
@@ -119,13 +120,16 @@ def _resolve_x0(spec, problem):
     return x0
 
 
+def _constants(settings) -> dict:
+    # pass on only what was set; the driver holds the defaults
+    return {key: settings[key] for key in ("alpha", "beta", "m", "lambda0")
+            if settings[key] is not None}
+
+
 def _run_solver(solver, problem, x0, tol, budget, settings):
-    # pass on only what was set; the solver functions hold the defaults
     options = {} if budget is None else {"max_solves": budget}
     if solver == "leapssn":
-        options.update((key, settings[key])
-                       for key in ("alpha", "beta", "m", "lambda0")
-                       if settings[key] is not None)
+        options.update(_constants(settings))
     return SOLVERS[solver](problem, x0, grad_tol=tol, **options)
 
 
@@ -209,7 +213,7 @@ def cmd_run(ns) -> int:
 def _compare_cell(solver, problem, tol, budget, settings):
     try:
         res = _run_solver(solver, problem, None, tol, budget, settings)
-    except ValueError:
+    except ValueError:      # a baseline refuses the problem or its settings
         return None
     return res.solves if res.status == "converged" else None
 
@@ -243,6 +247,14 @@ def cmd_compare(ns) -> int:
         return _fail(f"bad --n list {ns.n!r}")
     tol = settings["tol"] if settings["tol"] is not None else default_tol(name)
     budget = settings["budget"] or 300
+    if "leapssn" in solvers:
+        # bad solver constants are a usage error, not a column of failures
+        try:
+            solver_constants(build_problem(name, sweep[0], ns_list[0],
+                                           settings["seed"]),
+                             **_constants(settings))
+        except (KeyError, ValueError) as e:
+            return _fail(str(e.args[0]) if e.args else repr(e))
 
     columns = [(s, nv) for s in solvers for nv in ns_list]
     multi_n = len(ns_list) > 1

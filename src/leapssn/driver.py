@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -112,7 +111,20 @@ class Result:
         return EXIT_CODES[self.status]
 
 
-def _validate(alpha, beta, m, lambda0):
+def solver_constants(problem: Problem, alpha=None, beta=None, m=2.0,
+                     lambda0=None):
+    """``(alpha, beta, m, lambda0)`` of a :func:`leap_ssn` run, validated.
+
+    A constant left at None takes the problem's declaration, else 0.5,
+    0.25 or 1.  Raises ValueError when the constants break the
+    conditions of the convergence theory.
+    """
+    if lambda0 is None:
+        lambda0 = problem.lambda0 or 1.0
+    if alpha is None:
+        alpha = problem.alpha if problem.alpha is not None else 0.5
+    if beta is None:
+        beta = problem.beta if problem.beta is not None else 0.25
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
     if m < 1.0:
@@ -121,6 +133,7 @@ def _validate(alpha, beta, m, lambda0):
         raise ValueError(f"beta must lie in (0, (m-1)/(2m)] = (0, {(m-1)/(2*m)}], got {beta}")
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    return alpha, beta, m, lambda0
 
 
 def _initial_stationarity(problem, x, g):
@@ -149,12 +162,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     ``lambda0`` default to the problem's declarations, else to 0.5, 0.25
     and 1.
     """
-    Lam = lambda0 if lambda0 is not None else (problem.lambda0 or 1.0)
-    if alpha is None:
-        alpha = problem.alpha if problem.alpha is not None else 0.5
-    if beta is None:
-        beta = problem.beta if problem.beta is not None else 0.25
-    _validate(alpha, beta, m, Lam)
+    alpha, beta, m, Lam = solver_constants(problem, alpha, beta, m, lambda0)
 
     x = problem.start_point(x0)
     fx = float(problem.f_value(x))
@@ -187,7 +195,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
                 sub = smooth_step(problem, x, g, H, lam)
             else:
                 sub = composite_step(problem, x, g, H, lam)
-            solves += sub.linear_solves
+            solves += 1
             if not sub.computable:
                 continue
             computable_seen = True

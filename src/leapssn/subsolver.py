@@ -35,7 +35,6 @@ INNER_MAXIT = 10000
 class SubproblemResult:
     x_plus: Optional[np.ndarray]
     computable: bool
-    linear_solves: int = 1
     psi_grad: Optional[np.ndarray] = None    # exact subgradient of psi at x_plus
     psi_value: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
@@ -50,7 +49,7 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     if d is None:
         return SubproblemResult(None, False)
     x_plus = x + d
-    return SubproblemResult(x_plus, True, linear_solves=1)
+    return SubproblemResult(x_plus, True)
 
 
 def composite_step(problem: Problem, x, grad, H, lam,
@@ -130,6 +129,5 @@ def composite_step(problem: Problem, x, grad, H, lam,
     x_plus = prox(v, t)
     psi_grad = (v - x_plus) / t
     psi_val = problem.psi(x_plus)
-    return SubproblemResult(x_plus, True, linear_solves=1,
-                            psi_grad=psi_grad, psi_value=psi_val,
+    return SubproblemResult(x_plus, True, psi_grad=psi_grad, psi_value=psi_val,
                             diagnostics={"inner_iters": it + 1, "step": t})

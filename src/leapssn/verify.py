@@ -4,9 +4,9 @@ Three layers:
 
 * derivative/structure oracles — ``grad_check`` (finite differences),
   ``hess_symmetry_check``, and ``assumption2_sample`` which estimates the
-  model-error constant L of the regularised Newton model by sampling
-  ``||f'(y) - f'(x) - H(x)(y-x)||_* / ||y-x||`` over random, near-kink,
-  and caller-supplied point pairs;
+  model-error constant L of the regularised Newton model as the largest
+  ``||f'(y) - f'(x) - H(x)(y-x)||_* / ||y-x||`` over sampled base points
+  x and their random, short-range and near-kink partners y;
 
 * trace audits — ``audit_trace`` re-derives every promise the adaptive
   driver makes (monotone objective, both acceptance inequalities, the
@@ -20,6 +20,11 @@ Three layers:
   evaluate two a-priori inequalities the regularised proximal step
   satisfies (step length vs subgradient norm, and lambda-sensitivity) as
   (lhs, rhs) pairs for property tests.
+
+Each point is evaluated once: the partners of a base point share one
+f'(x) and one H(x), and ``audit_trace`` evaluates f' once per iterate for
+its gradient checks and its iterate pairs.  Sample sizes and seeds are
+fixed module constants, so an audit of a given trace always repeats.
 
 Every envelope check is one-sided: the harness asserts trace <= bound,
 never tightness.  Sampled constants may undershoot the truth, so all
@@ -46,21 +51,32 @@ SLACK = 1e-8        # relative arithmetic slack on audited inequalities
 L_INFLATION = 1.05  # sampled model-error constants may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
+BOX_RADIUS = 2.0    # half-width of the sampling box when none is declared
+SAMPLE_SEED = 0x5EEDB0C5
+SYMMETRY_PROBES = 5  # probe pairs per point in hess_symmetry_check
+SYMMETRY_SEED = 0x51D35EED
+MODEL_ERROR_BASES = 40  # box base points of assumption2_sample
+MODEL_ERROR_SEED = 0xA55E55
+SUPERLINEAR_WINDOW = 5  # trace tail read by superlinear_check
+DM_COUNT = 8        # trace tail read by dm_condition_sample
 
 
-def _sample_bounds(problem: Problem, radius: float):
+def _sample_bounds(problem: Problem):
     if problem.sample_box is not None:
         lo, hi = problem.sample_box
         return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    lo = np.full(problem.dim, -radius)
+    lo = np.full(problem.dim, -BOX_RADIUS)
     return lo, -lo
 
 
-def sample_points(problem: Problem, count: int, seed: int = 0x5EEDB0C5,
-                  radius: float = 2.0) -> list:
+def _grad(problem: Problem, x) -> np.ndarray:
+    return np.asarray(problem.f_grad(x), dtype=float)
+
+
+def sample_points(problem: Problem, count: int) -> list:
     """Deterministic sample points inside the problem's declared box."""
-    rng = SplitMix64(seed)
-    lo, hi = _sample_bounds(problem, radius)
+    rng = SplitMix64(SAMPLE_SEED)
+    lo, hi = _sample_bounds(problem)
     return [lo + (hi - lo) * rng.uniforms(problem.dim) for _ in range(count)]
 
 
@@ -82,7 +98,7 @@ def grad_check(problem: Problem, points) -> float:
             dirs.append(d)
     for x in points:
         x = np.asarray(x, dtype=float)
-        g = np.asarray(problem.f_grad(x), dtype=float)
+        g = _grad(problem, x)
         step = GRAD_STEP * (1.0 + float(np.linalg.norm(x)))
         if dirs is None:
             for i in range(problem.dim):
@@ -99,14 +115,13 @@ def grad_check(problem: Problem, points) -> float:
     return worst
 
 
-def hess_symmetry_check(problem: Problem, points, pairs_per_point: int = 5,
-                        seed: int = 0x51D35EED) -> float:
+def hess_symmetry_check(problem: Problem, points) -> float:
     """Max relative asymmetry |<Hu,v> - <Hv,u>| over random probe pairs."""
-    rng = SplitMix64(seed)
+    rng = SplitMix64(SYMMETRY_SEED)
     worst = 0.0
     for x in points:
         H = Operator(problem.hess(np.asarray(x, dtype=float))).apply
-        for _ in range(pairs_per_point):
+        for _ in range(SYMMETRY_PROBES):
             u = rng.normals(problem.dim)
             v = rng.normals(problem.dim)
             a = float(H(u) @ v)
@@ -115,61 +130,52 @@ def hess_symmetry_check(problem: Problem, points, pairs_per_point: int = 5,
     return worst
 
 
-def _model_error_ratio(problem: Problem, x, y) -> Optional[float]:
-    d = y - x
-    nd = problem.metric.norm(d)
-    if not np.isfinite(nd) or nd <= 1e-14:
-        return None
-    gx = np.asarray(problem.f_grad(x), dtype=float)
-    gy = np.asarray(problem.f_grad(y), dtype=float)
-    err = gy - gx - Operator(problem.hess(x)).apply(d)
-    return problem.metric.dual_norm(err) / nd
+def _model_error(problem: Problem, points, grads) -> float:
+    """Largest finite model-error ratio of ``points[0]`` against the rest,
+    or 0; ``grads`` holds f' at each point, H is evaluated at points[0]."""
+    x, g_x = points[0], grads[0]
+    H = Operator(problem.hess(x))
+    best = 0.0
+    for y, g_y in zip(points[1:], grads[1:]):
+        d = y - x
+        nd = problem.metric.norm(d)
+        if not np.isfinite(nd) or nd <= 1e-14:
+            continue
+        r = problem.metric.dual_norm(g_y - g_x - H.apply(d)) / nd
+        if np.isfinite(r):
+            best = max(best, r)
+    return best
 
 
-def assumption2_sample(problem: Problem, box_radius: float = 2.0,
-                       pairs: int = 40, seed: int = 0xA55E55,
-                       include=()) -> float:
-    """Sampled model-error constant: max ratio over point pairs.
+def assumption2_sample(problem: Problem) -> float:
+    """Sampled model-error constant: max ratio over base points and partners.
 
-    Draws box-scale pairs and short-range pairs inside the sampling box;
-    when the problem exposes a ``near_kink`` sampler, adds pairs that
-    straddle the active-set boundary — dense short steps plus
-    single-coordinate crossings, which realise the worst per-component
-    curvature jumps.  ``include`` supplies extra (x, y) pairs (for
-    example consecutive trace iterates); the estimate is monotone in the
-    sample set.
+    Each box base point gets a box-scale and a short-range partner inside
+    the sampling box.  When the problem exposes a ``near_kink`` sampler,
+    further base points sit at the active-set boundary, with partners
+    that straddle it: dense short steps plus single-coordinate crossings,
+    which realise the worst per-component curvature jumps.
     """
-    rng = SplitMix64(seed)
-    lo, hi = _sample_bounds(problem, box_radius)
+    rng = SplitMix64(MODEL_ERROR_SEED)
+    lo, hi = _sample_bounds(problem)
     span = hi - lo
     best = 0.0
-
-    def feed(x, y):
-        nonlocal best
-        r = _model_error_ratio(problem, np.asarray(x, float), np.asarray(y, float))
-        if r is not None and np.isfinite(r):
-            best = max(best, r)
-
-    for _ in range(pairs):
+    for _ in range(MODEL_ERROR_BASES):
         x = lo + span * rng.uniforms(problem.dim)
-        y = lo + span * rng.uniforms(problem.dim)
-        feed(x, y)
-        feed(x, x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5))
+        pts = [x, lo + span * rng.uniforms(problem.dim),
+               x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)]
+        best = max(best, _model_error(problem, pts, [_grad(problem, p) for p in pts]))
 
     if problem.near_kink is not None:
-        for _ in range(max(4, pairs // 4)):
+        for _ in range(max(4, MODEL_ERROR_BASES // 4)):
             x = np.asarray(problem.near_kink(rng), dtype=float)
-            feed(x, x + 1e-7 * rng.normals(problem.dim))
-            feed(x, x + 1e-2 * span * (rng.uniforms(problem.dim) - 0.5))
-            # single-coordinate kink crossings
-            idx = (rng.raw(4) % np.uint64(problem.dim)).astype(int)
-            for i in idx:
+            pts = [x, x + 1e-7 * rng.normals(problem.dim),
+                   x + 1e-2 * span * (rng.uniforms(problem.dim) - 0.5)]
+            for i in (rng.raw(4) % np.uint64(problem.dim)).astype(int):
                 y = x.copy()
                 y[i] -= 4e-9 * float(rng.signs(1)[0])
-                feed(x, y)
-
-    for x, y in include:
-        feed(np.asarray(x, float), np.asarray(y, float))
+                pts.append(y)
+            best = max(best, _model_error(problem, pts, [_grad(problem, p) for p in pts]))
     return best
 
 
@@ -219,12 +225,6 @@ class RateReport:
         }
 
 
-def trajectory_pairs(trace: Trace):
-    """Consecutive iterate pairs of a trace, for assumption2_sample."""
-    xs = [trace.x0] + list(trace.iterates)
-    return list(zip(xs[:-1], xs[1:]))
-
-
 def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
                 d0: Optional[float] = None) -> RateReport:
     """Re-derive every audited inequality of a finished run.
@@ -234,6 +234,8 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     trace's own consecutive-iterate pairs are folded in, since the theory
     bounds must hold along the segments the run actually visited.  ``d0``
     optionally declares the sublevel-set diameter for the convex envelope.
+    The fresh f' at each iterate (x0 included) is checked against the
+    stored ``trace.grads``, never replaced by them.
     """
     cfg = trace.config
     alpha = cfg["alpha"]
@@ -243,11 +245,11 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     recs = trace.records
     violations = []
 
+    xs = [trace.x0] + list(trace.iterates)
+    fgrads = [_grad(problem, x) for x in xs]
     L_eff = float(L_hat)
-    for x, y in trajectory_pairs(trace):
-        r = _model_error_ratio(problem, x, y)
-        if r is not None and np.isfinite(r):
-            L_eff = max(L_eff, r)
+    for i in range(len(xs) - 1):
+        L_eff = max(L_eff, _model_error(problem, xs[i:i + 2], fgrads[i:i + 2]))
     lam_bar = max(2.0 * m * L_INFLATION * L_eff, Lam0)
 
     # (a) monotone objective
@@ -279,9 +281,9 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
 
     # (g) acceptance inequalities re-evaluated from stored iterates
     acceptance_ok = True
-    xs = [trace.x0] + list(trace.iterates)
     F_vals = [trace.F0] + [r.F for r in recs]
     rng = SplitMix64(0xACCE9700)
+    lo, hi = _sample_bounds(problem)
     for i, r in enumerate(recs):
         x_prev, x_next = xs[i], xs[i + 1]
         g_next = trace.grads[i]
@@ -299,14 +301,12 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
             violations.append((r.k, "acceptance_decrease", dec, rhs2))
         # certified-gradient consistency
         if problem.smooth:
-            if not np.array_equal(g_next,
-                                  np.asarray(problem.f_grad(x_next), dtype=float)):
+            if not np.array_equal(g_next, fgrads[i + 1]):
                 acceptance_ok = False
                 violations.append((r.k, "gradient_cache", 0.0, 0.0))
         else:
-            psi_sub = g_next - np.asarray(problem.f_grad(x_next), dtype=float)
+            psi_sub = g_next - fgrads[i + 1]
             psi_x = problem.psi(x_next)
-            lo, hi = _sample_bounds(problem, 2.0)
             for _ in range(3):
                 y = lo + (hi - lo) * rng.uniforms(problem.dim)
                 gap = problem.psi(y) - psi_x - float(psi_sub @ (y - x_next))
@@ -384,16 +384,17 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     )
 
 
-def superlinear_check(trace: Trace, window: int = 5):
+def superlinear_check(trace: Trace):
     """Detect the fast local regime from the trace tail.
 
     Returns ``(lambda_to_zero, superlinear)``: the regulariser decayed
     by at least a factor 2 per accepted step on average over the last
     ``window`` records, ending at or below Lambda_0 / 2^(window-1); and
     the gradient-norm ratios over the last ``window`` steps decrease
-    strictly with the final ratio at most 0.1.  Traces shorter than the
-    window give ``(None, None)`` (not applicable).
+    strictly with the final ratio at most 0.1 (``window`` is
+    ``SUPERLINEAR_WINDOW``).  Shorter traces give ``(None, None)``.
     """
+    window = SUPERLINEAR_WINDOW
     recs = trace.records
     if len(recs) < window + 1:
         return None, None
@@ -408,25 +409,21 @@ def superlinear_check(trace: Trace, window: int = 5):
     return lam_zero, superlinear
 
 
-def _resolve_step(problem: Problem, x, lam):
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(problem.f_grad(x), dtype=float)
-    H = problem.hess(x)
-    if problem.smooth:
-        return smooth_step(problem, x, g, H, lam)
-    return composite_step(problem, x, g, H, lam)
+def _step(problem: Problem, x, g, H, lam):
+    """The driver's trial step at ``x`` for ``lam``, given f'(x) and H(x)."""
+    step = smooth_step if problem.smooth else composite_step
+    return step(problem, x, g, H, lam)
 
 
-def dm_condition_sample(trace: Trace, problem: Problem,
-                        count: int = 8) -> Optional[list]:
+def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
     """Curvature-compatibility ratios along the trace tail.
 
-    For the last ``count`` accepted iterates, recomputes the half-
+    For the last ``DM_COUNT`` accepted iterates, recomputes the half-
     regularised step x+(lambda_k/2, x_k) and returns
     ``||(H(x+) - H(x_k))(x+ - x*)||_* / ||x+ - x_k||`` — the quantity
-    whose decay to zero drives superlinear convergence.  Requires a
-    known solution (or a projector onto the solution set, applied to
-    the final iterate); returns None when neither is declared.
+    whose decay to zero drives superlinear convergence; one H(x_k) serves
+    both terms.  Requires a known solution (or a projector onto the
+    solution set, applied to the final iterate); else returns None.
     """
     if problem.solution is not None:
         x_star = np.asarray(problem.solution, dtype=float)
@@ -437,10 +434,10 @@ def dm_condition_sample(trace: Trace, problem: Problem,
     xs = [trace.x0] + list(trace.iterates)
     recs = trace.records
     out = []
-    for i in range(max(0, len(recs) - count), len(recs)):
+    for i in range(max(0, len(recs) - DM_COUNT), len(recs)):
         x_k = xs[i]
-        lam = recs[i].lam / 2.0
-        sub = _resolve_step(problem, x_k, lam)
+        H_k = Operator(problem.hess(x_k), problem.dim)
+        sub = _step(problem, x_k, _grad(problem, x_k), H_k, recs[i].lam / 2.0)
         if not sub.computable:
             continue
         x_plus = sub.x_plus
@@ -449,7 +446,7 @@ def dm_condition_sample(trace: Trace, problem: Problem,
             out.append(0.0)
             continue
         dH = (Operator(problem.hess(x_plus)).apply(x_plus - x_star)
-              - Operator(problem.hess(x_k)).apply(x_plus - x_star))
+              - H_k.apply(x_plus - x_star))
         out.append(problem.metric.dual_norm(dH) / dn)
     return out
 
@@ -488,12 +485,12 @@ def step_length_bound(problem: Problem, x, lam: float, mu: float = 0.0):
     step is not computable.
     """
     x = np.asarray(x, dtype=float)
-    sub = _resolve_step(problem, x, lam)
+    g = _grad(problem, x)
+    sub = _step(problem, x, g, problem.hess(x), lam)
     if not sub.computable:
         return None
-    g_x = np.asarray(problem.f_grad(x), dtype=float) + _psi_subgradient_at(problem, x)
     lhs = problem.metric.norm(sub.x_plus - x)
-    rhs = problem.metric.dual_norm(g_x) / (lam + mu)
+    rhs = problem.metric.dual_norm(g + _psi_subgradient_at(problem, x)) / (lam + mu)
     return lhs, rhs
 
 
@@ -506,8 +503,10 @@ def step_shift_bound(problem: Problem, x, lam: float, lam2: float):
     if not lam <= lam2:
         raise ValueError("need lam <= lam2")
     x = np.asarray(x, dtype=float)
-    s1 = _resolve_step(problem, x, lam)
-    s2 = _resolve_step(problem, x, lam2)
+    g = _grad(problem, x)
+    # one H per lambda: a shared sparse H would send lam2's rung to PCG
+    s1 = _step(problem, x, g, problem.hess(x), lam)
+    s2 = _step(problem, x, g, problem.hess(x), lam2)
     if not (s1.computable and s2.computable):
         return None
     lhs = problem.metric.norm(s1.x_plus - s2.x_plus)

@@ -142,12 +142,14 @@ def test_config_file_unknown_key_is_an_error(tmp_path):
     assert _run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
 
 
-@pytest.mark.parametrize("command,alpha", [("verify", "0.7"), ("run", "0")])
+@pytest.mark.parametrize("command,alpha", [("verify", "0.7"), ("run", "0"),
+                                           ("compare", "0.9")])
 def test_bad_solver_constant_in_config_exits_one(tmp_path, capsys, command,
                                                  alpha):
-    # the driver validates the constants; an explicit 0 is not the default
+    # the driver validates the constants; an explicit 0 is not the default,
+    # and compare checks them once instead of printing a column of "-"
     cfg = tmp_path / "bad_alpha.cfg"
-    cfg.write_text(f"problem = quadratic\nalpha = {alpha}\n")
+    cfg.write_text(f"problem = quadratic\ngamma = 1\nalpha = {alpha}\n")
     out = tmp_path / "o"
     assert _run(command, "--config", str(cfg), "--out", str(out)) == 1
     assert "alpha must lie in (0, 1/2]" in capsys.readouterr().err
@@ -181,6 +183,19 @@ def test_compare_takes_gamma_from_config(tmp_path):
     gamma, *cells = csv_lines[1].split(",")
     assert len(csv_lines) == 2 and gamma == "1000"
     assert all(cell.isdigit() for cell in cells)     # both converged
+
+
+def test_compare_marks_failed_cells(tmp_path):
+    # "-" for a solver that cannot take the problem and for a run that
+    # does not converge within the budget; the command still succeeds
+    out = tmp_path / "c"
+    assert _run("compare", "--problem", "partial_smooth", "--gamma", "1",
+                "--solvers", "leapssn,plain", "--out", str(out)) == 0
+    leapssn, plain = (out / "compare.csv").read_text().splitlines()[1].split(",")[1:]
+    assert leapssn.isdigit() and plain == "-"
+    assert _run("compare", "--problem", "rosenbrock", "--gamma", "1",
+                "--budget", "1", "--out", str(out)) == 0
+    assert (out / "compare.csv").read_text().splitlines()[1] == "1,-,-"
 
 
 def test_verify_clean_problem(tmp_path):

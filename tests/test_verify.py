@@ -3,6 +3,8 @@ inputs are flagged.  The negative controls matter as much as the positive
 ones -- a checker that never fires is worthless."""
 
 import copy
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +56,34 @@ def test_curvature_ratio_estimates():
     assert 1.0 <= est <= 2.0 + 1e-6
 
 
+def _counted(problem):
+    """The problem with f_grad and hess wrapped to count their calls."""
+    counts = {"f_grad": 0, "hess": 0}
+
+    def counting(name):
+        fn = getattr(problem, name)
+
+        def wrapped(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapped
+
+    return dataclasses.replace(problem, f_grad=counting("f_grad"),
+                               hess=counting("hess")), counts
+
+
+def test_each_point_is_evaluated_once():
+    # 40 box base points with 2 partners, 10 near-kink ones with 6
+    prob, counts = _counted(partial_smooth_2d())
+    assumption2_sample(prob)
+    assert counts == {"f_grad": 190, "hess": 50}
+
+    res = leap_ssn(partial_smooth_2d(), grad_tol=1e-10)
+    counts["f_grad"] = 0
+    audit_trace(res.trace, prob)
+    assert counts["f_grad"] == len(res.trace.records) + 1
+
+
 def test_audit_clean_run():
     prob = rank_deficient_ls(20, 12)
     res = leap_ssn(prob)
@@ -86,6 +116,42 @@ def test_audit_flags_tampered_lambda():
     assert not rep.ok
     assert any(v[1] in ("lambda_bound", "acceptance_gradient",
                         "acceptance_decrease") for v in rep.violations)
+
+
+def test_audit_flags_tampered_gradient_cache():
+    prob = quadratic()
+    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    assert audit_trace(res.trace, prob).ok
+    bad = copy.deepcopy(res.trace)
+    bad.grads[1] = bad.grads[1] + 1e-3
+    rep = audit_trace(bad, prob)
+    assert not rep.acceptance_ok
+    assert any(v[1] == "gradient_cache" for v in rep.violations)
+
+
+def test_audit_flags_tampered_psi_subgradient():
+    prob = partial_smooth_2d()
+    res = leap_ssn(prob, grad_tol=1e-10)
+    assert audit_trace(res.trace, prob).ok
+    bad = copy.deepcopy(res.trace)
+    bad.grads[1] = bad.grads[1] + np.array([0.0, 5.0])
+    rep = audit_trace(bad, prob)
+    assert any(v[1] == "psi_subgradient" for v in rep.violations)
+
+
+@pytest.mark.parametrize("shift", [None, 2.0])
+def test_convex_envelope(shift):
+    # d0 is the diameter of the sublevel set {F <= F0} of a mu-strongly
+    # convex objective: 2 sqrt(2 (F0 - f*) / mu)
+    prob = quadratic()
+    x0 = None if shift is None else prob.solution + shift
+    trace = leap_ssn(prob, x0=x0).trace
+    d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - prob.f_star) / prob.strong_convexity)
+    rep = audit_trace(trace, prob, d0=d0)
+    assert rep.ok and rep.convex_envelope_ok is True
+    rep = audit_trace(trace, prob, d0=1e-6)
+    assert rep.convex_envelope_ok is False
+    assert any(v[1] == "convex_envelope" for v in rep.violations)
 
 
 def test_superlinear_check_positive_and_negative():
