@@ -19,9 +19,10 @@ Configuration: flags may also be given in a ``--config`` file of plain
 ``key = value`` lines ('#' starts a comment).  Built-in defaults are
 overridden by the file, which is overridden by explicit flags.  The file
 may additionally set solver constants (alpha, beta, m, lambda0) that
-have no dedicated flag.  ``--budget`` (max linear solves) must be at
-least 1; unset, leapssn is unbounded and the baselines stop at 10000 in
-``run``, and every solver gets 300 in ``compare`` and ``verify``.
+have no dedicated flag.  ``--tol`` must be positive.  ``--budget`` (max
+linear solves) must be at least 1; unset, leapssn is unbounded and the
+baselines stop at 10000 in ``run``, and every solver gets 300 in
+``compare`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
             settings[key] = val
     if settings["budget"] is not None and settings["budget"] < 1:
         raise ValueError(f"--budget must be at least 1, got {settings['budget']}")
+    if settings["tol"] is not None and not settings["tol"] > 0:
+        raise ValueError(f"--tol must be positive, got {settings['tol']}")
     return settings
 
 

@@ -160,8 +160,10 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     norm at most ``grad_tol`` (the start point is never tested, so a trace is
     never empty on the converged path).  ``alpha``, ``beta`` and
     ``lambda0`` default to the problem's declarations, else to 0.5, 0.25
-    and 1.
+    and 1.  Raises ValueError unless ``grad_tol > 0``.
     """
+    if not grad_tol > 0:
+        raise ValueError("grad_tol must be positive")
     alpha, beta, m, Lam = solver_constants(problem, alpha, beta, m, lambda0)
 
     x = problem.start_point(x0)

@@ -6,29 +6,28 @@ operator is stored (identity, dense ndarray, scipy sparse matrix or callable
 matvec).  It gives the curvature ``H(x)``, the shifted system ``H + lambda
 R`` and the metric ``R`` one interface: ``apply``, ``shift``, a cached
 certified ``solver()`` and a cached power-iteration ``norm_estimate()``.
-Operators are applied and shifted in the form they were given; sparse input
-with at most ``DENSE_LIMIT`` unknowns is densified only to be factored.
+Operators are applied, shifted and factored in the form they were given.
 
 Certificate: one rule, the pivot floor, for dense and sparse operators.  A
 factorization is accepted only when it is an LDL^T one without pivoting and
 its smallest pivot clears ``n * PIVOT_FLOOR`` of its largest.  Dense
-operators use Cholesky (pivots ``d_i = c_ii**2``); sparse ones use SuperLU
-in symmetric mode with the diagonal pivot threshold at zero, so no rows are
-exchanged and U's diagonal holds the pivots.  Each ``d_i`` is a diagonal
-entry of a Schur complement, so ``lambda_min <= min d_i`` and ``max d_i <=
-lambda_max``: a pivot below the floor shows the operator singular to working
-precision at any scale, whichever side of zero rounding leaves that pivot,
-and a negative one shows it indefinite.  Sparse solves also keep a relative
-residual check (``RESIDUAL_TOL``).  Matvec-only operators go to a plain
-conjugate-gradient loop that refuses a direction of nonpositive curvature.
-An uncertifiable trial solve returns ``None`` so the caller can treat the
-step as non-computable.
+operators use Cholesky (pivots ``d_i = c_ii**2``); every sparse one, at any
+size, uses SuperLU in symmetric mode with the diagonal pivot threshold at
+zero, so no rows are exchanged and U's diagonal holds the pivots.  Each
+``d_i`` is a diagonal entry of a Schur complement, so ``lambda_min <= min
+d_i`` and ``max d_i <= lambda_max``: a pivot below the floor shows the
+operator singular to working precision at any scale, whichever side of zero
+rounding leaves that pivot, and a negative one shows it indefinite.  Sparse
+solves also keep a relative residual check (``RESIDUAL_TOL``).  Matvec-only
+operators go to a plain conjugate-gradient loop that refuses a direction of
+nonpositive curvature.  An uncertifiable trial solve returns ``None`` so the
+caller can treat the step as non-computable.
 
-Escalated rungs: the shifts ``H + lambda R`` of one sparse ``H`` above
-``DENSE_LIMIT`` share a factor.  ``H`` keeps the factor of its last rung at
-``lambda0`` that cleared the pivot floor.  A later rung ``lambda >= lambda0``
-with the same certified metric ``R`` satisfies ``H + lambda R = (H + lambda0
-R) + (lambda - lambda0) R``, which lies above an SPD operator in the Loewner
+Escalated rungs: the shifts ``H + lambda R`` of one sparse ``H``, of any
+size, share a factor.  ``H`` keeps the factor of its last rung at ``lambda0``
+that cleared the pivot floor.  A later rung ``lambda >= lambda0`` with the
+same certified metric ``R`` satisfies ``H + lambda R = (H + lambda0 R) +
+(lambda - lambda0) R``, which lies above an SPD operator in the Loewner
 order, so it is SPD without a factorization of its own.  It is solved by
 conjugate gradients preconditioned with the kept factor, which still refuses
 ``<Ap, p> <= 0`` and is still followed by the ``RESIDUAL_TOL`` check.  When
@@ -49,7 +48,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DENSE_LIMIT = 2000
 CG_TOL = 1e-12
 # PCG on an escalated rung gives up after this many iterations and the rung
 # is factored; at plate and TV sizes they cost about 1.4 factorizations
@@ -208,7 +206,10 @@ class Operator:
     """A symmetric operator on R^dim in one of four forms (``kind``).
 
     ``A`` may be ``None`` (identity), a dense ndarray, a scipy sparse
-    matrix, or a callable matvec (which needs ``dim``).
+    matrix, or a callable matvec (which needs ``dim``).  The form picks the
+    certified solve: Cholesky for dense, symmetric-mode SuperLU for sparse
+    (whose shifted rungs share a factor, see :func:`_rung_solver`) and CG
+    for a matvec.
     """
 
     def __init__(self, A=None, dim=None):
@@ -239,10 +240,9 @@ class Operator:
             B = (sp.identity(self.dim, format="csr") if R.kind == "identity"
                  else sp.csr_matrix(R.A))
             out = Operator((self.A + lam * B).tocsr())
-            if out.dim > DENSE_LIMIT:
-                # the rungs of one H share its last certified factor; the
-                # solve holds out.A but not out, so no reference cycle forms
-                out._cache["solver"] = _rung_solver(out.A, self, lam, R)
+            # the rungs of one H share its last certified factor; the
+            # solve holds out.A but not out, so no reference cycle forms
+            out._cache["solver"] = _rung_solver(out.A, self, lam, R)
             return out
         M = np.array(self.A, dtype=float, copy=True)
         if R.kind == "identity":
@@ -265,8 +265,6 @@ class Operator:
         if self.kind == "dense":
             return _cholesky_solver(self.A)
         if self.kind == "sparse":
-            if self.dim <= DENSE_LIMIT:
-                return _cholesky_solver(self.A.toarray())
             return _sparse_ldl_solver(self.A, lasting)
         apply = self.apply
         return lambda rhs: cg_certified(apply, rhs)

@@ -36,7 +36,7 @@ reported as not-applicable (None), never silently passed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -208,21 +208,10 @@ class RateReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "monotone_ok": self.monotone_ok,
-            "acceptance_ok": self.acceptance_ok,
-            "lambda_bound_ok": self.lambda_bound_ok,
-            "step_count_ok": self.step_count_ok,
-            "step_length_ok": self.step_length_ok,
-            "sublinear_envelope_ok": self.sublinear_envelope_ok,
-            "pl_linear_envelope_ok": self.pl_linear_envelope_ok,
-            "convex_envelope_ok": self.convex_envelope_ok,
-            "superlinear_detected": self.superlinear_detected,
-            "lambda_to_zero": self.lambda_to_zero,
-            "L_hat": self.L_hat,
-            "violations": [[int(k), name, float(lhs), float(rhs)]
-                           for (k, name, lhs, rhs) in self.violations],
-        }
+        out = asdict(self)
+        out["violations"] = [[int(k), name, float(lhs), float(rhs)]
+                             for (k, name, lhs, rhs) in self.violations]
+        return out
 
 
 def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,

@@ -76,6 +76,30 @@ def test_budget_below_one_is_a_usage_error(tmp_path, capsys, argv, budget):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--problem", "quadratic"),
+    ("run", "--problem", "quadratic", "--solver", "plain"),
+    ("run", "--problem", "quadratic", "--solver", "backtracking"),
+    ("compare", "--problem", "quadratic", "--gamma", "1"),
+    ("verify", "--problem", "quadratic"),
+])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_tol_is_a_usage_error(tmp_path, capsys, argv, tol):
+    out = tmp_path / "o"
+    assert _run(*argv, "--tol", tol, "--out", str(out)) == 1
+    assert "--tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonpositive_tol_in_config_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "t.cfg"
+    config.write_text("problem = quadratic\ntol = -1\n")
+    out = tmp_path / "o"
+    assert _run("run", "--config", str(config), "--out", str(out)) == 1
+    assert "--tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_budget_below_one_in_config_is_a_usage_error(tmp_path):
     config = tmp_path / "b.cfg"
     config.write_text("problem = quadratic\nsolver = plain\nbudget = 0\n")

@@ -1,11 +1,13 @@
 """Adaptive prox-regularised Newton driver: acceptance loop mechanics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from leapssn import EXIT_CODES, TRACE_HEADER, leap_ssn
 from leapssn.suite import partial_smooth_2d, quadratic, rosenbrock
-from leapssn.suite.obstacle import plate_problem
+from leapssn.suite.obstacle import membrane_problem, plate_problem
 from leapssn.suite.registry import broken_gradient_problem
 
 
@@ -90,6 +92,13 @@ def test_parameter_validation():
     assert leap_ssn(prob, alpha=0.5, beta=0.25, m=2.0).status == "converged"
 
 
+@pytest.mark.parametrize("grad_tol", [0.0, -1.0, float("nan")])
+def test_nonpositive_grad_tol_is_refused(grad_tol):
+    # a tolerance no accepted iterate can meet would only run out the budget
+    with pytest.raises(ValueError, match="grad_tol must be positive"):
+        leap_ssn(quadratic(), grad_tol=grad_tol)
+
+
 def test_callback_sees_each_accepted_iterate():
     prob = quadratic()
     seen = []
@@ -155,3 +164,21 @@ def test_escalated_sparse_rungs_reuse_the_iterations_factor(counted):
     rung_factors = counted["splu"] - base
     assert rung_factors == res.iterations + counted["pcg_failed"]
     assert rung_factors < res.solves
+
+
+TWINS = [(membrane_problem, 1e4)] + [(plate_problem, gamma)
+                                     for gamma in (1e2, 1e3, 1e4, 1e5, 1e6)]
+
+
+@pytest.mark.parametrize("family,gamma", TWINS,
+                         ids=[f"{f.__name__}-{g:g}" for f, g in TWINS])
+def test_sparse_and_dense_twins_take_the_same_ladder(family, gamma):
+    # one problem, H given sparse or as its dense copy: the two certified
+    # factorizations must accept and refuse the same rungs
+    sparse = family(17, gamma)
+    dense = dataclasses.replace(sparse,
+                                hess=lambda x: sparse.hess(x).toarray())
+    a, b = leap_ssn(sparse), leap_ssn(dense)
+    assert (a.status, a.solves, a.iterations) == \
+        (b.status, b.solves, b.iterations)
+    assert abs(a.F - b.F) <= 1e-10 * abs(b.F)

@@ -11,7 +11,6 @@ import scipy.sparse.linalg as spla
 from leapssn import hilbert
 from leapssn import (Metric, NumericalError, Operator, Problem,
                      cg_certified, smooth_step, solve_posdef)
-from leapssn.hilbert import DENSE_LIMIT
 from leapssn.suite.obstacle import plate_problem
 
 
@@ -50,7 +49,7 @@ def test_sparse_and_dense_metrics_agree():
     R = _spd(n, seed=0)
     md = Metric(R)
     ms = Metric(sp.csr_matrix(R))
-    # small sparse input is applied as given and densified only to factor
+    # sparse input is applied and factored as given, whatever its size
     assert ms.kind == "sparse"
     g = np.random.default_rng(1).standard_normal(n)
     assert md.dual_norm(g) == pytest.approx(ms.dual_norm(g), rel=1e-10)
@@ -76,7 +75,7 @@ def test_dense_metric_refuses_a_near_singular_factorization():
 
 @pytest.mark.parametrize("kind", ["dense", "sparse", "matvec"])
 def test_indefinite_metric_raises_in_every_representation(kind):
-    n = DENSE_LIMIT + 1 if kind == "sparse" else 3
+    n = 3
     D = sp.diags(np.r_[np.ones(n - 1), -1.0]).tocsr()
     R = {"dense": D.toarray(), "sparse": D, "matvec": lambda v: D @ v}[kind]
     metric = Metric(R, dim=n)
@@ -92,11 +91,9 @@ def _banded_spd(n, diag):
 
 
 H_FORMS = {
-    "dense": (40, lambda A: A.toarray()),
-    "dense_large": (DENSE_LIMIT + 1, lambda A: A.toarray()),
-    "sparse_small": (40, lambda A: A),
-    "sparse_large": (DENSE_LIMIT + 1, lambda A: A),
-    "callable": (40, lambda A: (lambda v: A @ v)),
+    "dense": lambda A: A.toarray(),
+    "sparse_small": lambda A: A,
+    "callable": lambda A: (lambda v: A @ v),
 }
 R_FORMS = {
     "identity": lambda R: None,
@@ -106,15 +103,10 @@ R_FORMS = {
 }
 
 
-# dense_large covers the one branch no other form reaches: a dense H shifted
-# by a sparse metric above DENSE_LIMIT
-FORMS = [(h, r) for h in H_FORMS if h != "dense_large" for r in R_FORMS]
-FORMS.append(("dense_large", "sparse"))
-
-
-@pytest.mark.parametrize("h_form,r_form", FORMS)
+@pytest.mark.parametrize("r_form", R_FORMS)
+@pytest.mark.parametrize("h_form", H_FORMS)
 def test_smooth_step_agrees_across_representations(h_form, r_form):
-    n, as_h = H_FORMS[h_form]
+    n, as_h = 40, H_FORMS[h_form]
     H, R = _banded_spd(n, 3.0), _banded_spd(n, 2.5)
     metric = Metric(R_FORMS[r_form](R), dim=n)
     if r_form == "identity":
@@ -131,10 +123,10 @@ def test_smooth_step_agrees_across_representations(h_form, r_form):
     assert np.linalg.norm(M @ d + g) <= 1e-9 * np.linalg.norm(g)
 
 
-@pytest.mark.parametrize("h_form", [h for h in H_FORMS if h != "dense_large"])
+@pytest.mark.parametrize("h_form", H_FORMS)
 def test_indefinite_curvature_is_refused_in_every_representation(h_form):
     # no caller's promise is needed: each path certifies definiteness itself
-    n, as_h = H_FORMS[h_form]
+    n, as_h = 40, H_FORMS[h_form]
     D = sp.diags(np.r_[np.ones(n - 1), -1.0]).tocsr()
     prob = Problem(dim=n, f_value=lambda x: 0.0, f_grad=lambda x: D @ x,
                    hess=lambda x: D, hess_psd=False)
@@ -157,8 +149,7 @@ def test_solve_posdef_rejects_indefinite_and_singular():
     # Cholesky completes here, but the pivot ratio 1e-20 is far below n * eps
     assert solve_posdef(np.diag([1.0, 1e-20]), np.ones(2)) is None
     # the same floor on the sparse path, where SuperLU completes too
-    S = sp.diags(np.r_[np.ones(DENSE_LIMIT), 1e-20]).tocsr()
-    assert solve_posdef(S, np.ones(DENSE_LIMIT + 1)) is None
+    assert solve_posdef(sp.diags([1.0, 1e-20]).tocsr(), np.ones(2)) is None
 
 
 def test_solve_posdef_pivot_floor_is_relative_to_scale():
@@ -178,7 +169,7 @@ def test_dense_and_sparse_paths_agree_on_singular_plate_system():
     assert d is not None
     x = x + d
     H, g = prob.hess(x), prob.f_grad(x)
-    assert sp.issparse(H) and H.shape[0] > DENSE_LIMIT
+    assert sp.issparse(H)
     assert solve_posdef(H, -g) is None
     assert solve_posdef(H.toarray(), -g) is None
 
@@ -223,7 +214,7 @@ def test_escalated_rung_by_pcg_agrees_with_its_direct_solve(counted):
     R.solver()              # the metric's own factorizations come first
     g = prob.f_grad(x)
     base = counted["splu"]
-    assert H.kind == "sparse" and H.dim > DENSE_LIMIT
+    assert H.kind == "sparse"
     assert solve_posdef(H.shift(1.0, R), -g) is not None
     steps = {lam: solve_posdef(H.shift(lam, R), -g) for lam in (2.0, 8.0)}
     assert counted["splu"] == base + 1 and counted["pcg"] == 2
@@ -240,8 +231,24 @@ def test_escalated_rung_by_pcg_agrees_with_its_direct_solve(counted):
                     <= 1e-8 * np.linalg.norm(direct))
 
 
+def test_a_small_sparse_operator_takes_the_sparse_path(counted):
+    # 30 sparse unknowns are factored by SuperLU, not densified for
+    # Cholesky, and an escalated rung reuses that factor through PCG
+    n = 30
+    H = Operator(_banded_spd(n, 3.0))
+    R, rhs = Metric(), np.ones(n)
+    for lam in (1.0, 2.0):
+        x = solve_posdef(H.shift(lam, R), rhs)
+        M = (H.A + lam * sp.identity(n)).tocsr()
+        assert np.linalg.norm(M @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+    assert counted == {"splu": 1, "cholesky": 0, "pcg": 1, "pcg_failed": 0}
+    assert H._cache["rung"][0] == 1.0
+    assert solve_posdef(H.A, rhs) is not None
+    assert counted["splu"] == 2 and counted["cholesky"] == 0
+
+
 def test_a_refused_rung_factor_is_never_a_preconditioner(counted):
-    n = DENSE_LIMIT + 1
+    n = 50
     H = Operator(sp.diags(np.r_[np.ones(n - 1), -1.0]).tocsr())
     R, rhs = Metric(), np.ones(n)
     for lam in (0.5, 1.0):          # H + lam I is indefinite, then singular
@@ -256,22 +263,23 @@ def test_a_refused_rung_factor_is_never_a_preconditioner(counted):
 
 
 def test_a_stalled_pcg_rung_falls_back_to_one_factorization(counted):
-    # generalized eigenvalues spread over [1, 5e7]: 30 PCG steps cannot
-    # reach CG_TOL, so the rung is factored and its factor is kept instead
-    n = DENSE_LIMIT + 1
+    # generalized eigenvalues spread over [1, 5e7], many more distinct ones
+    # than _PCG_MAXIT: PCG cannot reach CG_TOL in time, so the rung is
+    # factored and its factor is kept instead
+    n = 20 * hilbert._PCG_MAXIT
     h = np.logspace(-4.0, 4.0, n)
     H = Operator(sp.diags(h).tocsr())
     R, rhs = Metric(), np.ones(n)
     assert solve_posdef(H.shift(1e-4, R), rhs) is not None
     assert counted["splu"] == 1
     x = solve_posdef(H.shift(1e4, R), rhs)
-    assert counted == {"splu": 2, "pcg": 1, "pcg_failed": 1}
+    assert counted == {"splu": 2, "cholesky": 0, "pcg": 1, "pcg_failed": 1}
     assert np.allclose(x, rhs / (h + 1e4), rtol=1e-12, atol=0)
     assert H._cache["rung"][0] == 1e4
 
 
 def test_a_solved_rung_is_freed_without_the_cycle_collector():
-    n = DENSE_LIMIT + 1
+    n = 50
     H = Operator(_banded_spd(n, 3.0))
     gc.disable()
     try:
