@@ -13,7 +13,10 @@ identity hands back an exact subgradient of ``psi`` at the returned point.
 
 A step is *non-computable* when the system is not positive definite (the
 model has no minimiser for this lambda) or the inner iteration fails to
-certify; the driver reacts by doubling lambda.
+certify; the driver reacts by doubling lambda.  The prox loop gives up as
+soon as it provably cannot certify -- its monotone safeguard has reached a
+fixed point, or its iterate has gone non-finite -- rather than running out
+``INNER_MAXIT``; :func:`composite_step` says why each exit is exact.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     return SubproblemResult(x_plus, True)
 
 
-def composite_step(problem: Problem, x, grad, H, lam,
-                   maxit=INNER_MAXIT) -> SubproblemResult:
+def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """Minimise the composite model with a monotone accelerated prox loop.
 
     Termination is by the prox fixed-point residual; the returned point is
@@ -62,6 +64,25 @@ def composite_step(problem: Problem, x, grad, H, lam,
     Counts as one trial solve in the driver's accounting.  Passing ``H``
     as an :class:`Operator` shares its cached step-size estimate across
     the rungs of one outer iteration.
+
+    A non-computable result says why in ``diagnostics["stop"]``, next to
+    the true ``inner_iters``: ``"budget"`` after ``INNER_MAXIT``
+    iterations, or one of two exits taken as soon as the loop provably
+    cannot converge, where running on would only have ended the same way:
+
+    * ``"stalled"``: the restart from the best point is rejected too, so
+      ``y`` and ``m_best`` stay put, ``z = y + 0 * (y - y)`` equals ``y``
+      (up to the sign of a zero, which no comparison sees) and ``theta``
+      restarts from 1 to the same value.  That state is a fixed point:
+      every later iteration repeats the same arithmetic on the same values,
+      is rejected the same way and gets the residual that has just failed.
+    * ``"nonfinite"``: ``y`` holds a NaN or an infinity.  Then so do ``z``,
+      the model gradient and the prox input at that entry; a prox that
+      keeps a NaN entry non-finite (soft-thresholding and the identity
+      do) makes every later candidate, and so every later residual,
+      non-finite, and ``res <= threshold`` never holds again.  ``y`` is
+      scanned only once the residual is not finite, so the usual path
+      pays nothing.
     """
     prox = problem.prox if not problem.smooth else (lambda v, t: v)
     H = Operator.of(H, problem.dim)
@@ -85,9 +106,8 @@ def composite_step(problem: Problem, x, grad, H, lam,
     theta = 1.0
     res_scale = max(1.0, float(np.linalg.norm(x)))
     threshold = INNER_TOL * res_scale
-    converged = False
-    it = 0
-    for it in range(maxit):
+    stop = None
+    for it in range(INNER_MAXIT):
         g_z = model_grad(z)
         cand = prox(z - t * g_z, t)
         m_cand = model_total(cand)
@@ -102,6 +122,7 @@ def composite_step(problem: Problem, x, grad, H, lam,
         # optimum measured values differ by ulps in either direction, and a
         # hard comparison would reject every candidate and freeze the loop
         tau = 16.0 * np.finfo(float).eps * max(1.0, abs(m_best))
+        stalled = False
         if m_cand > m_best + tau:  # material increase: restart from best point
             z = y.copy()
             theta = 1.0
@@ -110,6 +131,7 @@ def composite_step(problem: Problem, x, grad, H, lam,
             m_cand = model_total(cand)
             if m_cand > m_best + tau:   # no progress even from the best point
                 cand, m_cand = y, m_best
+                stalled = True
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         z = cand + ((theta - 1.0) / theta_next) * (cand - y)
         y, m_best, theta = cand, min(m_best, m_cand), theta_next
@@ -117,10 +139,19 @@ def composite_step(problem: Problem, x, grad, H, lam,
         p = prox(y - t * model_grad(y), t)
         res = float(np.linalg.norm(y - p)) / t
         if res <= threshold:
-            converged = True
             break
-    if not converged:
-        return SubproblemResult(None, False, diagnostics={"inner_iters": maxit})
+        # the two dead ends proved in the docstring
+        if stalled:
+            stop = "stalled"
+            break
+        if not np.isfinite(res) and not np.isfinite(y).all():
+            stop = "nonfinite"
+            break
+    else:
+        stop = "budget"
+    if stop is not None:
+        return SubproblemResult(None, False,
+                                diagnostics={"inner_iters": it + 1, "stop": stop})
 
     # certification: one clean prox step from y, so the fixed-point identity
     # hands back an exact subgradient of psi at the returned point

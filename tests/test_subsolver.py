@@ -1,10 +1,18 @@
 """Regularised subproblem solvers: exactness, certificates, refusal cases."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from leapssn import composite_step, leap_ssn, smooth_step
-from leapssn.suite import SplitMix64, partial_smooth_2d, quadratic, rosenbrock
+from leapssn import composite_step, driver, leap_ssn, smooth_step
+from leapssn.subsolver import INNER_MAXIT
+from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic, rosenbrock,
+                           svm_data, svm_problem)
 
 
 def test_smooth_step_solves_the_shifted_system():
@@ -79,14 +87,76 @@ def test_composite_step_matches_smooth_step_when_psi_is_absent():
 
 def test_composite_step_gives_up_on_indefinite_model():
     """With enough negative curvature the monotone loop cannot certify a
-    minimiser and must report the trial as not computable."""
+    minimiser and must report the trial as not computable -- as soon as its
+    iterate overflows, not after the whole iteration budget."""
     prob = partial_smooth_2d()
     x = prob.x0.copy()
     g = prob.f_grad(x)
     H = np.diag([-50.0, -50.0])
-    res = composite_step(prob, x, g, H, 1.0, maxit=300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = composite_step(prob, x, g, H, 1.0)
     assert not res.computable
     assert res.x_plus is None
+    assert res.diagnostics["stop"] == "nonfinite"
+    assert res.diagnostics["inner_iters"] < INNER_MAXIT
+
+
+def _l1_svm(n_samples, n_features, seed, mu):
+    """Squared-hinge SVM plus mu * ||w||_1 on the weights (not the intercept)."""
+    base = svm_problem(*svm_data(n_samples, n_features, seed), 1.0)
+
+    def psi_value(v):
+        return mu * float(np.abs(v[:n_features]).sum())
+
+    def prox(v, t):
+        out = v.copy()
+        w = v[:n_features]
+        out[:n_features] = np.sign(w) * np.maximum(0.0, np.abs(w) - t * mu)
+        return out
+
+    return dataclasses.replace(base, psi_value=psi_value, prox=prox)
+
+
+def _l1_svm_rungs():
+    """Solve the l1 SVM at mu = 1 and summarise what its rungs did."""
+    rungs = []
+    step = driver.composite_step
+
+    def recorded(*args, **kwargs):
+        sub = step(*args, **kwargs)
+        rungs.append(sub.diagnostics)
+        return sub
+
+    driver.composite_step = recorded
+    try:
+        res = leap_ssn(_l1_svm(300, 20, 1, 1.0), grad_tol=1e-6)
+    finally:
+        driver.composite_step = step
+    return {"status": res.status, "solves": res.solves,
+            "iterations": res.iterations, "F": res.F,
+            "stalled": [d["inner_iters"] for d in rungs
+                        if d.get("stop") == "stalled"],
+            "inner_iters": sum(d["inner_iters"] for d in rungs)}
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_composite_step_stops_at_the_safeguard_fixed_point(blas_threads):
+    """On the l1 SVM one rung's safeguard rejects every candidate from its
+    31st iteration on; the loop must give up there, and no solve count,
+    iteration count or objective may move.  Each thread count gets a fresh
+    process, since BLAS reads it at load time."""
+    code = ("import json, runpy; print(json.dumps("
+            f"runpy.run_path({__file__!r})['_l1_svm_rungs']()))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": blas_threads})
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout.splitlines()[-1])
+    assert run["status"] == "converged"
+    assert (run["solves"], run["iterations"]) == (15, 13)
+    assert run["F"] == 48.38345521954895
+    assert len(run["stalled"]) == 1 and run["stalled"][0] < 100
+    assert run["inner_iters"] < INNER_MAXIT
 
 
 def test_composite_step_counts_one_trial_solve():
