@@ -22,29 +22,28 @@ from .hilbert import solve_posdef
 from .problem import Problem
 
 _STEP_LIMIT = 1e13   # a "solution" this large is a blow-up, not a step
+_ARMIJO_C = 1e-4     # sufficient-decrease fraction of the Armijo test
 _SHRINK = 0.5        # dyadic step lengths 1, 1/2, ..., 2^-_MAX_HALVINGS
 _MAX_HALVINGS = 40
 
 
-def _armijo_step(problem, x, d, F, slope, armijo_c):
+def _armijo_step(problem, x, d, F, slope):
     """Longest dyadic step with sufficient decrease, or None."""
     t = 1.0
     for _ in range(_MAX_HALVINGS + 1):
-        if float(problem.f_value(x + t * d)) <= F + armijo_c * t * slope:
+        if float(problem.f_value(x + t * d)) <= F + _ARMIJO_C * t * slope:
             return t
         t *= _SHRINK
     return None
 
 
 def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
-            armijo_c=None) -> Result:
-    """The baselines' Newton loop; ``armijo_c=None`` takes full steps."""
+            armijo) -> Result:
+    """The baselines' Newton loop; ``armijo=False`` takes full steps."""
     if not grad_tol > 0:
         raise ValueError("grad_tol must be positive")
     if max_outer < 1 or max_solves < 1:
         raise ValueError("budgets must be at least 1")
-    if armijo_c is not None and not 0.0 < armijo_c < 1.0:
-        raise ValueError("armijo_c must lie in (0, 1)")
     if not problem.smooth:
         raise ValueError("baselines handle smooth problems only")
     x = problem.start_point(x0)
@@ -72,8 +71,8 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
             break
 
         t = 1.0
-        if armijo_c is not None:
-            t = _armijo_step(problem, x, d, F, float(g @ d), armijo_c)
+        if armijo:
+            t = _armijo_step(problem, x, d, F, float(g @ d))
             if t is None:
                 status = SUBPROBLEM_FAILURE
                 break
@@ -100,12 +99,12 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
 def plain_newton(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
                  max_solves=10000) -> Result:
     """Full-step (semismooth) Newton: solve ``H(x) d = -f'(x)``, take ``x + d``."""
-    return _newton(problem, x0, "plain", grad_tol, max_outer, max_solves)
+    return _newton(problem, x0, "plain", grad_tol, max_outer, max_solves,
+                   armijo=False)
 
 
 def backtracking_newton(problem: Problem, x0=None, *, grad_tol=1e-8,
-                        max_outer=500, max_solves=10000,
-                        armijo_c=1e-4) -> Result:
+                        max_outer=500, max_solves=10000) -> Result:
     """Newton with Armijo backtracking on the objective."""
     return _newton(problem, x0, "backtracking", grad_tol, max_outer,
-                   max_solves, armijo_c)
+                   max_solves, armijo=True)

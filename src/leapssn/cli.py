@@ -13,7 +13,8 @@ verify    run the derivative checks and the trace audit on one problem,
 gen-data  write seeded synthetic inputs (SVM text file / noisy PGM)
 
 Exit codes (stable contract): 0 converged / success, 2 budget exhausted,
-3 persistent subproblem failure, 1 usage or I/O error.
+3 persistent subproblem failure, 1 usage or I/O error or a metric solve
+that fails certification (a one-line message, no traceback).
 
 Configuration: flags may also be given in a ``--config`` file of plain
 ``key = value`` lines ('#' starts a comment).  Built-in defaults are
@@ -37,6 +38,7 @@ import numpy as np
 
 from .baselines import backtracking_newton, plain_newton
 from .driver import EXIT_CODES, leap_ssn, solver_constants
+from .hilbert import NumericalError
 from .suite.imaging import write_pgm
 from .suite.registry import (PROBLEM_NAMES, SVM_SAMPLES, TV_SIGMA,
                              build_problem, default_tol)
@@ -136,14 +138,8 @@ def _run_solver(solver, problem, x0, tol, budget, settings):
     return SOLVERS[solver](problem, x0, grad_tol=tol, **options)
 
 
-def _float_list(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    return [float(p) for p in parts]
-
-
-def _int_list(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    return [int(p) for p in parts]
+def _parse_list(text: str, kind):
+    return [kind(p) for p in text.split(",") if p.strip()]
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +228,7 @@ def cmd_compare(ns) -> int:
     try:
         # the flag is a comma list; a config file gives a single value
         if ns.gamma is not None:
-            sweep = _float_list(ns.gamma)
+            sweep = _parse_list(ns.gamma, float)
         else:
             sweep = [] if settings["gamma"] is None else [settings["gamma"]]
     except ValueError:
@@ -245,7 +241,7 @@ def cmd_compare(ns) -> int:
         if s not in SOLVER_NAMES:
             return _fail(f"unknown solver {s!r}; choose from {SOLVER_NAMES}")
     try:
-        ns_list = _int_list(ns.n) if ns.n else [settings["n"]]
+        ns_list = _parse_list(ns.n, int) if ns.n else [settings["n"]]
     except ValueError:
         return _fail(f"bad --n list {ns.n!r}")
     tol = settings["tol"] if settings["tol"] is not None else default_tol(name)
@@ -408,11 +404,12 @@ def main(argv=None) -> int:
         prog="leapssn",
         description="Adaptive regularised proximal Newton solver benchmark.",
         epilog="exit codes: 0 converged/success, 2 budget exhausted, "
-               "3 subproblem failure or verify violations, 1 usage/I-O error",
+               "3 subproblem failure or verify violations, 1 usage/I-O error "
+               "or uncertified metric",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_run = subs.add_parser("run", parents=[], help="solve one instance",
+    p_run = subs.add_parser("run", help="solve one instance",
                             description="Run one solver on one problem; "
                             "writes trace.csv and summary.json to --out.")
     _add_common(p_run, gamma_help="penalty parameter")
@@ -457,6 +454,8 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except KeyboardInterrupt:
         return 1
+    except NumericalError as e:     # e.g. a metric that fails certification
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

@@ -106,10 +106,6 @@ class Result:
     def converged(self):
         return self.status == CONVERGED
 
-    @property
-    def exit_code(self):
-        return EXIT_CODES[self.status]
-
 
 def solver_constants(problem: Problem, alpha=None, beta=None, m=2.0,
                      lambda0=None):
@@ -150,8 +146,8 @@ def _initial_stationarity(problem, x, g):
 
 
 def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
-             max_solves=None, alpha=None, beta=None, m=2.0, lambda0=None,
-             callback=None) -> Result:
+             max_solves=None, alpha=None, beta=None, m=2.0,
+             lambda0=None) -> Result:
     """Run the adaptive solver on ``problem`` from ``x0``.
 
     Returns a :class:`Result`; ``result.trace`` always holds at least one
@@ -239,8 +235,6 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
         trace.iterates.append(x.copy())
         trace.grads.append(g_plus.copy())
         Lam = lam / 2.0
-        if callback is not None:
-            callback(k, x, gpn)
         if gpn <= grad_tol:
             status = CONVERGED
             break

@@ -62,13 +62,13 @@ class NumericalError(RuntimeError):
     """A metric solve could not be certified."""
 
 
-def cg_certified(matvec, b, tol=CG_TOL, maxiter=None, precond=None):
+def cg_certified(matvec, b, maxiter=None, precond=None):
     """Conjugate gradients with an indefiniteness certificate.
 
     Returns the solution of ``A x = b`` for symmetric positive definite
     ``A`` given by ``matvec``, or ``None`` when a direction with
     ``<Ap, p> <= 0`` is encountered (the operator is not positive definite)
-    or the recursive residual fails to reach ``tol * ||b||`` within
+    or the recursive residual fails to reach ``CG_TOL * ||b||`` within
     ``maxiter`` iterations.  ``precond``, when given, applies an SPD
     approximation of ``A^{-1}`` (preconditioned CG).
     """
@@ -92,7 +92,7 @@ def cg_certified(matvec, b, tol=CG_TOL, maxiter=None, precond=None):
         x += a * p
         r -= a * Ap
         rr = float(r @ r)
-        if np.sqrt(rr) <= tol * bnorm:
+        if np.sqrt(rr) <= CG_TOL * bnorm:
             return x
         if precond is None:
             z, rz_new = r, rr

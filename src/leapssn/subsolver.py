@@ -161,4 +161,4 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     psi_grad = (v - x_plus) / t
     psi_val = problem.psi(x_plus)
     return SubproblemResult(x_plus, True, psi_grad=psi_grad, psi_value=psi_val,
-                            diagnostics={"inner_iters": it + 1, "step": t})
+                            diagnostics={"inner_iters": it + 1})

@@ -24,9 +24,6 @@ class GridImage:
     def shape(self):
         return self.data.shape
 
-    def copy(self) -> "GridImage":
-        return GridImage(self.data.copy())
-
 
 def psnr(u: GridImage, g: GridImage) -> float:
     """10 log10(|Omega| / ||u - g||_L2^2) = 10 log10(1 / mean sq. error).

@@ -36,19 +36,6 @@ from ..problem import Problem
 from .rng import SplitMix64
 
 
-def _grid_field(value, X, Y, default):
-    """Resolve a scalar / array / callable(X, Y) field on a grid."""
-    if value is None:
-        value = default
-    if callable(value):
-        out = np.asarray(value(X, Y), dtype=float)
-    elif np.isscalar(value):
-        out = np.full(X.shape, float(value))
-    else:
-        out = np.asarray(value, dtype=float).reshape(X.shape)
-    return out.ravel()
-
-
 def _penalised_quadratic(A, b, c, phi, name, metric, dim, **extra):
     """Assemble the Problem for f = 0.5<Au,u> - <b,u> + c/2 ||max(0,phi-u)||^2."""
 
@@ -100,14 +87,12 @@ def laplacian_2d(m: int) -> sp.csr_matrix:
     return (sp.kron(eye, T) + sp.kron(T, eye)).tocsr()
 
 
-def membrane_problem(n: int = 65, gamma: float = 1e4,
-                     obstacle=None, load=None) -> Problem:
+def membrane_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     """Penalised membrane contact on the interior (n-2)^2 grid.
 
-    ``obstacle`` and ``load`` may be scalars, callables of the node
-    coordinates, or flat arrays.  Defaults: a paraboloid bump peaking at
-    0.25 in the centre, and a uniform downward load of -10.  gamma = 0 is
-    allowed and reduces the problem to the linear Poisson equation.
+    The obstacle is a paraboloid bump peaking at 0.25 in the centre and
+    the load a uniform downward -10.  gamma = 0 is allowed and reduces
+    the problem to the linear Poisson equation.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -118,12 +103,10 @@ def membrane_problem(n: int = 65, gamma: float = 1e4,
     xs = np.arange(1, n - 1) * h
     X, Y = np.meshgrid(xs, xs, indexing="ij")
 
-    phi = _grid_field(obstacle, X, Y,
-                      lambda X, Y: 0.25 - ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
-    g_load = _grid_field(load, X, Y, -10.0)
+    phi = (0.25 - ((X - 0.5) ** 2 + (Y - 0.5) ** 2)).ravel()
 
     A = laplacian_2d(m)
-    b = (h * h) * g_load
+    b = (h * h) * np.full(m * m, -10.0)
     c = gamma * h * h
     lam_min = 8.0 * np.sin(0.5 * np.pi * h) ** 2   # smallest stencil eigenvalue
 
@@ -150,25 +133,25 @@ def plate_bending_operator(n: int, h: float) -> sp.csr_matrix:
     return A.tocsr()
 
 
-def punch_obstacle(n: int, offset: float = 0.06, top: float = 0.30,
-                   floor: float = -0.5) -> np.ndarray:
-    """Stepped punch: one plateau column at ``top`` flanked by two terrace
-    columns ``offset`` lower, everything else at ``floor``.
+def punch_obstacle(n: int) -> np.ndarray:
+    """Stepped punch: one plateau column at 0.30 flanked by two terrace
+    columns 0.06 lower, everything else at -0.5.
 
     The plateau sits just off-centre so the punch column never aligns with
     a symmetry axis of the grid.
     """
     ic = int(round((n - 1) * 17 / 32))
-    phi = np.full((n, n), float(floor))
-    phi[ic - 1, :] = top - offset
-    phi[ic + 1, :] = top - offset
+    top, step = 0.30, 0.06
+    phi = np.full((n, n), -0.5)
+    phi[ic - 1, :] = top - step
+    phi[ic + 1, :] = top - step
     phi[ic, :] = top
     return phi.ravel()
 
 
-def plate_problem(n: int = 65, gamma: float = 1e4,
-                  obstacle=None, load=None) -> Problem:
-    """Freely resting plate pressed onto a stepped punch.
+def plate_problem(n: int = 65, gamma: float = 1e4) -> Problem:
+    """Freely resting plate pressed onto a stepped punch by a uniform
+    load of -12.
 
     Small gamma lets the plate penetrate down to the terraces and floor
     (wide, well-spread contact set); large gamma confines contact to the
@@ -180,18 +163,11 @@ def plate_problem(n: int = 65, gamma: float = 1e4,
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     h = 1.0 / (n - 1)
-    xs = np.arange(n) * h
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-
-    if obstacle is None:
-        phi = punch_obstacle(n)
-    else:
-        phi = _grid_field(obstacle, X, Y, None)
-    g_load = _grid_field(load, X, Y, -12.0)
+    phi = punch_obstacle(n)
 
     A = plate_bending_operator(n, h)
     R = (A + (h * h) * sp.identity(n * n)).tocsr()
-    b = (h * h) * g_load
+    b = (h * h) * np.full(n * n, -12.0)
     c = gamma * h * h
 
     return _penalised_quadratic(

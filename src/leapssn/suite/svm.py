@@ -14,16 +14,18 @@ import numpy as np
 from ..problem import Problem
 from .rng import SplitMix64
 
+SEPARATION = 3.0    # distance between the two class means
 
-def svm_data(n_samples: int, n_features: int, seed: int, separation: float = 3.0):
-    """Two seeded Gaussian clouds at +/- separation/2 along the diagonal.
+
+def svm_data(n_samples: int, n_features: int, seed: int):
+    """Two seeded Gaussian clouds at +/- SEPARATION/2 along the diagonal.
 
     Returns (X, y) with y in {+1.0, -1.0}.  The shift is scaled by
     1/sqrt(n_features) so the class distance is independent of dimension.
     """
     rng = SplitMix64(seed)
     y = rng.signs(n_samples)
-    shift = 0.5 * separation / np.sqrt(n_features)
+    shift = 0.5 * SEPARATION / np.sqrt(n_features)
     X = rng.normals(n_samples * n_features).reshape(n_samples, n_features)
     X += np.outer(y, np.full(n_features, shift))
     return X, y
@@ -122,52 +124,3 @@ def read_svm_data(path):
     if X.size and any(len(r) != X.shape[1] for r in rows):
         raise ValueError("inconsistent feature counts")
     return X, y
-
-
-class L2MarginClassifier:
-    """Binary classifier wrapping the squared-hinge solver.
-
-    Parameters mirror the problem builder; after ``fit`` the learned
-    hyperplane is available as ``coef_`` and ``intercept_`` and the full
-    solver result as ``result_``.
-    """
-
-    def __init__(self, gamma: float = 1.0, tol: float = 1e-6, max_solves: int = 200):
-        self.gamma = gamma
-        self.tol = tol
-        self.max_solves = max_solves
-
-    def get_params(self, deep: bool = True):
-        return {"gamma": self.gamma, "tol": self.tol, "max_solves": self.max_solves}
-
-    def set_params(self, **params):
-        for key, val in params.items():
-            if key not in ("gamma", "tol", "max_solves"):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, val)
-        return self
-
-    def fit(self, X, y):
-        from ..driver import leap_ssn
-
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        classes = np.unique(y)
-        if classes.size != 2:
-            raise ValueError("need exactly two classes")
-        self.classes_ = classes
-        yy = np.where(y == classes[1], 1.0, -1.0)
-        prob = svm_problem(X, yy, self.gamma)
-        res = leap_ssn(prob, grad_tol=self.tol, max_solves=self.max_solves)
-        self.result_ = res
-        self.coef_ = res.x[:-1].copy()
-        self.intercept_ = float(res.x[-1])
-        return self
-
-    def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
-        return X @ self.coef_ + self.intercept_
-
-    def predict(self, X):
-        d = self.decision_function(X)
-        return np.where(d >= 0.0, self.classes_[1], self.classes_[0])

@@ -49,9 +49,6 @@ def test_config_validation():
                     {"max_outer": 0}, {"max_solves": 0}):
             with pytest.raises(ValueError):
                 runner(prob, **bad)
-    for armijo_c in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            backtracking_newton(prob, armijo_c=armijo_c)
 
 
 def test_records_and_config_shape():

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config handling, file outputs."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -7,11 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from leapssn import cli
+from leapssn import Metric, cli
 from leapssn.cli import main
 from leapssn.driver import TRACE_HEADER, leap_ssn
-from leapssn.suite import read_pgm, read_svm_data
+from leapssn.suite import quadratic, read_pgm, read_svm_data
 
 SUMMARY_KEYS = {"problem", "solver", "seed", "status", "iterations",
                 "linear_solves", "final_F", "final_grad_dual_norm",
@@ -241,6 +243,21 @@ def test_verify_flags_broken_gradient(tmp_path):
     assert report["violations"]
     kinds = {v[1] for v in report["violations"]}
     assert "grad_check" in kinds
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_uncertified_metric_is_a_one_line_error(tmp_path, capsys,
+                                                monkeypatch, command):
+    # the first dual norm raises NumericalError; it must not escape main
+    indefinite = Metric(sp.diags(np.r_[1.0, -1.0, np.ones(6)]).tocsr())
+    monkeypatch.setattr(cli, "build_problem", lambda *args: dataclasses.replace(
+        quadratic(), metric=indefinite))
+    out = tmp_path / "o"
+    assert _run(command, "--problem", "quadratic", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("leapssn: error: metric is not positive definite")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_gen_data_svm(tmp_path):

@@ -99,15 +99,14 @@ def test_nonpositive_grad_tol_is_refused(grad_tol):
         leap_ssn(quadratic(), grad_tol=grad_tol)
 
 
-def test_callback_sees_each_accepted_iterate():
+def test_trace_holds_each_accepted_iterate():
     prob = quadratic()
-    seen = []
-    res = leap_ssn(prob, x0=prob.solution + 1.0,
-                   callback=lambda k, x, gpn: seen.append((k, gpn)))
-    assert len(seen) == res.iterations
-    assert [k for k, _ in seen] == list(range(res.iterations))
-    gpns = [g for _, g in seen]
-    assert gpns[-1] <= 1e-8
+    res = leap_ssn(prob, x0=prob.solution + 1.0)
+    recs = res.trace.records
+    assert [r.k for r in recs] == list(range(res.iterations))
+    assert len(res.trace.iterates) == res.iterations
+    assert np.array_equal(res.trace.iterates[-1], res.x)
+    assert recs[-1].grad_dual_norm == res.grad_dual_norm <= 1e-8
 
 
 def test_trace_csv_round_trip(tmp_path):

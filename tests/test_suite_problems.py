@@ -6,6 +6,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import leapssn
+import leapssn.suite
 from leapssn import leap_ssn
 from leapssn.suite import (GridImage, add_noise, laplacian_2d,
                            membrane_problem, partial_smooth_2d, phantom,
@@ -15,6 +17,16 @@ from leapssn.suite import (GridImage, add_noise, laplacian_2d,
                            svm_problem, tv_dual_problem, write_pgm,
                            write_svm_data)
 from leapssn.suite.registry import PROBLEM_NAMES, build_problem, default_tol
+
+
+def test_export_lists_resolve():
+    for module in (leapssn, leapssn.suite):
+        missing = [name for name in module.__all__
+                   if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    namespace = {}
+    exec("from leapssn.suite import *", namespace)
+    assert set(leapssn.suite.__all__) <= set(namespace)
 
 
 # ---------------------------------------------------------------- academic
