@@ -3,7 +3,7 @@
 Each outer iteration fixes the current point ``x_k``, whose ``F(x_k)`` and
 ``f'(x_k)`` carry over from the previous acceptance, wraps ``H(x_k)`` once
 as an :class:`~leapssn.hilbert.Operator` (so work that every rung shares,
-like the composite step size, is done once, and escalated rungs of a large
+like the composite step size, is done once, and escalated rungs of a
 sparse ``H`` reuse an earlier rung's factor), and walks a trial ladder
 ``lambda = 2^j * Lambda_k`` (``j = 0, 1, ...``, exact in binary floating
 point).  For every trial the regularised model subproblem is solved; a
@@ -17,7 +17,12 @@ gradient ``F'(x_plus)`` is accepted iff both
 hold (non-strict).  On acceptance the next iteration starts its ladder at
 ``Lambda_{k+1} = lambda_k / 2``, so the regularisation can decrease
 geometrically on quadratic-like stretches while rejected rungs push it back
-up.  The objective decrease in the second test is evaluated through
+up.  Near a solution the active set settles and a sparse ``H(x_{k+1})``
+often equals ``H(x_k)`` exactly (same format, shape, indices and values);
+the iteration then keeps ``H(x_k)``'s Operator, whose cache carries the
+kept rung factor over, certified for the lower rungs by a factor of ``H``
+itself (see :mod:`leapssn.hilbert`).  The objective decrease in the second
+test is evaluated through
 ``Problem.decrease`` which prefers a difference-form computation: near tight
 tolerances the subtraction of two O(1) objective values is pure rounding
 noise while the true decrease still dominates the threshold.
@@ -179,8 +184,12 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     status = OUTER_BUDGET
     last_gpn = g0_norm
 
+    H = None
     for k in range(max_outer):
-        H = Operator(problem.hess(x), problem.dim)
+        hess = problem.hess(x)
+        if H is None or not H.stores(hess):
+            H = None    # free the last H and its kept rung factor first
+            H = Operator(hess, problem.dim)
 
         accepted = False
         computable_seen = False
@@ -216,7 +225,6 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             if cond1 and cond2:
                 accepted = True
                 break
-        H = None    # free H and its kept rung factor before the next hess
 
         if status == SOLVE_BUDGET:
             break

@@ -18,21 +18,29 @@ zero, so no rows are exchanged and U's diagonal holds the pivots.  Each
 d_i`` and ``max d_i <= lambda_max``: a pivot below the floor shows the
 operator singular to working precision at any scale, whichever side of zero
 rounding leaves that pivot, and a negative one shows it indefinite.  Sparse
-solves also keep a relative residual check (``RESIDUAL_TOL``).  Matvec-only
+solves also keep a check on the returned solution: its normwise backward
+error must be at most ``RESIDUAL_TOL`` (see :func:`_checked`).  Matvec-only
 operators go to a plain conjugate-gradient loop that refuses a direction of
 nonpositive curvature.  An uncertifiable trial solve returns ``None`` so the
 caller can treat the step as non-computable.
 
 Escalated rungs: the shifts ``H + lambda R`` of one sparse ``H``, of any
-size, share a factor.  ``H`` keeps the factor of its last rung at ``lambda0``
-that cleared the pivot floor.  A later rung ``lambda >= lambda0`` with the
-same certified metric ``R`` satisfies ``H + lambda R = (H + lambda0 R) +
-(lambda - lambda0) R``, which lies above an SPD operator in the Loewner
-order, so it is SPD without a factorization of its own.  It is solved by
-conjugate gradients preconditioned with the kept factor, which still refuses
-``<Ap, p> <= 0`` and is still followed by the ``RESIDUAL_TOL`` check.  When
-that fails (``_PCG_MAXIT`` reached, say), the kept factor is dropped and the
-rung is factored and certified as above; its factor is kept in turn.  Dense
+size, share one kept factor.  ``H`` keeps the factor of its last rung at
+``lambda0`` that cleared the pivot floor.  A later rung ``lambda >=
+lambda0`` with the same certified metric ``R`` satisfies ``H + lambda R =
+(H + lambda0 R) + (lambda - lambda0) R``, which lies above an SPD operator
+in the Loewner order, so it is SPD without a factorization of its own.  It
+is solved by conjugate gradients preconditioned with the kept factor, which
+still refuses ``<Ap, p> <= 0`` and is still followed by the solution check.
+When that fails (``_PCG_MAXIT`` reached, say), the kept factor is dropped
+and the rung is factored and certified as above; its factor is kept in
+turn.  The driver carries an ``H`` that repeats exactly into the next outer
+iteration, kept factor included, and there the ladder starts below
+``lambda0``.  Such a rung first has ``H`` itself factored (``lambda = 0``),
+once per ``H``: when that factor clears the pivot floor, ``H`` is SPD, so
+``H + lambda R`` is SPD for every ``lambda >= 0``, and every later rung of
+``H`` is solved by PCG on the kept factor.  When it does not, that is
+recorded and each rung below ``lambda0`` is factored as before.  Dense
 operators factor every rung, since Cholesky is cheap at their sizes.
 
 A problem's inner product ``<x, y>_R = <Rx, y>`` is carried by a
@@ -140,18 +148,32 @@ def _certified(lu):
             and _pivots_clear_floor(lu.U.diagonal()))
 
 
-def _checked(A, x, rhs):
-    """``x`` when it is finite and solves ``A x = rhs`` to ``RESIDUAL_TOL``."""
+def _norm_floor(A):
+    """``max_i |a_ii|`` of a sparse ``A``: never above ``||A||_2``, since
+    ``a_ii = <A e_i, e_i>``, and at least ``||A||_2 / n`` for SPD ``A``."""
+    return float(np.abs(A.diagonal()).max(initial=0.0))
+
+
+def _checked(A, anorm, x, rhs):
+    """``x`` when it is finite and its normwise backward error as a solution
+    of ``A x = rhs`` is at most ``RESIDUAL_TOL``.
+
+    The Rigal-Gaches backward error ``||A x - rhs|| / (||A|| ||x|| +
+    ||rhs||)`` is the smallest relative perturbation of ``A`` and ``rhs``
+    that ``x`` solves exactly.  ``anorm`` (see :func:`_norm_floor`) never
+    exceeds ``||A||_2``, so the value tested never understates it.
+    """
     if x is None or not np.all(np.isfinite(x)):
         return None
-    res = np.linalg.norm(A @ x - rhs) / max(1e-300, np.linalg.norm(rhs))
-    return x if res <= RESIDUAL_TOL else None
+    res = float(np.linalg.norm(A @ x - rhs))
+    scale = anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs))
+    return x if np.isfinite(res) and res <= RESIDUAL_TOL * scale else None
 
 
-def _lu_solve(lu, A, rhs):
+def _lu_solve(lu, A, anorm, rhs):
     with np.errstate(all="ignore"):
         x = lu.solve(rhs)
-    return _checked(A, x, rhs)
+    return _checked(A, anorm, x, rhs)
 
 
 def _sparse_ldl_solver(A, lasting=False):
@@ -167,38 +189,54 @@ def _sparse_ldl_solver(A, lasting=False):
     if lasting:
         del lu      # free it first, so the kept factor can reuse its memory
         lu = _symmetric_splu(A)
-    return lambda rhs: _lu_solve(lu, A, rhs)
+    anorm = _norm_floor(A)
+    return lambda rhs: _lu_solve(lu, A, anorm, rhs)
 
 
 def _rung_solver(A, H, lam, R):
     """Solve with the rung ``A = H + lam R`` of the sparse operator ``H``.
 
-    ``H`` keeps the factor of its last rung that cleared the pivot floor
+    ``H`` keeps one factor, of its last rung that cleared the pivot floor,
     as ``(lam0, R, lu)``.  For ``lam >= lam0`` and a certified ``R``,
     ``A = (H + lam0 R) + (lam - lam0) R`` is SPD, and that factor is a
     preconditioner whose generalized eigenvalues with ``A`` lie in
     ``[1, lam / lam0]`` when ``H`` is PSD; the rung is solved by PCG on it.
-    When PCG fails, the kept factor is dropped and this rung is factored
-    and kept in its place.  A refused factor is never kept.
+    A rung below ``lam0`` (an ``H`` carried into a later outer iteration)
+    first has ``H`` itself factored, once: when that factor clears the
+    pivot floor, ``H`` is SPD, so is every rung of it, and the factor is
+    kept as the one of rung ``lam0 = 0``.  After that every rung is solved
+    by PCG on the kept factor, whichever side of ``lam0`` it lies.  When
+    PCG fails, the kept factor is dropped and this rung is factored and
+    kept in its place.  A refused factor is never kept.
     """
+    anorm = _norm_floor(A)
+
     def solve(rhs):
         kept = H._cache.get("rung")
-        if (kept is not None and kept[1] is R and kept[0] <= lam
-                and R.solver() is not None):
+        if kept is None or kept[1] is not R or R.solver() is None:
+            kept = None
+        elif lam < kept[0] and "posdef" not in H._cache:
+            kept = None
+            H._cache.pop("rung")    # free it before H's own factor
+            lu = _symmetric_splu(H.A)
+            H._cache["posdef"] = _certified(lu)
+            if H._cache["posdef"]:
+                H._cache["rung"] = kept = (0.0, R, lu)
+        if kept is not None and (kept[0] <= lam or H._cache.get("posdef")):
             with np.errstate(all="ignore"):
                 x = cg_certified(A.__matmul__, rhs, maxiter=_PCG_MAXIT,
                                  precond=kept[2].solve)
-            x = _checked(A, x, rhs)
+            x = _checked(A, anorm, x, rhs)
             if x is not None:
                 return x
         # drop the kept factor first, so this rung's can reuse its memory
-        kept = None
+        kept = lu = None
         H._cache.pop("rung", None)
         lu = _symmetric_splu(A)
         if not _certified(lu):
             return None
         H._cache["rung"] = (lam, R, lu)
-        return _lu_solve(lu, A, rhs)
+        return _lu_solve(lu, A, anorm, rhs)
     return solve
 
 
@@ -251,6 +289,19 @@ class Operator:
             M += lam * (R.A.toarray() if R.kind == "sparse" else R.A)
         return Operator(M)
 
+    def stores(self, A):
+        """True when this sparse operator holds ``A`` exactly: a CSR or CSC
+        matrix of the same format and shape with equal ``indptr``,
+        ``indices`` and ``data``.  An ``H`` that repeats keeps its cache,
+        kept rung factor included.  The very matrix object this operator
+        wraps is never taken: it may have been changed in place since."""
+        B = self.A
+        return (self.kind == "sparse" and sp.issparse(A) and A is not B
+                and A.format in ("csr", "csc") and A.format == B.format
+                and A.shape == B.shape
+                and all(np.array_equal(getattr(A, name), getattr(B, name))
+                        for name in ("indptr", "indices", "data")))
+
     def solver(self):
         """Cached certified solve ``rhs -> x``, or ``None`` when the operator
         is not positive definite.  The solve returns ``None`` for a
@@ -299,8 +350,9 @@ def solve_posdef(M, rhs):
 class Metric(Operator):
     """SPD operator R defining ``<x, y>_R`` and the dual norm.
 
-    Built once per problem; its factorization is cached by ``solver`` and
-    kept as long as the problem.
+    Built once per problem (the contact builders share one among the live
+    problems on a mesh); its factorization is cached by ``solver`` and kept
+    as long as the Metric.
     """
 
     def _factor(self):

@@ -28,12 +28,27 @@ modes).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.sparse as sp
 
 from ..hilbert import Metric
 from ..problem import Problem
 from .rng import SplitMix64
+
+
+# one Metric per (family, n), shared by every live problem on that mesh: R
+# does not depend on gamma, so a gamma sweep factors it once
+_METRICS = weakref.WeakValueDictionary()
+
+
+def _shared_metric(family, n, build):
+    """The live Metric of ``family`` at mesh size ``n``, else ``build()``'s."""
+    metric = _METRICS.get((family, n))
+    if metric is None:
+        metric = _METRICS[family, n] = Metric(build())
+    return metric
 
 
 def _penalised_quadratic(A, b, c, phi, name, metric, dim, **extra):
@@ -111,7 +126,8 @@ def membrane_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     lam_min = 8.0 * np.sin(0.5 * np.pi * h) ** 2   # smallest stencil eigenvalue
 
     return _penalised_quadratic(
-        A, b, c, phi, "membrane", Metric(A), m * m,
+        A, b, c, phi, "membrane", _shared_metric("membrane", n, lambda: A),
+        m * m,
         strong_convexity=1.0,                       # R = A: energy norm
         curvature_bound=(c / lam_min if c > 0 else 0.0),
     )
@@ -166,11 +182,12 @@ def plate_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     phi = punch_obstacle(n)
 
     A = plate_bending_operator(n, h)
-    R = (A + (h * h) * sp.identity(n * n)).tocsr()
+    metric = _shared_metric(
+        "plate", n, lambda: (A + (h * h) * sp.identity(n * n)).tocsr())
     b = (h * h) * np.full(n * n, -12.0)
     c = gamma * h * h
 
     return _penalised_quadratic(
-        A, b, c, phi, "plate", Metric(R), n * n,
+        A, b, c, phi, "plate", metric, n * n,
         curvature_bound=(gamma if gamma > 0 else 0.0),  # c/lambda_min(R) <= gamma
     )

@@ -1,11 +1,15 @@
 """Adaptive prox-regularised Newton driver: acceptance loop mechanics."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from leapssn import EXIT_CODES, TRACE_HEADER, leap_ssn
+from leapssn import (EXIT_CODES, TRACE_HEADER, Operator, driver, hilbert,
+                     leap_ssn)
 from leapssn.suite import partial_smooth_2d, quadratic, rosenbrock
 from leapssn.suite.obstacle import membrane_problem, plate_problem
 from leapssn.suite.registry import broken_gradient_problem
@@ -151,18 +155,90 @@ def test_gradient_is_evaluated_once_per_computable_trial():
     assert calls == 1 + res.solves
 
 
-def test_escalated_sparse_rungs_reuse_the_iterations_factor(counted):
-    # each outer iteration factors its first rung; an escalated rung is
-    # solved by PCG on that factor and is factored only when PCG fails
+def test_escalated_sparse_rungs_reuse_the_iterations_factor(counted,
+                                                           monkeypatch):
+    # an H that repeats keeps its operator and its kept factor, so a rung
+    # is factored only when H changes, when a carried H is certified by
+    # its own factor (once per H), or when PCG fails
     prob = plate_problem(65, 1e4)
     prob.metric.solver()        # the metric's own factorizations come first
+    hessians, certificates = [], 0
+    hess, splu = prob.hess, hilbert._symmetric_splu
+
+    def recording_hess(x):
+        hessians.append(hess(x))
+        return hessians[-1]
+
+    def classifying_splu(A):
+        nonlocal certificates
+        certificates += any(A is H for H in hessians)
+        return splu(A)
+
+    prob.hess = recording_hess
+    monkeypatch.setattr(hilbert, "_symmetric_splu", classifying_splu)
     base = counted["splu"]
     res = leap_ssn(prob)
     assert res.status == "converged"
     assert res.solves > res.iterations
+    changes = 1 + sum(not Operator(a).stores(b)
+                      for a, b in zip(hessians, hessians[1:]))
+    assert changes < res.iterations and 0 < certificates <= changes
     rung_factors = counted["splu"] - base
-    assert rung_factors == res.iterations + counted["pcg_failed"]
-    assert rung_factors < res.solves
+    assert rung_factors <= changes + certificates + counted["pcg_failed"]
+    assert rung_factors < res.iterations
+
+
+def test_a_changed_h_gets_a_fresh_operator(monkeypatch):
+    # H is carried only when it repeats exactly: one entry moved by one ulp
+    # on every evaluation makes every iteration wrap its own H
+    made = []
+
+    class Recorded(Operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(driver, "Operator", Recorded)
+    prob = quadratic()
+    A = sp.csr_matrix(prob.hess(None))
+    same = dataclasses.replace(prob, hess=lambda x: A.copy())
+    res = leap_ssn(same, x0=prob.solution + 2.0)
+    assert res.iterations > 2 and len(made) == 1
+
+    calls = 0
+
+    def nudged(x):
+        nonlocal calls
+        calls += 1
+        B = A.copy()
+        B.data[0] = np.nextafter(B.data[0], np.inf) if calls % 2 else A.data[0]
+        return B
+
+    made.clear()
+    res = leap_ssn(dataclasses.replace(prob, hess=nudged),
+                   x0=prob.solution + 2.0)
+    assert res.iterations > 2 and len(made) == calls == res.iterations
+
+
+def test_leap_ssn_holds_no_operator_after_it_returns(monkeypatch):
+    # the carried H and its kept factor live only as long as the run
+    refs = []
+
+    class Recorded(Operator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(driver, "Operator", Recorded)
+    prob = plate_problem(17, 1e4)
+    gc.disable()
+    try:
+        res = leap_ssn(prob)
+        assert res.status == "converged"
+        assert 0 < len(refs) < res.iterations      # some H was carried
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 TWINS = [(membrane_problem, 1e4)] + [(plate_problem, gamma)

@@ -287,6 +287,70 @@ def test_a_stalled_pcg_rung_falls_back_to_one_factorization(counted):
     assert H._cache["rung"][0] == 1e4
 
 
+def test_a_carried_h_is_certified_once_and_serves_lower_rungs(counted):
+    # a rung below the kept factor's lam0 (the next outer iteration's,
+    # after lambda halved) has H itself factored once; H clears the pivot
+    # floor, so every lower rung is SPD and is solved by PCG on H's factor
+    n = 50
+    H = Operator(_banded_spd(n, 3.0))
+    R, rhs = Metric(), np.ones(n)
+    assert solve_posdef(H.shift(1.0, R), rhs) is not None
+    assert counted["splu"] == 1 and "posdef" not in H._cache
+    for lam in (0.5, 0.25, 2.0**-20, 4.0):
+        x = solve_posdef(H.shift(lam, R), rhs)
+        M = (H.A + lam * sp.identity(n)).tocsr()
+        assert np.linalg.norm(M @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+    assert counted == {"splu": 2, "cholesky": 0, "pcg": 4, "pcg_failed": 0}
+    assert H._cache["posdef"] and H._cache["rung"][0] == 0.0
+
+
+def test_a_refused_h_certificate_falls_back_to_the_rung_factor(counted):
+    # H is singular, so its own factor is refused: that is recorded, never
+    # retried, and each rung below the kept lam0 is factored as before
+    n = 50
+    H = Operator(sp.diags(np.r_[np.ones(n - 1), 0.0]).tocsr())
+    R, rhs = Metric(), np.ones(n)
+    assert solve_posdef(H.shift(1.0, R), rhs) is not None
+    x = solve_posdef(H.shift(0.5, R), rhs)
+    assert counted == {"splu": 3, "cholesky": 0, "pcg": 0, "pcg_failed": 0}
+    assert np.allclose(x, rhs / np.r_[np.full(n - 1, 1.5), 0.5])
+    assert not H._cache["posdef"] and H._cache["rung"][0] == 0.5
+    assert solve_posdef(H.shift(0.25, R), rhs) is not None
+    assert counted["splu"] == 4 and counted["pcg"] == 0
+    assert solve_posdef(H.shift(0.5, R), rhs) is not None   # above lam0
+    assert counted["splu"] == 4 and counted["pcg"] == 1
+
+
+def test_stores_is_exact_equality_of_a_sparse_h():
+    prob = plate_problem(17, 1e4)
+    A = prob.hess(prob.start_point(None))
+    H = Operator(A)
+    assert H.stores(A.copy())
+    B = A.copy()
+    B.data[7] = np.nextafter(B.data[7], np.inf)
+    assert not H.stores(B)
+    assert not H.stores(A.tocsc()) and not H.stores(A.toarray())
+    assert not H.stores(A)      # its own matrix may have changed in place
+    assert not Operator(A.toarray()).stores(A)
+
+
+def test_a_backward_stable_metric_solve_is_certified():
+    # R 1 = h^2 1 is tiny next to ||R|| ||1|| (the rigid translation lies
+    # in the bending operator's kernel), so at n = 193 the certified
+    # factor's solve has a relative residual near 6e-6: a
+    # residual-over-rhs test refuses it although its normwise backward
+    # error is near 1e-16
+    R = plate_problem(193, 1e4).metric
+    ones = np.ones(R.dim)
+    b = R.A @ ones
+    x = R.solve(b)
+    backward = (np.linalg.norm(R.A @ x - b)
+                / (hilbert._norm_floor(R.A) * np.linalg.norm(x)
+                   + np.linalg.norm(b)))
+    assert backward <= 1e-14
+    assert np.max(np.abs(x - ones)) <= 1e-4
+
+
 def test_a_solved_rung_is_freed_without_the_cycle_collector():
     n = 50
     H = Operator(_banded_spd(n, 3.0))

@@ -1,6 +1,9 @@
 """Oracle checks for the problem suite: hand-computed gradients, classical
 solutions, operator kernels, and data-format round trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -184,6 +187,29 @@ def test_plate_penetration_shrinks_with_gamma():
         viols.append(float(np.max(prob.obstacle - res.x)))
     assert viols[0] > viols[1]
     assert viols[1] <= 0.05
+
+
+def test_one_metric_factorization_serves_a_gamma_sweep(counted):
+    # R depends on the mesh only: live problems on one mesh share one
+    # Metric and its factor, another mesh or family gets its own, and the
+    # entry goes with the last problem that holds it
+    sweep = [plate_problem(23, gamma) for gamma in (1e2, 1e4, 1e6)]
+    assert all(prob.metric is sweep[0].metric for prob in sweep)
+    g = sweep[0].f_grad(sweep[0].start_point(None))
+    for prob in sweep:
+        prob.metric.solve(g)
+    assert counted["splu"] == 2     # the certified factor and the kept one
+    other = plate_problem(25, 1e4)
+    membrane = membrane_problem(23, 1e4)
+    assert other.metric is not sweep[0].metric
+    assert membrane.metric is not sweep[0].metric
+    assert membrane.metric is membrane_problem(23, 1e2).metric
+    metric = weakref.ref(sweep[0].metric)
+    del sweep, prob
+    gc.collect()
+    assert metric() is None
+    assert plate_problem(23, 1e4).metric.solver() is not None
+    assert counted["splu"] == 4
 
 
 # ---------------------------------------------------------------- imaging
