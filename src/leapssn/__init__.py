@@ -12,8 +12,7 @@ from .baselines import backtracking_newton, plain_newton
 from .driver import (CONVERGED, EXIT_CODES, INNER_BUDGET, OUTER_BUDGET,
                      SOLVE_BUDGET, SUBPROBLEM_FAILURE, TRACE_HEADER, Record,
                      Result, Trace, leap_ssn)
-from .hilbert import (Metric, NumericalError, Operator, cg_certified,
-                      solve_posdef)
+from .hilbert import Metric, NumericalError, Operator, solve_posdef
 from .problem import Problem
 from .subsolver import SubproblemResult, composite_step, smooth_step
 from .verify import (RateReport, assumption2_sample, audit_trace,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "leap_ssn", "plain_newton", "backtracking_newton", "Problem", "Metric",
-    "Operator", "NumericalError", "cg_certified", "solve_posdef", "Result",
+    "Operator", "NumericalError", "solve_posdef", "Result",
     "Trace", "Record", "SubproblemResult", "composite_step", "smooth_step",
     "RateReport", "assumption2_sample", "audit_trace", "dm_condition_sample",
     "grad_check", "hess_symmetry_check", "manifold_check", "sample_points",

@@ -189,7 +189,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
         hess = problem.hess(x)
         if H is None or not H.stores(hess):
             H = None    # free the last H and its kept rung factor first
-            H = Operator(hess, problem.dim)
+            H = Operator(hess)
 
         accepted = False
         computable_seen = False

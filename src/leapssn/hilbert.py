@@ -2,10 +2,10 @@
 
 Vectors are dense numpy arrays and the duality pairing is the plain dot
 product.  :class:`Operator` is the only code that looks at how a symmetric
-operator is stored (identity, dense ndarray, scipy sparse matrix or callable
-matvec).  It gives the curvature ``H(x)``, the shifted system ``H + lambda
-R`` and the metric ``R`` one interface: ``apply``, ``shift``, a cached
-certified ``solver()`` and a cached power-iteration ``norm_estimate()``.
+operator is stored (identity, dense ndarray or scipy sparse matrix).  It
+gives the curvature ``H(x)``, the shifted system ``H + lambda R`` and the
+metric ``R`` one interface: ``apply``, ``shift``, a cached certified
+``solver()`` and a cached power-iteration ``norm_estimate()``.
 Operators are applied, shifted and factored in the form they were given.
 
 Certificate: one rule, the pivot floor, for dense and sparse operators.  A
@@ -17,11 +17,10 @@ zero, so no rows are exchanged and U's diagonal holds the pivots.  Each
 ``d_i`` is a diagonal entry of a Schur complement, so ``lambda_min <= min
 d_i`` and ``max d_i <= lambda_max``: a pivot below the floor shows the
 operator singular to working precision at any scale, whichever side of zero
-rounding leaves that pivot, and a negative one shows it indefinite.  Sparse
-solves also keep a check on the returned solution: its normwise backward
-error must be at most ``RESIDUAL_TOL`` (see :func:`_checked`).  Matvec-only
-operators go to a plain conjugate-gradient loop that refuses a direction of
-nonpositive curvature.  An uncertifiable trial solve returns ``None`` so the
+rounding leaves that pivot, and a negative one shows it indefinite.  Every
+solve, dense or sparse, also keeps a check on the returned solution: its
+normwise backward error must be at most ``RESIDUAL_TOL`` (see
+:func:`_checked`).  An uncertifiable trial solve returns ``None`` so the
 caller can treat the step as non-computable.
 
 Escalated rungs: the shifts ``H + lambda R`` of one sparse ``H``, of any
@@ -70,25 +69,22 @@ class NumericalError(RuntimeError):
     """A metric solve could not be certified."""
 
 
-def cg_certified(matvec, b, maxiter=None, precond=None):
-    """Conjugate gradients with an indefiniteness certificate.
+def cg_certified(matvec, b, maxiter, precond):
+    """Preconditioned conjugate gradients with an indefiniteness certificate.
 
     Returns the solution of ``A x = b`` for symmetric positive definite
     ``A`` given by ``matvec``, or ``None`` when a direction with
     ``<Ap, p> <= 0`` is encountered (the operator is not positive definite)
     or the recursive residual fails to reach ``CG_TOL * ||b||`` within
-    ``maxiter`` iterations.  ``precond``, when given, applies an SPD
-    approximation of ``A^{-1}`` (preconditioned CG).
+    ``maxiter`` iterations.  ``precond`` applies an SPD approximation of
+    ``A^{-1}``.
     """
-    n = b.shape[0]
-    if maxiter is None:
-        maxiter = max(200, 10 * n)
     x = np.zeros_like(b)
     r = b.copy()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x
-    z = r if precond is None else precond(r)
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(maxiter):
@@ -99,14 +95,10 @@ def cg_certified(matvec, b, maxiter=None, precond=None):
         a = rz / pAp
         x += a * p
         r -= a * Ap
-        rr = float(r @ r)
-        if np.sqrt(rr) <= CG_TOL * bnorm:
+        if np.sqrt(float(r @ r)) <= CG_TOL * bnorm:
             return x
-        if precond is None:
-            z, rz_new = r, rr
-        else:
-            z = precond(r)
-            rz_new = float(r @ z)
+        z = precond(r)
+        rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return None
@@ -123,10 +115,11 @@ def _cholesky_solver(A):
         return None
     if not _pivots_clear_floor(np.diag(c) ** 2):
         return None
+    anorm = _norm_floor(A)
 
     def solve(rhs):
         x = sla.cho_solve((c, low), rhs, check_finite=False)
-        return x if np.all(np.isfinite(x)) else None
+        return _checked(A, anorm, x, rhs)
     return solve
 
 
@@ -149,7 +142,7 @@ def _certified(lu):
 
 
 def _norm_floor(A):
-    """``max_i |a_ii|`` of a sparse ``A``: never above ``||A||_2``, since
+    """``max_i |a_ii|`` of ``A``: never above ``||A||_2``, since
     ``a_ii = <A e_i, e_i>``, and at least ``||A||_2 / n`` for SPD ``A``."""
     return float(np.abs(A.diagonal()).max(initial=0.0))
 
@@ -241,20 +234,18 @@ def _rung_solver(A, H, lam, R):
 
 
 class Operator:
-    """A symmetric operator on R^dim in one of four forms (``kind``).
+    """A symmetric operator on R^n in one of three forms (``kind``).
 
-    ``A`` may be ``None`` (identity), a dense ndarray, a scipy sparse
-    matrix, or a callable matvec (which needs ``dim``).  The form picks the
-    certified solve: Cholesky for dense, symmetric-mode SuperLU for sparse
-    (whose shifted rungs share a factor, see :func:`_rung_solver`) and CG
-    for a matvec.
+    ``A`` may be ``None`` (identity), a dense ndarray or a scipy sparse
+    matrix.  The form picks the certified solve: Cholesky for dense and
+    symmetric-mode SuperLU for sparse (whose shifted rungs share a factor,
+    see :func:`_rung_solver`); both check each solution by its backward
+    error.
     """
 
-    def __init__(self, A=None, dim=None):
+    def __init__(self, A=None):
         if A is None:
-            kind, apply = "identity", (lambda v: v)
-        elif callable(A):
-            kind, apply = "matvec", A
+            kind, apply, dim = "identity", (lambda v: v), None
         else:
             if sp.issparse(A):
                 kind = "sparse"
@@ -265,15 +256,12 @@ class Operator:
         self._cache = {}
 
     @staticmethod
-    def of(A, dim=None):
+    def of(A):
         """``A`` itself when it already is an Operator, else a new one."""
-        return A if isinstance(A, Operator) else Operator(A, dim)
+        return A if isinstance(A, Operator) else Operator(A)
 
     def shift(self, lam, R):
         """The operator ``A + lam * R`` (``R`` an Operator, e.g. a Metric)."""
-        if "matvec" in (self.kind, R.kind):
-            apply, r_apply = self.apply, R.apply
-            return Operator(lambda v: apply(v) + lam * r_apply(v), self.dim)
         if self.kind == "sparse":
             B = (sp.identity(self.dim, format="csr") if R.kind == "identity"
                  else sp.csr_matrix(R.A))
@@ -315,10 +303,7 @@ class Operator:
             return lambda rhs: rhs
         if self.kind == "dense":
             return _cholesky_solver(self.A)
-        if self.kind == "sparse":
-            return _sparse_ldl_solver(self.A, lasting)
-        apply = self.apply
-        return lambda rhs: cg_certified(apply, rhs)
+        return _sparse_ldl_solver(self.A, lasting)
 
     def norm_estimate(self):
         """Deterministic power-iteration estimate of ``||A||_2`` (cached)."""

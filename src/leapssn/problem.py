@@ -24,9 +24,9 @@ class Problem:
     """Composite objective on R^dim.
 
     Required pieces: ``dim``, ``f_value``, ``f_grad``, ``hess`` and
-    ``metric``.  ``hess(x)`` returns a symmetric operator (dense ndarray,
-    scipy sparse matrix, or matvec callable) -- for nonsmooth-gradient
-    problems it is a measurable selection of the generalized derivative.
+    ``metric``.  ``hess(x)`` returns a symmetric operator as a dense ndarray
+    or a scipy sparse matrix -- for nonsmooth-gradient problems it is a
+    measurable selection of the generalized derivative.
 
     The nonsmooth part is either absent (``psi_value is None``; the problem
     is smooth) or given by ``psi_value`` together with ``prox``, where

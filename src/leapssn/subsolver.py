@@ -47,7 +47,7 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """Minimise the model for a smooth problem: one certified SPD solve."""
     if not problem.smooth:
         raise ValueError("smooth_step requires psi == 0")
-    H = Operator.of(H, problem.dim)
+    H = Operator.of(H)
     d = solve_posdef(H.shift(lam, problem.metric), -grad)
     if d is None:
         return SubproblemResult(None, False)
@@ -67,8 +67,11 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
 
     A non-computable result says why in ``diagnostics["stop"]``, next to
     the true ``inner_iters``: ``"budget"`` after ``INNER_MAXIT``
-    iterations, or one of two exits taken as soon as the loop provably
-    cannot converge, where running on would only have ended the same way:
+    iterations, ``"indefinite"`` as soon as the model meets a direction
+    ``d = y - x`` with ``<H d, d> + lambda <d, d> <= 0 < <d, d>`` (the
+    system is not positive definite: PCG's refusal at ``<Ap, p> <= 0``),
+    or one of two exits taken as soon as the loop provably cannot
+    converge, where running on would only have ended the same way:
 
     * ``"stalled"``: the restart from the best point is rejected too, so
       ``y`` and ``m_best`` stay put, ``z = y + 0 * (y - y)`` equals ``y``
@@ -85,7 +88,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
       pays nothing.
     """
     prox = problem.prox if not problem.smooth else (lambda v, t: v)
-    H = Operator.of(H, problem.dim)
+    H = Operator.of(H)
     matvec = H.apply
     t = 1.0 / (1.1 * H.norm_estimate() + lam)
 
@@ -93,9 +96,15 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         d = y - x
         return grad + matvec(d) + lam * d
 
+    indefinite = False
+
     def model_smooth(y):
+        nonlocal indefinite
         d = y - x
-        return float(grad @ d) + 0.5 * float(d @ matvec(d)) + 0.5 * lam * float(d @ d)
+        q, dd = float(d @ matvec(d)), float(d @ d)
+        if q + lam * dd <= 0.0 < dd:
+            indefinite = True
+        return float(grad @ d) + 0.5 * q + 0.5 * lam * dd
 
     def model_total(y):
         return model_smooth(y) + problem.psi(y)
@@ -132,6 +141,9 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
             if m_cand > m_best + tau:   # no progress even from the best point
                 cand, m_cand = y, m_best
                 stalled = True
+        if indefinite:
+            stop = "indefinite"
+            break
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         z = cand + ((theta - 1.0) / theta_next) * (cand - y)
         y, m_best, theta = cand, min(m_best, m_cand), theta_next

@@ -120,12 +120,12 @@ def hess_symmetry_check(problem: Problem, points) -> float:
     rng = SplitMix64(SYMMETRY_SEED)
     worst = 0.0
     for x in points:
-        H = Operator(problem.hess(np.asarray(x, dtype=float))).apply
+        H = problem.hess(np.asarray(x, dtype=float))
         for _ in range(SYMMETRY_PROBES):
             u = rng.normals(problem.dim)
             v = rng.normals(problem.dim)
-            a = float(H(u) @ v)
-            b = float(H(v) @ u)
+            a = float((H @ u) @ v)
+            b = float((H @ v) @ u)
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     return worst
 
@@ -134,14 +134,14 @@ def _model_error(problem: Problem, points, grads) -> float:
     """Largest finite model-error ratio of ``points[0]`` against the rest,
     or 0; ``grads`` holds f' at each point, H is evaluated at points[0]."""
     x, g_x = points[0], grads[0]
-    H = Operator(problem.hess(x))
+    H = problem.hess(x)
     best = 0.0
     for y, g_y in zip(points[1:], grads[1:]):
         d = y - x
         nd = problem.metric.norm(d)
         if not np.isfinite(nd) or nd <= 1e-14:
             continue
-        r = problem.metric.dual_norm(g_y - g_x - H.apply(d)) / nd
+        r = problem.metric.dual_norm(g_y - g_x - H @ d) / nd
         if np.isfinite(r):
             best = max(best, r)
     return best
@@ -425,7 +425,7 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
     out = []
     for i in range(max(0, len(recs) - DM_COUNT), len(recs)):
         x_k = xs[i]
-        H_k = Operator(problem.hess(x_k), problem.dim)
+        H_k = Operator(problem.hess(x_k))
         sub = _step(problem, x_k, _grad(problem, x_k), H_k, recs[i].lam / 2.0)
         if not sub.computable:
             continue
@@ -434,7 +434,7 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
         if dn <= 1e-300:
             out.append(0.0)
             continue
-        dH = (Operator(problem.hess(x_plus)).apply(x_plus - x_star)
+        dH = (problem.hess(x_plus) @ (x_plus - x_star)
               - H_k.apply(x_plus - x_star))
         out.append(problem.metric.dual_norm(dH) / dn)
     return out

@@ -23,9 +23,8 @@ def counted(monkeypatch):
 
     def counted_cg(*args, **kwargs):
         x = cg(*args, **kwargs)
-        if kwargs.get("precond") is not None:
-            counts["pcg"] += 1
-            counts["pcg_failed"] += x is None
+        counts["pcg"] += 1
+        counts["pcg_failed"] += x is None
         return x
 
     monkeypatch.setattr(hilbert.spla, "splu", counted_splu)

@@ -9,8 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from leapssn import hilbert
-from leapssn import (Metric, NumericalError, Operator, Problem,
-                     cg_certified, smooth_step, solve_posdef)
+from leapssn import (Metric, NumericalError, Operator, Problem, smooth_step,
+                     solve_posdef)
+from leapssn.hilbert import cg_certified
 from leapssn.suite.obstacle import plate_problem
 
 
@@ -56,29 +57,18 @@ def test_sparse_and_dense_metrics_agree():
     assert np.allclose(md.solve(g), ms.solve(g), atol=1e-10)
 
 
-def test_matvec_metric_agrees_with_dense():
-    n = 25
-    R = _spd(n, seed=2)
-    md = Metric(R)
-    mm = Metric(lambda v: R @ v, dim=n)
-    assert mm.kind == "matvec"
-    g = np.random.default_rng(3).standard_normal(n)
-    assert mm.inner(g, g) == pytest.approx(md.inner(g, g), rel=1e-12)
-    assert mm.dual_norm(g) == pytest.approx(md.dual_norm(g), rel=1e-8)
-
-
 def test_dense_metric_refuses_a_near_singular_factorization():
     # Cholesky completes, but the pivot ratio 1e-20 is far below n * eps
     with pytest.raises(NumericalError):
         Metric(np.diag([1.0, 1e-20])).solve(np.ones(2))
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse", "matvec"])
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_indefinite_metric_raises_in_every_representation(kind):
     n = 3
     D = sp.diags(np.r_[np.ones(n - 1), -1.0]).tocsr()
-    R = {"dense": D.toarray(), "sparse": D, "matvec": lambda v: D @ v}[kind]
-    metric = Metric(R, dim=n)
+    R = {"dense": D.toarray(), "sparse": D}[kind]
+    metric = Metric(R)
     assert metric.kind == kind
     with pytest.raises(NumericalError):
         metric.solve(np.ones(n))
@@ -97,13 +87,11 @@ H_FORMS = {
     "dense_large": (LARGE, lambda A: A.toarray()),
     "sparse_small": (40, lambda A: A),
     "sparse_large": (LARGE, lambda A: A),
-    "callable": (40, lambda A: (lambda v: A @ v)),
 }
 R_FORMS = {
     "identity": lambda R: None,
     "dense": lambda R: R.toarray(),
     "sparse": lambda R: R,
-    "callable": lambda R: (lambda v: R @ v),
 }
 
 
@@ -117,7 +105,7 @@ FORMS.append(("dense_large", "sparse"))
 def test_smooth_step_agrees_across_representations(h_form, r_form):
     n, as_h = H_FORMS[h_form]
     H, R = _banded_spd(n, 3.0), _banded_spd(n, 2.5)
-    metric = Metric(R_FORMS[r_form](R), dim=n)
+    metric = Metric(R_FORMS[r_form](R))
     if r_form == "identity":
         R = sp.identity(n, format="csr")
     prob = Problem(dim=n, f_value=lambda x: 0.0, f_grad=lambda x: H @ x,
@@ -140,7 +128,7 @@ def test_indefinite_curvature_is_refused_in_every_representation(h_form):
     prob = Problem(dim=n, f_value=lambda x: 0.0, f_grad=lambda x: D @ x,
                    hess=lambda x: D, hess_psd=False)
     g = np.ones(n)
-    assert solve_posdef(Operator(as_h(D), n), -g) is None
+    assert solve_posdef(Operator(as_h(D)), -g) is None
     assert not smooth_step(prob, np.zeros(n), g, as_h(D), 0.5).computable
 
 
@@ -194,21 +182,48 @@ def test_solve_posdef_sparse_path():
     assert solve_posdef(S, np.ones(3)) is None
 
 
+def test_a_callable_operator_or_metric_is_refused():
+    # an operator is stored as a matrix; a matvec callable is not one
+    A = _spd(4, seed=2)
+    with pytest.raises(TypeError):
+        Operator(lambda v: A @ v)
+    with pytest.raises(TypeError):
+        Metric(lambda v: A @ v)
+
+
+def test_a_wrong_dense_solve_is_refused(monkeypatch):
+    # the dense path checks each solution by its backward error, as the
+    # sparse one does: a finite but wrong Cholesky solve is not returned
+    A, b = _spd(12, seed=4), np.arange(12, dtype=float)
+    assert solve_posdef(A, b) is not None
+    cho_solve = hilbert.sla.cho_solve
+    monkeypatch.setattr(hilbert.sla, "cho_solve",
+                        lambda *args, **kw: cho_solve(*args, **kw) + 1e-3)
+    assert solve_posdef(A, b) is None
+
+
+def _jacobi(A):
+    d = np.diag(A).copy()
+    return lambda r: r / d
+
+
 def test_cg_certified_solves_and_certifies():
     A = _spd(15, seed=6)
     b = np.random.default_rng(7).standard_normal(15)
-    x = cg_certified(lambda v: A @ v, b)
+    x = cg_certified(lambda v: A @ v, b, maxiter=150, precond=_jacobi(A))
     assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_cg_certified_refuses_indefinite_operator():
     D = np.diag([1.0, -1.0, 2.0])
-    assert cg_certified(lambda v: D @ v, np.array([1.0, 1.0, 1.0])) is None
+    assert cg_certified(lambda v: D @ v, np.array([1.0, 1.0, 1.0]),
+                        maxiter=30, precond=lambda r: r) is None
 
 
 def test_cg_certified_zero_rhs():
     A = _spd(4, seed=8)
-    x = cg_certified(lambda v: A @ v, np.zeros(4))
+    x = cg_certified(lambda v: A @ v, np.zeros(4), maxiter=40,
+                     precond=_jacobi(A))
     assert np.array_equal(x, np.zeros(4))
 
 
@@ -218,7 +233,7 @@ def test_cg_certified_zero_rhs():
 def test_escalated_rung_by_pcg_agrees_with_its_direct_solve(counted):
     prob = plate_problem(65, 1e4)
     x = prob.start_point(None)
-    H = Operator(prob.hess(x), prob.dim)
+    H = Operator(prob.hess(x))
     R = prob.metric
     R.solver()              # the metric's own factorizations come first
     g = prob.f_grad(x)

@@ -86,19 +86,29 @@ def test_composite_step_matches_smooth_step_when_psi_is_absent():
 
 
 def test_composite_step_gives_up_on_indefinite_model():
-    """With enough negative curvature the monotone loop cannot certify a
-    minimiser and must report the trial as not computable -- as soon as its
-    iterate overflows, not after the whole iteration budget."""
+    """With negative curvature the model has no minimiser: the first
+    candidate meets a direction with <(H + lambda) d, d> <= 0 and the trial
+    is refused on the spot, before the iterate can overflow."""
     prob = partial_smooth_2d()
     x = prob.x0.copy()
     g = prob.f_grad(x)
     H = np.diag([-50.0, -50.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = composite_step(prob, x, g, H, 1.0)
+    res = composite_step(prob, x, g, H, 1.0)
     assert not res.computable
     assert res.x_plus is None
-    assert res.diagnostics["stop"] == "nonfinite"
-    assert res.diagnostics["inner_iters"] < INNER_MAXIT
+    assert res.diagnostics == {"inner_iters": 1, "stop": "indefinite"}
+
+
+def test_composite_step_gives_up_on_a_nonfinite_iterate():
+    # a NaN gradient on a positive definite model makes the first iterate
+    # non-finite; the loop stops there, not at INNER_MAXIT
+    prob = partial_smooth_2d()
+    x = prob.x0.copy()
+    g = prob.f_grad(x)
+    g[1] = np.nan
+    res = composite_step(prob, x, g, prob.hess(x), 1.0)
+    assert not res.computable
+    assert res.diagnostics == {"inner_iters": 1, "stop": "nonfinite"}
 
 
 def _l1_svm(n_samples, n_features, seed, mu):
