@@ -10,7 +10,8 @@ compare   sweep a penalty parameter, tabulating linear-solve counts per
           given a composite problem), written as CSV and aligned text
 verify    run the derivative checks and the trace audit on one problem,
           writing report.json; exits 0 iff no violations
-gen-data  write seeded synthetic inputs (SVM text file / noisy PGM)
+gen-data  write seeded synthetic inputs (SVM text file / noisy PGM),
+          the data of the instance ``run`` solves with the same flags
 
 Exit codes (stable contract): 0 converged / success, 2 budget exhausted,
 3 persistent subproblem failure, 1 usage or I/O error or a metric solve
@@ -23,7 +24,10 @@ may additionally set solver constants (alpha, beta, m, lambda0) that
 have no dedicated flag.  ``--tol`` must be positive.  ``--budget`` (max
 linear solves) must be at least 1; unset, leapssn is unbounded and the
 baselines stop at 10000 in ``run``, and every solver gets 300 in
-``compare`` and ``verify``.
+``compare`` and ``verify``.  Unset ``--gamma``, ``--n``, ``--seed`` and
+``--tol`` take the problem's defaults from ``suite.registry``, the same
+in every subcommand.  A ``--gamma`` or ``--n`` that is not a number (in
+``compare``, a comma list of numbers) is an argparse usage error (exit 1).
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from .baselines import backtracking_newton, plain_newton
 from .driver import EXIT_CODES, leap_ssn, solver_constants
 from .hilbert import NumericalError
 from .suite.imaging import write_pgm
-from .suite.registry import (PROBLEM_NAMES, SVM_SAMPLES, TV_SIGMA,
-                             build_problem, default_tol)
+from .suite.registry import (PROBLEM_NAMES, SVM_SAMPLES, build_problem,
+                             default_tol, problem_knobs)
 from .suite.svm import svm_data, write_svm_data
 from .verify import (assumption2_sample, audit_trace, dm_condition_sample,
                      grad_check, hess_symmetry_check, manifold_check,
@@ -95,10 +99,11 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _merge_settings(ns: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+def _settings(ns: argparse.Namespace) -> dict:
+    """defaults < config file < explicit flags, checked; an unset tol
+    takes the problem's registry default."""
     settings = dict.fromkeys(_CONFIG_KEYS)
-    if getattr(ns, "config", None):
+    if ns.config:
         settings.update(parse_config_file(ns.config))
     for key in _CONFIG_KEYS:
         val = getattr(ns, key, None)
@@ -108,7 +113,37 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
         raise ValueError(f"--budget must be at least 1, got {settings['budget']}")
     if settings["tol"] is not None and not settings["tol"] > 0:
         raise ValueError(f"--tol must be positive, got {settings['tol']}")
+    if settings["problem"] is None:
+        raise ValueError(f"{ns.command} needs --problem")
+    if settings["tol"] is None:
+        settings["tol"] = default_tol(settings["problem"])
+    settings["out"] = settings["out"] or "."
     return settings
+
+
+def _problem(settings):
+    """Build the instance; unset gamma, n and seed in ``settings`` take
+    the registry defaults it is built with."""
+    settings.update(problem_knobs(settings["problem"], settings["gamma"],
+                                  settings["n"], settings["seed"]))
+    return build_problem(settings["problem"], settings["gamma"],
+                         settings["n"], settings["seed"])
+
+
+def _write(out: str, files: dict) -> None:
+    """Create ``out`` and write each file into it; a value is the text
+    or a ``write(path)`` callable."""
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(out, name)
+            if callable(content):
+                content(path)
+            else:
+                with open(path, "w") as fh:
+                    fh.write(content)
+    except OSError as e:
+        raise OSError(f"cannot write outputs: {e}") from None
 
 
 def _resolve_x0(spec, problem):
@@ -131,15 +166,17 @@ def _constants(settings) -> dict:
             if settings[key] is not None}
 
 
-def _run_solver(solver, problem, x0, tol, budget, settings):
+def _run_solver(solver, problem, x0, budget, settings):
     options = {} if budget is None else {"max_solves": budget}
     if solver == "leapssn":
         options.update(_constants(settings))
-    return SOLVERS[solver](problem, x0, grad_tol=tol, **options)
+    return SOLVERS[solver](problem, x0, grad_tol=settings["tol"], **options)
 
 
-def _parse_list(text: str, kind):
-    return [kind(p) for p in text.split(",") if p.strip()]
+def _check_solvers(solvers) -> None:
+    for s in solvers:
+        if s not in SOLVER_NAMES:
+            raise ValueError(f"unknown solver {s!r}; choose from {SOLVER_NAMES}")
 
 
 # ----------------------------------------------------------------------
@@ -147,37 +184,17 @@ def _parse_list(text: str, kind):
 
 
 def cmd_run(ns) -> int:
-    try:
-        settings = _merge_settings(ns)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    settings = _settings(ns)
     name = settings["problem"]
-    if name is None:
-        return _fail("run needs --problem")
     solver = settings["solver"] or "leapssn"
-    if solver not in SOLVER_NAMES:
-        return _fail(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
-    try:
-        problem = build_problem(name, settings["gamma"], settings["n"],
-                                settings["seed"])
-    except (KeyError, ValueError) as e:
-        return _fail(str(e.args[0]) if e.args else repr(e))
-    tol = settings["tol"] if settings["tol"] is not None else default_tol(name)
-
-    try:
-        x0 = _resolve_x0(settings["x0"], problem)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    _check_solvers([solver])
+    problem = _problem(settings)
+    x0 = _resolve_x0(settings["x0"], problem)
 
     t0 = time.perf_counter()
-    try:
-        result = _run_solver(solver, problem, x0, tol, settings["budget"],
-                             settings)
-    except ValueError as e:
-        return _fail(str(e))
+    result = _run_solver(solver, problem, x0, settings["budget"], settings)
     wall = time.perf_counter() - t0
 
-    out = settings["out"] or "."
     summary = {
         "problem": name,
         "solver": solver,
@@ -190,83 +207,59 @@ def cmd_run(ns) -> int:
         "wall_time_seconds": wall,
         "exit_code": EXIT_CODES[result.status],
     }
-    try:
-        os.makedirs(out, exist_ok=True)
-        result.trace.write_csv(os.path.join(out, "trace.csv"))
-        with open(os.path.join(out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        if hasattr(problem, "reconstruct"):
-            write_pgm(problem.reconstruct(result.x),
-                      os.path.join(out, "restored.pgm"))
-            if hasattr(problem, "noisy_image"):
-                write_pgm(problem.noisy_image, os.path.join(out, "noisy.pgm"))
-    except OSError as e:
-        return _fail(f"cannot write outputs: {e}")
+    files = {"trace.csv": result.trace.write_csv,
+             "summary.json": json.dumps(summary, indent=2) + "\n"}
+    if hasattr(problem, "reconstruct"):
+        files["restored.pgm"] = lambda path: write_pgm(
+            problem.reconstruct(result.x), path)
+        if hasattr(problem, "noisy_image"):
+            files["noisy.pgm"] = lambda path: write_pgm(problem.noisy_image,
+                                                        path)
+    _write(settings["out"], files)
     print(f"{name} [{solver}]: {result.status}, {result.iterations} iterations, "
           f"{result.solves} linear solves, F = {result.F:.6e}, "
           f"grad norm = {result.grad_dual_norm:.3e}")
     return EXIT_CODES[result.status]
 
 
-def _compare_cell(solver, problem, tol, budget, settings):
+def _compare_cell(solver, problem, budget, settings):
     try:
-        res = _run_solver(solver, problem, None, tol, budget, settings)
+        res = _run_solver(solver, problem, None, budget, settings)
     except ValueError:      # a baseline refuses the problem or its settings
         return None
     return res.solves if res.status == "converged" else None
 
 
 def cmd_compare(ns) -> int:
-    try:
-        settings = _merge_settings(ns)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    settings = _settings(ns)
     name = settings["problem"]
-    if name is None:
-        return _fail("compare needs --problem")
-    try:
-        # the flag is a comma list; a config file gives a single value
-        if ns.gamma is not None:
-            sweep = _parse_list(ns.gamma, float)
-        else:
-            sweep = [] if settings["gamma"] is None else [settings["gamma"]]
-    except ValueError:
-        return _fail(f"bad sweep {ns.gamma!r}")
+    # the flags are comma lists; a config file gives single values
+    if ns.gamma is not None:
+        sweep = ns.gamma
+    else:
+        sweep = [] if settings["gamma"] is None else [settings["gamma"]]
     if not sweep:
-        return _fail("compare needs a nonempty --gamma sweep")
+        raise ValueError("compare needs a nonempty --gamma sweep")
     solvers = [s.strip() for s in (ns.solvers or "leapssn,plain").split(",")
                if s.strip()]
-    for s in solvers:
-        if s not in SOLVER_NAMES:
-            return _fail(f"unknown solver {s!r}; choose from {SOLVER_NAMES}")
-    try:
-        ns_list = _parse_list(ns.n, int) if ns.n else [settings["n"]]
-    except ValueError:
-        return _fail(f"bad --n list {ns.n!r}")
-    tol = settings["tol"] if settings["tol"] is not None else default_tol(name)
+    _check_solvers(solvers)
+    sizes = ns.n or [settings["n"]]
     budget = settings["budget"] or 300
     if "leapssn" in solvers:
         # bad solver constants are a usage error, not a column of failures
-        try:
-            solver_constants(build_problem(name, sweep[0], ns_list[0],
-                                           settings["seed"]),
-                             **_constants(settings))
-        except (KeyError, ValueError) as e:
-            return _fail(str(e.args[0]) if e.args else repr(e))
+        solver_constants(build_problem(name, sweep[0], sizes[0],
+                                       settings["seed"]),
+                         **_constants(settings))
 
-    columns = [(s, nv) for s in solvers for nv in ns_list]
-    multi_n = len(ns_list) > 1
+    columns = [(s, nv) for s in solvers for nv in sizes]
+    multi_n = len(sizes) > 1
     header = ["gamma"] + [f"{s}@n={nv}" if multi_n else s for s, nv in columns]
     rows = []
     for gamma in sweep:
         row = [f"{gamma:g}"]
         for s, nv in columns:
-            try:
-                problem = build_problem(name, gamma, nv, settings["seed"])
-            except (KeyError, ValueError) as e:
-                return _fail(str(e.args[0]) if e.args else repr(e))
-            cell = _compare_cell(s, problem, tol, budget, settings)
+            problem = build_problem(name, gamma, nv, settings["seed"])
+            cell = _compare_cell(s, problem, budget, settings)
             row.append("-" if cell is None else str(cell))
         rows.append(row)
 
@@ -275,41 +268,19 @@ def cmd_compare(ns) -> int:
              for r in [header] + rows]
     table = "\n".join(lines) + "\n"
     print(table, end="")
-
-    out = settings["out"] or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "compare.csv"), "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for r in rows:
-                fh.write(",".join(r) + "\n")
-        with open(os.path.join(out, "compare.txt"), "w") as fh:
-            fh.write(table)
-    except OSError as e:
-        return _fail(f"cannot write outputs: {e}")
+    _write(settings["out"], {
+        "compare.csv": "".join(",".join(r) + "\n" for r in [header] + rows),
+        "compare.txt": table,
+    })
     return 0
 
 
 def cmd_verify(ns) -> int:
-    try:
-        settings = _merge_settings(ns)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    settings = _settings(ns)
     name = settings["problem"]
-    if name is None:
-        return _fail("verify needs --problem")
-    try:
-        problem = build_problem(name, settings["gamma"], settings["n"],
-                                settings["seed"])
-    except (KeyError, ValueError) as e:
-        return _fail(str(e.args[0]) if e.args else repr(e))
-    tol = settings["tol"] if settings["tol"] is not None else default_tol(name)
-    budget = settings["budget"] or 300
-
-    try:
-        result = _run_solver("leapssn", problem, None, tol, budget, settings)
-    except ValueError as e:
-        return _fail(str(e))
+    problem = _problem(settings)
+    result = _run_solver("leapssn", problem, None, settings["budget"] or 300,
+                         settings)
     points = sample_points(problem, 4)
     grad_err = grad_check(problem, points)
     hess_err = hess_symmetry_check(problem, points)
@@ -339,14 +310,7 @@ def cmd_verify(ns) -> int:
         "manifold_index": manifold,
         "violations": violations,
     }
-    out = settings["out"] or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "report.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except OSError as e:
-        return _fail(f"cannot write outputs: {e}")
+    _write(settings["out"], {"report.json": json.dumps(doc, indent=2) + "\n"})
     status = "clean" if not violations else f"{len(violations)} violation(s)"
     print(f"{name}: {status}; solver {result.status} after "
           f"{result.solves} solves; L_hat = {report.L_hat:.4g}")
@@ -354,43 +318,42 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_gen_data(ns) -> int:
-    try:
-        settings = _merge_settings(ns)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    settings = _settings(ns)
     name = settings["problem"]
-    if name is None:
-        return _fail("gen-data needs --problem")
-    seed = settings["seed"] if settings["seed"] is not None else 1
-    out = settings["out"] or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-        if name == "svm":
-            n = settings["n"] or 2
-            X, y = svm_data(SVM_SAMPLES, n, seed)
-            path = os.path.join(out, f"svm_l{SVM_SAMPLES}_n{n}_s{seed}.txt")
-            write_svm_data(path, X, y)
-        elif name == "tv":
-            from .suite.imaging import add_noise, phantom
-            n = settings["n"] or 64
-            noisy = add_noise(phantom(n), TV_SIGMA, seed)
-            path = os.path.join(out, f"tv_n{n}_s{seed}.pgm")
-            write_pgm(noisy, path)
-        else:
-            return _fail(f"gen-data supports 'svm' and 'tv', not {name!r}")
-    except OSError as e:
-        return _fail(f"cannot write outputs: {e}")
-    print(path)
+    if name not in ("svm", "tv"):
+        raise ValueError(f"gen-data supports 'svm' and 'tv', not {name!r}")
+    # the data of the instance ``run`` builds from the same settings
+    problem = _problem(settings)
+    n, seed = settings["n"], settings["seed"]
+    if name == "svm":
+        X, y = svm_data(SVM_SAMPLES, n, seed)
+        files = {f"svm_l{SVM_SAMPLES}_n{n}_s{seed}.txt":
+                 lambda path: write_svm_data(path, X, y)}
+    else:
+        files = {f"tv_n{n}_s{seed}.pgm":
+                 lambda path: write_pgm(problem.noisy_image, path)}
+    _write(settings["out"], files)
+    print(os.path.join(settings["out"], *files))
     return 0
 
 
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub, *, gamma_help):
+def _comma_list(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text):
+        return [kind(p) for p in text.split(",") if p.strip()]
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+def _add_common(sub, *, gamma_help, sweep=False):
     sub.add_argument("--problem", help=f"one of {', '.join(PROBLEM_NAMES)}")
-    sub.add_argument("--gamma", help=gamma_help)
-    sub.add_argument("--n", help="problem size parameter")
+    sub.add_argument("--gamma", type=_comma_list(float) if sweep else float,
+                     help=gamma_help)
+    sub.add_argument("--n", type=_comma_list(int) if sweep else int,
+                     help="problem size parameter")
     sub.add_argument("--seed", type=int, help="seed for synthetic data")
     sub.add_argument("--tol", type=float, help="gradient dual-norm tolerance")
     sub.add_argument("--budget", type=int,
@@ -415,12 +378,13 @@ def main(argv=None) -> int:
     _add_common(p_run, gamma_help="penalty parameter")
     p_run.add_argument("--solver", help=f"one of {', '.join(SOLVER_NAMES)}")
     p_run.add_argument("--x0", help="zeros | ones | default | file path")
-    p_run.set_defaults(func=cmd_run, gamma=None)
+    p_run.set_defaults(func=cmd_run)
 
     p_cmp = subs.add_parser("compare", help="penalty sweep table",
                             description="Sweep --gamma values per solver; "
                             "writes compare.csv and compare.txt to --out.")
-    _add_common(p_cmp, gamma_help="comma-separated sweep, e.g. 1e2,1e3,1e4")
+    _add_common(p_cmp, gamma_help="comma-separated sweep, e.g. 1e2,1e3,1e4",
+                sweep=True)
     p_cmp.add_argument("--solvers", help="comma-separated list from "
                        f"{', '.join(SOLVER_NAMES)} (default: leapssn,plain)")
     p_cmp.set_defaults(func=cmd_compare)
@@ -438,23 +402,14 @@ def main(argv=None) -> int:
     p_gen.set_defaults(func=cmd_gen_data)
 
     ns = parser.parse_args(argv)
-
-    # --gamma/--n are scalars everywhere except compare (comma lists there)
-    if ns.command != "compare":
-        try:
-            if ns.gamma is not None:
-                ns.gamma = float(ns.gamma)
-            if ns.n is not None:
-                ns.n = int(ns.n)
-        except ValueError:
-            return _fail(f"bad numeric flag value "
-                         f"(gamma={ns.gamma!r}, n={ns.n!r})")
-
     try:
         return ns.func(ns)
     except KeyboardInterrupt:
         return 1
-    except NumericalError as e:     # e.g. a metric that fails certification
+    except KeyError as e:           # str() would quote the message
+        return _fail(str(e.args[0]) if e.args else repr(e))
+    except (ValueError, OSError, NumericalError) as e:
+        # NumericalError: e.g. a metric that fails certification
         return _fail(str(e))
 
 

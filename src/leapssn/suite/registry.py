@@ -2,8 +2,11 @@
 
 Each entry maps a CLI problem name to a builder taking the generic
 knobs (``gamma``, ``n``, ``seed``) and returning a fully-declared
-Problem, plus the gradient tolerance the problem is conventionally run
-at (hinge losses are usually driven to 1e-6, everything else to 1e-8).
+Problem, the defaults of the knobs that builder reads, and the gradient
+tolerance the problem is conventionally run at (hinge losses are
+usually driven to 1e-6, everything else to 1e-8).  Every command-line
+subcommand, and the benchmark's ``DEFAULT_SEEDS``, takes its defaults
+from this one table.
 
 ``broken_gradient`` is a deliberate negative control: its reported
 gradient carries a constant bias, so derivative checks must flag it
@@ -24,7 +27,6 @@ from .tv import tv_dual_problem
 
 SVM_SAMPLES = 1000
 TV_SIGMA = 0.06
-DEFAULT_SEEDS = {"quadratic": 3, "rank_deficient": 0, "svm": 1, "tv": 5}
 
 
 def broken_gradient_problem() -> Problem:
@@ -49,78 +51,65 @@ def broken_gradient_problem() -> Problem:
     )
 
 
-def _build_quadratic(gamma, n, seed):
-    return quadratic(n=n if n else 8, seed=seed if seed is not None else 3)
-
-
-def _build_rosenbrock(gamma, n, seed):
-    return rosenbrock(n=n if n else 10)
-
-
-def _build_rank_deficient(gamma, n, seed):
-    n = n if n else 20
-    return rank_deficient_ls(n=n, rank=min(12, n),
-                             seed=seed if seed is not None else 0)
-
-
-def _build_partial_smooth(gamma, n, seed):
-    return partial_smooth_2d()
-
-
-def _build_svm(gamma, n, seed):
-    X, y = svm_data(SVM_SAMPLES, n if n else 2,
-                    seed if seed is not None else 1)
-    return svm_problem(X, y, gamma if gamma is not None else 1.0)
-
-
-def _build_membrane(gamma, n, seed):
-    return membrane_problem(n=n if n else 65,
-                            gamma=gamma if gamma is not None else 1e4)
-
-
-def _build_plate(gamma, n, seed):
-    return plate_problem(n=n if n else 65,
-                         gamma=gamma if gamma is not None else 1e4)
-
-
 def _build_tv(gamma, n, seed):
-    n = n if n else 64
     clean = phantom(n)
-    noisy = add_noise(clean, TV_SIGMA, seed if seed is not None else 5)
-    prob = tv_dual_problem(noisy, gamma if gamma is not None else 1e4)
+    noisy = add_noise(clean, TV_SIGMA, seed)
+    prob = tv_dual_problem(noisy, gamma)
     prob.noisy_image = noisy
     prob.clean_image = clean
     return prob
 
 
-def _build_broken_gradient(gamma, n, seed):
-    return broken_gradient_problem()
-
-
+# name: (builder(gamma, n, seed), defaults of the knobs it reads, tolerance)
 _REGISTRY = {
-    "quadratic": (_build_quadratic, 1e-8),
-    "rosenbrock": (_build_rosenbrock, 1e-8),
-    "rank_deficient": (_build_rank_deficient, 1e-8),
-    "partial_smooth": (_build_partial_smooth, 1e-8),
-    "svm": (_build_svm, 1e-6),
-    "membrane": (_build_membrane, 1e-8),
-    "plate": (_build_plate, 1e-8),
-    "tv": (_build_tv, 1e-8),
-    "broken_gradient": (_build_broken_gradient, 1e-8),
+    "quadratic": (lambda gamma, n, seed: quadratic(n=n, seed=seed),
+                  {"n": 8, "seed": 3}, 1e-8),
+    "rosenbrock": (lambda gamma, n, seed: rosenbrock(n=n), {"n": 10}, 1e-8),
+    "rank_deficient": (lambda gamma, n, seed: rank_deficient_ls(
+        n=n, rank=min(12, n), seed=seed), {"n": 20, "seed": 0}, 1e-8),
+    "partial_smooth": (lambda gamma, n, seed: partial_smooth_2d(), {}, 1e-8),
+    "svm": (lambda gamma, n, seed: svm_problem(
+        *svm_data(SVM_SAMPLES, n, seed), gamma),
+        {"gamma": 1.0, "n": 2, "seed": 1}, 1e-6),
+    "membrane": (lambda gamma, n, seed: membrane_problem(n=n, gamma=gamma),
+                 {"gamma": 1e4, "n": 65}, 1e-8),
+    "plate": (lambda gamma, n, seed: plate_problem(n=n, gamma=gamma),
+              {"gamma": 1e4, "n": 65}, 1e-8),
+    "tv": (_build_tv, {"gamma": 1e4, "n": 64, "seed": 5}, 1e-8),
+    "broken_gradient": (lambda gamma, n, seed: broken_gradient_problem(),
+                        {}, 1e-8),
 }
 
 PROBLEM_NAMES = tuple(sorted(_REGISTRY))
+DEFAULT_SEEDS = {name: defaults["seed"]
+                 for name, (_, defaults, _) in _REGISTRY.items()
+                 if "seed" in defaults}
+
+
+def _entry(name: str):
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    return _REGISTRY[name]
+
+
+def problem_knobs(name: str, gamma=None, n=None, seed=None) -> dict:
+    """``gamma``, ``n`` and ``seed`` as the named problem is built with them.
+
+    An unset ``gamma`` or ``seed`` and a falsy ``n`` take the problem's
+    default; a knob the problem does not read is None.
+    """
+    defaults = _entry(name)[1]
+    knobs = dict.fromkeys(("gamma", "n", "seed"))
+    for key, value in (("gamma", gamma), ("n", n or None), ("seed", seed)):
+        if key in defaults:
+            knobs[key] = defaults[key] if value is None else value
+    return knobs
 
 
 def build_problem(name: str, gamma=None, n=None, seed=None) -> Problem:
     """Build the named problem; raises KeyError on unknown names."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
-    build, _ = _REGISTRY[name]
-    return build(gamma, n, seed)
+    return _entry(name)[0](**problem_knobs(name, gamma, n, seed))
 
 
 def default_tol(name: str) -> float:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
-    return _REGISTRY[name][1]
+    return _entry(name)[2]

@@ -14,6 +14,7 @@ from leapssn import Metric, cli
 from leapssn.cli import main
 from leapssn.driver import TRACE_HEADER, leap_ssn
 from leapssn.suite import quadratic, read_pgm, read_svm_data
+from leapssn.suite.registry import DEFAULT_SEEDS
 
 SUMMARY_KEYS = {"problem", "solver", "seed", "status", "iterations",
                 "linear_solves", "final_F", "final_grad_dual_norm",
@@ -27,7 +28,7 @@ def _run(*argv):
 def test_run_writes_trace_and_summary(tmp_path):
     out = tmp_path / "run"
     code = _run("run", "--problem", "partial_smooth", "--tol", "1e-10",
-                "--out", str(out))
+                "--seed", "7", "--out", str(out))
     assert code == 0
     lines = (out / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == TRACE_HEADER
@@ -38,6 +39,14 @@ def test_run_writes_trace_and_summary(tmp_path):
     assert summary["status"] == "converged"
     assert summary["exit_code"] == 0
     assert summary["solver"] == "leapssn"
+    assert summary["seed"] is None          # partial_smooth reads no seed
+
+    # unset, the seed is the one the instance was built with
+    out = tmp_path / "seeded"
+    assert _run("run", "--problem", "quadratic", "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == SUMMARY_KEYS
+    assert summary["seed"] == DEFAULT_SEEDS["quadratic"]
 
 
 def test_run_rejects_unknown_problem_without_writing(tmp_path):
@@ -281,6 +290,16 @@ def test_gen_data_tv(tmp_path):
     assert img.data.shape == (16, 16)
 
 
+def test_gen_data_writes_the_image_run_solves(tmp_path):
+    # without --seed both take the registry's default tv seed
+    assert _run("gen-data", "--problem", "tv", "--n", "16",
+                "--out", str(tmp_path / "d")) == 0
+    assert _run("run", "--problem", "tv", "--n", "16", "--gamma", "1e2",
+                "--budget", "120", "--out", str(tmp_path / "r")) == 0
+    (generated,) = (tmp_path / "d").glob("tv_n16_s*.pgm")
+    assert generated.read_bytes() == (tmp_path / "r" / "noisy.pgm").read_bytes()
+
+
 def test_gen_data_rejects_problems_without_datasets(tmp_path):
     assert _run("gen-data", "--problem", "rosenbrock",
                 "--out", str(tmp_path / "d")) == 1
@@ -320,6 +339,21 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--tol"])          # missing value
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--problem", "quadratic", "--gamma", "abc"),
+    ("compare", "--problem", "membrane", "--gamma", "1e2", "--n", "3,x"),
+    ("compare", "--problem", "membrane", "--gamma", "1e2,y"),
+    ("verify", "--problem", "quadratic", "--n", "1.5"),
+])
+def test_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 1
+    assert "invalid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.skipif(shutil.which("leapssn") is None,
