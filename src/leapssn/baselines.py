@@ -91,7 +91,6 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
         trace.iterates.append(x.copy())
         trace.grads.append(g.copy())
 
-    trace.status = status
     return Result(x=x, status=status, F=F, grad_dual_norm=gpn,
                   iterations=len(trace.records), solves=solves, trace=trace)
 

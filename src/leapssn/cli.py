@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from .baselines import backtracking_newton, plain_newton
-from .driver import EXIT_CODES, leap_ssn, solver_constants
+from .driver import EXIT_CODES, leap_ssn
 from .hilbert import NumericalError
 from .suite.imaging import write_pgm
 from .suite.registry import (PROBLEM_NAMES, SVM_SAMPLES, build_problem,
@@ -223,11 +223,10 @@ def cmd_run(ns) -> int:
 
 
 def _compare_cell(solver, problem, budget, settings):
-    try:
-        res = _run_solver(solver, problem, None, budget, settings)
-    except ValueError:      # a baseline refuses the problem or its settings
-        return None
-    return res.solves if res.status == "converged" else None
+    if solver != "leapssn" and not problem.smooth:
+        return None     # the baselines take smooth problems only
+    res = _run_solver(solver, problem, None, budget, settings)
+    return res.solves if res.converged else None
 
 
 def cmd_compare(ns) -> int:
@@ -240,16 +239,13 @@ def cmd_compare(ns) -> int:
         sweep = [] if settings["gamma"] is None else [settings["gamma"]]
     if not sweep:
         raise ValueError("compare needs a nonempty --gamma sweep")
+    sizes = [settings["n"]] if ns.n is None else ns.n
+    if not sizes:
+        raise ValueError("compare needs a nonempty --n list")
     solvers = [s.strip() for s in (ns.solvers or "leapssn,plain").split(",")
                if s.strip()]
     _check_solvers(solvers)
-    sizes = ns.n or [settings["n"]]
     budget = settings["budget"] or 300
-    if "leapssn" in solvers:
-        # bad solver constants are a usage error, not a column of failures
-        solver_constants(build_problem(name, sweep[0], sizes[0],
-                                       settings["seed"]),
-                         **_constants(settings))
 
     columns = [(s, nv) for s in solvers for nv in sizes]
     multi_n = len(sizes) > 1

@@ -82,7 +82,6 @@ class Trace:
     records: list = field(default_factory=list)
     iterates: list = field(default_factory=list)   # x_{k+1} per record
     grads: list = field(default_factory=list)      # certified F'(x_{k+1})
-    status: str = ""
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -112,31 +111,6 @@ class Result:
         return self.status == CONVERGED
 
 
-def solver_constants(problem: Problem, alpha=None, beta=None, m=2.0,
-                     lambda0=None):
-    """``(alpha, beta, m, lambda0)`` of a :func:`leap_ssn` run, validated.
-
-    A constant left at None takes the problem's declaration, else 0.5,
-    0.25 or 1.  Raises ValueError when the constants break the
-    conditions of the convergence theory.
-    """
-    if lambda0 is None:
-        lambda0 = problem.lambda0 or 1.0
-    if alpha is None:
-        alpha = problem.alpha if problem.alpha is not None else 0.5
-    if beta is None:
-        beta = problem.beta if problem.beta is not None else 0.25
-    if not (0.0 < alpha <= 0.5):
-        raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
-    if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not (0.0 < beta <= (m - 1.0) / (2.0 * m)):
-        raise ValueError(f"beta must lie in (0, (m-1)/(2m)] = (0, {(m-1)/(2*m)}], got {beta}")
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    return alpha, beta, m, lambda0
-
-
 def _initial_stationarity(problem, x, g):
     """Dual-norm stationarity measure at the start point.
 
@@ -161,11 +135,26 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     norm at most ``grad_tol`` (the start point is never tested, so a trace is
     never empty on the converged path).  ``alpha``, ``beta`` and
     ``lambda0`` default to the problem's declarations, else to 0.5, 0.25
-    and 1.  Raises ValueError unless ``grad_tol > 0``.
+    and 1.  Raises ValueError unless ``grad_tol > 0`` and the constants
+    meet the conditions of the convergence theory.
     """
     if not grad_tol > 0:
         raise ValueError("grad_tol must be positive")
-    alpha, beta, m, Lam = solver_constants(problem, alpha, beta, m, lambda0)
+    if lambda0 is None:
+        lambda0 = problem.lambda0 or 1.0
+    if alpha is None:
+        alpha = problem.alpha if problem.alpha is not None else 0.5
+    if beta is None:
+        beta = problem.beta if problem.beta is not None else 0.25
+    if not (0.0 < alpha <= 0.5):
+        raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
+    if m < 1.0:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not (0.0 < beta <= (m - 1.0) / (2.0 * m)):
+        raise ValueError(f"beta must lie in (0, (m-1)/(2m)] = (0, {(m-1)/(2*m)}], got {beta}")
+    if lambda0 <= 0.0:
+        raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    Lam = lambda0
 
     x = problem.start_point(x0)
     fx = float(problem.f_value(x))
@@ -247,6 +236,5 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             status = CONVERGED
             break
 
-    trace.status = status
     return Result(x=x, status=status, F=F, grad_dual_norm=last_gpn,
                   iterations=len(trace.records), solves=solves, trace=trace)

@@ -36,11 +36,14 @@ INNER_MAXIT = 10000
 
 @dataclass
 class SubproblemResult:
-    x_plus: Optional[np.ndarray]
-    computable: bool
+    x_plus: Optional[np.ndarray]             # None when not computable
     psi_grad: Optional[np.ndarray] = None    # exact subgradient of psi at x_plus
     psi_value: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def computable(self) -> bool:
+        return self.x_plus is not None
 
 
 def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
@@ -49,10 +52,7 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         raise ValueError("smooth_step requires psi == 0")
     H = Operator.of(H)
     d = solve_posdef(H.shift(lam, problem.metric), -grad)
-    if d is None:
-        return SubproblemResult(None, False)
-    x_plus = x + d
-    return SubproblemResult(x_plus, True)
+    return SubproblemResult(None if d is None else x + d)
 
 
 def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
@@ -162,8 +162,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     else:
         stop = "budget"
     if stop is not None:
-        return SubproblemResult(None, False,
-                                diagnostics={"inner_iters": it + 1, "stop": stop})
+        return SubproblemResult(None, diagnostics={"inner_iters": it + 1,
+                                                   "stop": stop})
 
     # certification: one clean prox step from y, so the fixed-point identity
     # hands back an exact subgradient of psi at the returned point
@@ -172,5 +172,5 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     x_plus = prox(v, t)
     psi_grad = (v - x_plus) / t
     psi_val = problem.psi(x_plus)
-    return SubproblemResult(x_plus, True, psi_grad=psi_grad, psi_value=psi_val,
+    return SubproblemResult(x_plus, psi_grad=psi_grad, psi_value=psi_val,
                             diagnostics={"inner_iters": it + 1})

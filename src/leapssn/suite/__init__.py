@@ -6,13 +6,12 @@ from .obstacle import (laplacian_2d, membrane_problem, plate_bending_operator,
                        plate_problem, punch_obstacle)
 from .rng import SplitMix64
 from .svm import read_svm_data, svm_data, svm_problem, write_svm_data
-from .tv import tv_denoise, tv_dual_problem
+from .tv import tv_dual_problem
 
 __all__ = [
     "partial_smooth_2d", "quadratic", "rank_deficient_ls", "rosenbrock",
     "GridImage", "add_noise", "phantom", "psnr", "read_pgm", "write_pgm",
     "laplacian_2d", "membrane_problem", "plate_bending_operator",
     "plate_problem", "punch_obstacle", "SplitMix64", "read_svm_data",
-    "svm_data", "svm_problem", "write_svm_data", "tv_denoise",
-    "tv_dual_problem",
+    "svm_data", "svm_problem", "write_svm_data", "tv_dual_problem",
 ]

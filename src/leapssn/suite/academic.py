@@ -182,8 +182,9 @@ def rosenbrock(n: int = 10) -> Problem:
     )
 
 
-def quadratic(n: int = 8, seed: int = 3, *, mu: float = 1.0, L: float = 10.0) -> Problem:
-    """Strongly convex quadratic with spectrum spread over [mu, L]."""
+def quadratic(n: int = 8, seed: int = 3) -> Problem:
+    """Strongly convex quadratic with spectrum spread over [1, 10]."""
+    mu, L = 1.0, 10.0
     rng = SplitMix64(0xACAD0000 + seed)
     G = rng.normals(n * n).reshape(n, n)
     Qo, _ = np.linalg.qr(G)

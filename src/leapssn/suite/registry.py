@@ -52,11 +52,9 @@ def broken_gradient_problem() -> Problem:
 
 
 def _build_tv(gamma, n, seed):
-    clean = phantom(n)
-    noisy = add_noise(clean, TV_SIGMA, seed)
+    noisy = add_noise(phantom(n), TV_SIGMA, seed)
     prob = tv_dual_problem(noisy, gamma)
     prob.noisy_image = noisy
-    prob.clean_image = clean
     return prob
 
 

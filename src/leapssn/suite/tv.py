@@ -25,6 +25,9 @@ scales with the divergence coupling.  At 64 x 64, a scale of 200
 fine grids this construction is usually run at; with the plain 1/h
 scaling the box saturates before the noise is removed.
 
+The box radius delta is ``DELTA`` and the smoother weight eps is
+``EPS``; every instance uses them, so gamma is the one model knob.
+
 The canonical starting point is q0 = -delta * sign(B' omega): flux
 opposing the measured image gradient, saturated to the box.  For a
 constant image this is exactly zero, which is already stationary.
@@ -42,6 +45,8 @@ from .rng import SplitMix64
 
 C0 = 1e-8          # SPD safeguard on the metric (flux constants are G-null)
 DIV_SCALE = 200.0  # flux-to-image coupling of the divergence (see module docstring)
+DELTA = 1e-4       # box radius: the per-face flux budget
+EPS = 1e-1         # weight of the face smoother G
 
 
 def _face_incidence(n: int) -> sp.csr_matrix:
@@ -65,8 +70,7 @@ def _face_gradient(n: int) -> sp.csr_matrix:
     return sp.block_diag([G1, G2]).tocsr()
 
 
-def tv_dual_problem(omega, gamma: float, delta: float = 1e-4,
-                    eps: float = 1e-1) -> Problem:
+def tv_dual_problem(omega, gamma: float) -> Problem:
     """Build the flux-box problem for a noisy image ``omega``.
 
     The returned problem has an extra ``reconstruct(q) -> GridImage``
@@ -78,13 +82,14 @@ def tv_dual_problem(omega, gamma: float, delta: float = 1e-4,
         om = np.asarray(omega, dtype=float)
     if om.ndim != 2 or om.shape[0] != om.shape[1]:
         raise ValueError("omega must be a square image")
-    if delta <= 0 or gamma <= 0 or eps <= 0:
-        raise ValueError("delta, gamma, eps must be positive")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     n = om.shape[0]
     if n < 3:
         raise ValueError("image too small")
     h = 1.0 / n
     c = DIV_SCALE
+    delta, eps = DELTA, EPS
     w = om.ravel()
 
     B = _face_incidence(n)
@@ -137,33 +142,16 @@ def tv_dual_problem(omega, gamma: float, delta: float = 1e-4,
         hess_psd=True,
         name="tv",
         x0=-delta * np.sign(B.T @ w),
+        # the imaging configuration: the nearly-free acceptance lets the
+        # regulariser settle at whatever level the active-set geometry
+        # demands instead of enforcing a large fraction of the Cauchy
+        # decrease, which on flux boxes is what keeps the solve count low
         lambda0=64.0,
         alpha=1e-4,
         beta=1e-4,
-        curvature_bound=gamma / (2.0 * a),   # worst per-face flip over metric diagonal
         sample_box=(np.full(dim, -4.0 * delta), np.full(dim, 4.0 * delta)),
         near_kink=near_kink,
     )
     prob.reconstruct = lambda q: GridImage((w + c * (B @ q)).reshape(n, n))
     return prob
 
-
-def tv_denoise(noisy: GridImage, gamma: float, delta: float = 1e-4,
-               eps: float = 1e-1, x0=None, grad_tol: float = 1e-8,
-               max_solves: int = 300):
-    """Run the adaptive solver on the flux problem; returns (image, result).
-
-    Uses the imaging configuration that ``tv_dual_problem`` declares
-    (alpha = beta = 1e-4, Lambda_0 = 64):
-    the nearly-free acceptance lets the regulariser settle at whatever
-    level the active-set geometry demands instead of enforcing a large
-    fraction of the Cauchy decrease, which on flux boxes is what keeps
-    the solve count low.  ``x0`` overrides the canonical sign start;
-    passing the solution for a smaller gamma warm-starts a penalty
-    sweep.
-    """
-    from ..driver import leap_ssn
-
-    prob = tv_dual_problem(noisy, gamma, delta=delta, eps=eps)
-    res = leap_ssn(prob, x0=x0, grad_tol=grad_tol, max_solves=max_solves)
-    return prob.reconstruct(res.x), res

@@ -179,6 +179,21 @@ def assumption2_sample(problem: Problem) -> float:
     return best
 
 
+#: The violation names each verdict flag of a :class:`RateReport` owns: a
+#: flag is False exactly when one of its names was recorded.
+_VERDICT_CHECKS = {
+    "monotone_ok": ("monotone_F",),
+    "acceptance_ok": ("acceptance_gradient", "acceptance_decrease",
+                      "gradient_cache", "psi_subgradient"),
+    "lambda_bound_ok": ("lambda_bound",),
+    "step_count_ok": ("step_count",),
+    "step_length_ok": ("step_length",),
+    "sublinear_envelope_ok": ("sublinear_envelope",),
+    "pl_linear_envelope_ok": ("pl_envelope",),
+    "convex_envelope_ok": ("convex_envelope",),
+}
+
+
 @dataclass
 class RateReport:
     """Outcome of a full trace audit.
@@ -242,34 +257,27 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     lam_bar = max(2.0 * m * L_INFLATION * L_eff, Lam0)
 
     # (a) monotone objective
-    monotone_ok = True
     F_prev = trace.F0
     for r in recs:
         if r.F > F_prev + SLACK * max(1.0, abs(F_prev)):
-            monotone_ok = False
             violations.append((r.k, "monotone_F", r.F, F_prev))
         F_prev = r.F
 
     # (b) regulariser ceiling
-    lambda_bound_ok = True
     for r in recs:
         if r.lam > lam_bar * (1.0 + SLACK):
-            lambda_bound_ok = False
             violations.append((r.k, "lambda_bound", r.lam, lam_bar))
 
     # (c) backtracking-count identity: sum of accepted trial exponents
-    step_count_ok = True
     bound_const = math.log2(max(0.5, m * L_INFLATION * L_eff / Lam0)) + 1.0
     n_steps = 0
     for r in recs:
         n_steps += r.j
         bound = r.k + 1 + bound_const
         if n_steps > bound + SLACK * max(1.0, abs(bound)):
-            step_count_ok = False
             violations.append((r.k, "step_count", float(n_steps), bound))
 
     # (g) acceptance inequalities re-evaluated from stored iterates
-    acceptance_ok = True
     F_vals = [trace.F0] + [r.F for r in recs]
     rng = SplitMix64(0xACCE9700)
     lo, hi = _sample_bounds(problem)
@@ -281,17 +289,14 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
         lhs1 = float(g_next @ (-d))
         rhs1 = (alpha / r.lam) * gpn2
         if lhs1 < rhs1 - SLACK * max(1.0, abs(rhs1)):
-            acceptance_ok = False
             violations.append((r.k, "acceptance_gradient", lhs1, rhs1))
         dec = F_vals[i] - F_vals[i + 1]
         rhs2 = beta * r.lam * float(problem.metric.inner(d, d))
         if dec < rhs2 - SLACK * max(1.0, abs(rhs2)):
-            acceptance_ok = False
             violations.append((r.k, "acceptance_decrease", dec, rhs2))
         # certified-gradient consistency
         if problem.smooth:
             if not np.array_equal(g_next, fgrads[i + 1]):
-                acceptance_ok = False
                 violations.append((r.k, "gradient_cache", 0.0, 0.0))
         else:
             psi_sub = g_next - fgrads[i + 1]
@@ -300,24 +305,27 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
                 y = lo + (hi - lo) * rng.uniforms(problem.dim)
                 gap = problem.psi(y) - psi_x - float(psi_sub @ (y - x_next))
                 if gap < -1e-9:
-                    acceptance_ok = False
                     violations.append((r.k, "psi_subgradient", gap, 0.0))
 
     # step-length bound at accepted steps (needs a certified subgradient
     # at the step's base point, available from the previous record)
-    step_length_ok = True
     if problem.hess_psd:
         for i in range(1, len(recs)):
             lhs = recs[i].step_norm
             rhs = recs[i - 1].grad_dual_norm / recs[i].lam
             if lhs > rhs * (1.0 + SLACK):
-                step_length_ok = False
                 violations.append((recs[i].k, "step_length", lhs, rhs))
 
+    # (d)-(f) the envelopes that the declared constants make applicable
+    known_gap = problem.f_star is not None and bool(recs)
+    applies = {
+        "sublinear_envelope_ok": known_gap,
+        "pl_linear_envelope_ok": known_gap and problem.strong_convexity is not None,
+        "convex_envelope_ok": known_gap and d0 is not None,
+    }
+
     # (d) sublinear envelope for the minimal gradient norm
-    sublinear_ok: Optional[bool] = None
-    if problem.f_star is not None and recs:
-        sublinear_ok = True
+    if applies["sublinear_envelope_ok"]:
         gap0 = trace.F0 - problem.f_star
         running = math.inf
         for i, r in enumerate(recs):
@@ -325,14 +333,10 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
             k = i + 1
             env = math.sqrt(max(0.0, lam_bar * gap0 / (beta * alpha * alpha * k)))
             if running > env * (1.0 + SLACK):
-                sublinear_ok = False
                 violations.append((r.k, "sublinear_envelope", running, env))
 
     # (e) linear envelope under the declared PL modulus
-    pl_ok: Optional[bool] = None
-    if (problem.f_star is not None and problem.strong_convexity is not None
-            and recs):
-        pl_ok = True
+    if applies["pl_linear_envelope_ok"]:
         mu = problem.strong_convexity
         gap0 = trace.F0 - problem.f_star
         rate = 2.0 * beta * alpha * alpha * mu / (2.0 * beta * alpha * alpha * mu + lam_bar)
@@ -340,37 +344,25 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
             env = math.exp(-rate * (i + 1)) * gap0
             lhs = r.F - problem.f_star
             if lhs > env * (1.0 + SLACK) + 1e-15 * max(1.0, abs(gap0)):
-                pl_ok = False
                 violations.append((r.k, "pl_envelope", lhs, env))
 
     # (f) convex envelope, only with a declared sublevel-set diameter
-    convex_ok: Optional[bool] = None
-    if d0 is not None and problem.f_star is not None and recs:
-        convex_ok = True
+    if applies["convex_envelope_ok"]:
         g0 = trace.g0_norm
         for i, r in enumerate(recs):
             k = i + 1
             env = g0 * d0 * math.exp(-k / 4.0) + 2.0 * d0 * d0 * lam_bar / (alpha * k)
             lhs = r.F - problem.f_star
             if lhs > env * (1.0 + SLACK):
-                convex_ok = False
                 violations.append((r.k, "convex_envelope", lhs, env))
 
+    failed = {name for _, name, _, _ in violations}
+    verdicts = {flag: failed.isdisjoint(names) if applies.get(flag, True) else None
+                for flag, names in _VERDICT_CHECKS.items()}
     lam_zero, superlinear = superlinear_check(trace)
-    return RateReport(
-        monotone_ok=monotone_ok,
-        acceptance_ok=acceptance_ok,
-        lambda_bound_ok=lambda_bound_ok,
-        step_count_ok=step_count_ok,
-        step_length_ok=step_length_ok,
-        sublinear_envelope_ok=sublinear_ok,
-        pl_linear_envelope_ok=pl_ok,
-        convex_envelope_ok=convex_ok,
-        superlinear_detected=bool(superlinear),
-        lambda_to_zero=bool(lam_zero),
-        L_hat=L_eff,
-        violations=violations,
-    )
+    return RateReport(**verdicts, superlinear_detected=bool(superlinear),
+                      lambda_to_zero=bool(lam_zero), L_hat=L_eff,
+                      violations=violations)
 
 
 def superlinear_check(trace: Trace):

@@ -19,8 +19,7 @@ from leapssn import Metric, Problem
 from leapssn.suite import (SplitMix64, add_noise, membrane_problem,
                            partial_smooth_2d, phantom, plate_problem, psnr,
                            quadratic, rank_deficient_ls, rosenbrock,
-                           svm_data, svm_problem, tv_denoise,
-                           tv_dual_problem)
+                           svm_data, svm_problem, tv_dual_problem)
 
 ALPHA, BETA, M = 0.5, 0.25, 2.0
 
@@ -168,18 +167,18 @@ def test_06_tv_restoration_quality():
     noisy = add_noise(clean, 0.06, seed=5)
     base_psnr = psnr(noisy, clean)
 
-    restored4, res4 = tv_denoise(noisy, gamma=1e4, delta=1e-4, eps=1e-1,
-                                 max_solves=200)
+    prob4 = tv_dual_problem(noisy, 1e4)
+    res4 = leap_ssn(prob4, grad_tol=1e-8, max_solves=200)
     assert res4.status == "converged"
     assert res4.solves <= 200
-    assert psnr(restored4, clean) >= base_psnr + 3.0
+    assert psnr(prob4.reconstruct(res4.x), clean) >= base_psnr + 3.0
 
     # continuation: the stiffer solve starts from the gamma=1e4 solution
-    restored5, res5 = tv_denoise(noisy, gamma=1e5, delta=1e-4, eps=1e-1,
-                                 x0=res4.x, max_solves=200)
+    prob5 = tv_dual_problem(noisy, 1e5)
+    res5 = leap_ssn(prob5, x0=res4.x, grad_tol=1e-8, max_solves=200)
     assert res5.status == "converged"
     assert res5.solves <= 200
-    assert psnr(restored5, clean) >= base_psnr + 3.0
+    assert psnr(prob5.reconstruct(res5.x), clean) >= base_psnr + 3.0
     assert time.monotonic() - t0 <= 120.0
 
 

@@ -203,9 +203,16 @@ def test_compare_table_and_csv(tmp_path):
     assert (out / "compare.txt").exists()
 
 
-def test_compare_empty_sweep_fails(tmp_path):
-    assert _run("compare", "--problem", "membrane", "--gamma", "",
-                "--out", str(tmp_path / "c")) == 1
+@pytest.mark.parametrize("flag,flags", [
+    ("--gamma", ("--gamma", "")),
+    ("--n", ("--gamma", "1e2", "--n", "")),
+], ids=["gamma", "n"])
+def test_compare_empty_sweep_fails(tmp_path, capsys, flag, flags):
+    out = tmp_path / "c"
+    assert _run("compare", "--problem", "membrane", *flags,
+                "--out", str(out)) == 1
+    assert f"compare needs a nonempty {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_takes_gamma_from_config(tmp_path):

@@ -56,7 +56,7 @@ def test_rosenbrock_hand_values():
 
 
 def test_quadratic_spectrum_and_solution():
-    p = quadratic(n=8, mu=1.0, L=10.0)
+    p = quadratic(n=8)
     H = p.hess(p.x0)
     w = np.linalg.eigvalsh(H)
     assert w[0] == pytest.approx(1.0, rel=1e-10)
@@ -296,4 +296,4 @@ def test_registry_builds_with_overrides():
     q = build_problem("svm", n=2, seed=3)
     assert q.dim == 3
     t = build_problem("tv", n=16)
-    assert hasattr(t, "noisy_image") and hasattr(t, "clean_image")
+    assert t.noisy_image.data.shape == (16, 16)

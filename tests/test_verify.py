@@ -56,6 +56,34 @@ def test_curvature_ratio_estimates():
     assert 1.0 <= est <= 2.0 + 1e-6
 
 
+# the violation names each RateReport verdict owns
+VERDICT_NAMES = {
+    "monotone_ok": {"monotone_F"},
+    "acceptance_ok": {"acceptance_gradient", "acceptance_decrease",
+                      "gradient_cache", "psi_subgradient"},
+    "lambda_bound_ok": {"lambda_bound"},
+    "step_count_ok": {"step_count"},
+    "step_length_ok": {"step_length"},
+    "sublinear_envelope_ok": {"sublinear_envelope"},
+    "pl_linear_envelope_ok": {"pl_envelope"},
+    "convex_envelope_ok": {"convex_envelope"},
+}
+
+
+def _assert_verdicts(rep):
+    """Every violation belongs to one verdict, each verdict is False exactly
+    when one of its names was recorded, and a not-applicable (None)
+    verdict has none recorded."""
+    names = {v[1] for v in rep.violations}
+    assert names <= set().union(*VERDICT_NAMES.values()), names
+    for flag, owned in VERDICT_NAMES.items():
+        verdict = getattr(rep, flag)
+        if verdict is None:
+            assert names.isdisjoint(owned), flag
+        else:
+            assert verdict is names.isdisjoint(owned), flag
+
+
 def _counted(problem):
     """The problem with f_grad and hess wrapped to count their calls."""
     counts = {"f_grad": 0, "hess": 0}
@@ -102,6 +130,7 @@ def test_audit_flags_corrupted_objective():
     bad = copy.deepcopy(res.trace)
     bad.records[2].F = bad.records[1].F + 1.0       # objective went up
     rep = audit_trace(bad, prob)
+    _assert_verdicts(rep)
     assert not rep.ok
     assert not rep.monotone_ok
     assert any(v[1] == "monotone_F" for v in rep.violations)
@@ -113,6 +142,7 @@ def test_audit_flags_tampered_lambda():
     bad = copy.deepcopy(res.trace)
     bad.records[1].lam = 1e9                        # impossible proposal
     rep = audit_trace(bad, prob)
+    _assert_verdicts(rep)
     assert not rep.ok
     assert any(v[1] in ("lambda_bound", "acceptance_gradient",
                         "acceptance_decrease") for v in rep.violations)
@@ -125,6 +155,7 @@ def test_audit_flags_tampered_gradient_cache():
     bad = copy.deepcopy(res.trace)
     bad.grads[1] = bad.grads[1] + 1e-3
     rep = audit_trace(bad, prob)
+    _assert_verdicts(rep)
     assert not rep.acceptance_ok
     assert any(v[1] == "gradient_cache" for v in rep.violations)
 
@@ -136,7 +167,19 @@ def test_audit_flags_tampered_psi_subgradient():
     bad = copy.deepcopy(res.trace)
     bad.grads[1] = bad.grads[1] + np.array([0.0, 5.0])
     rep = audit_trace(bad, prob)
+    _assert_verdicts(rep)
+    assert not rep.acceptance_ok
     assert any(v[1] == "psi_subgradient" for v in rep.violations)
+
+    # the psi part of the first stored F' is 1 in the kink coordinate (x_1
+    # has x0 = 0), the edge of the subdifferential [-1, 1] of |x0| there;
+    # pushed to 1.5 it breaks the subgradient inequality and nothing else
+    bad = copy.deepcopy(res.trace)
+    bad.grads[0] = bad.grads[0] + np.array([0.5, 0.0])
+    rep = audit_trace(bad, prob)
+    _assert_verdicts(rep)
+    assert {v[1] for v in rep.violations} == {"psi_subgradient"}
+    assert not rep.acceptance_ok
 
 
 @pytest.mark.parametrize("shift", [None, 2.0])
@@ -148,8 +191,10 @@ def test_convex_envelope(shift):
     trace = leap_ssn(prob, x0=x0).trace
     d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - prob.f_star) / prob.strong_convexity)
     rep = audit_trace(trace, prob, d0=d0)
+    _assert_verdicts(rep)
     assert rep.ok and rep.convex_envelope_ok is True
     rep = audit_trace(trace, prob, d0=1e-6)
+    _assert_verdicts(rep)
     assert rep.convex_envelope_ok is False
     assert any(v[1] == "convex_envelope" for v in rep.violations)
 
