@@ -4,9 +4,8 @@ A :class:`Problem` bundles the smooth part ``f`` (value, gradient, and a
 symmetric curvature operator ``H(x)``), an optional nonsmooth part ``psi``
 given by its value and Euclidean proximal map, the SPD metric defining norms,
 and optional declarations (known minimum value, positive semidefinite
-curvature, strong-convexity modulus, curvature-variation bound, sampling
-region) that the verification harness uses to decide which theory checks
-apply.
+curvature, strong-convexity modulus, sampling region) that the
+verification harness uses to decide which theory checks apply.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class Problem:
     f_star: Optional[float] = None
     hess_psd: bool = False          # every H(x) is positive semidefinite
     strong_convexity: Optional[float] = None    # PL / strong-convexity modulus
-    curvature_bound: Optional[float] = None     # bound on the H-variation scale
     solution: Optional[np.ndarray] = None
     project_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sample_box: Optional[tuple] = None          # (lo, hi) arrays for sampling

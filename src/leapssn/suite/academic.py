@@ -68,7 +68,6 @@ def partial_smooth_2d() -> Problem:
         x0=np.array([1.0, 1.0]),
         f_star=0.0,
         strong_convexity=2.0,
-        curvature_bound=2.0,
         solution=np.zeros(2),
         project_solution=lambda x: np.zeros(2),
         sample_box=(np.full(2, -2.0), np.full(2, 2.0)),
@@ -129,7 +128,6 @@ def rank_deficient_ls(n: int = 20, rank: int = 12, seed: int = 0) -> Problem:
         x0=np.zeros(n),
         f_star=0.0,
         strong_convexity=mu,
-        curvature_bound=0.0,
         solution=project_solution(np.zeros(n)),
         project_solution=project_solution,
         sample_box=(xbar - 2.0, xbar + 2.0),
@@ -215,7 +213,6 @@ def quadratic(n: int = 8, seed: int = 3) -> Problem:
         x0=np.zeros(n),
         f_star=0.0,
         strong_convexity=mu,
-        curvature_bound=0.0,
         solution=xstar,
         project_solution=lambda x: xstar,
         sample_box=(xstar - 2.0, xstar + 2.0),

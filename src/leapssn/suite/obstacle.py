@@ -7,7 +7,9 @@ penalty that activates where the surface dips below an obstacle:
 
 with c = gamma * h^2.  The generalized second derivative is
 ``A + c * diag(chi)`` with the active set ``chi = [phi - u >= 0]``
-(boundary case included).
+(boundary case included).  Both are :func:`.penalty.penalised_quadratic`
+with (Q, q, const, K, r, c) = (A, -b, 0, -I, -phi, c); that builder holds
+f, f', H and f_decrease, and this module only the meshes and obstacles.
 
 The *membrane* uses the Dirichlet 5-point Laplacian on the interior nodes
 of the unit square and the energy metric R = A.  Its clamped systems are
@@ -35,6 +37,7 @@ import scipy.sparse as sp
 
 from ..hilbert import Metric
 from ..problem import Problem
+from .penalty import penalised_quadratic
 from .rng import SplitMix64
 
 
@@ -51,40 +54,16 @@ def _shared_metric(family, n, build):
     return metric
 
 
-def _penalised_quadratic(A, b, c, phi, name, metric, dim, **extra):
-    """Assemble the Problem for f = 0.5<Au,u> - <b,u> + c/2 ||max(0,phi-u)||^2."""
-
-    def f_value(u):
-        m = np.maximum(0.0, phi - u)
-        return 0.5 * float(u @ (A @ u)) - float(b @ u) + 0.5 * c * float(m @ m)
-
-    def f_grad(u):
-        return A @ u - b - c * np.maximum(0.0, phi - u)
-
-    def hess(u):
-        chi = ((phi - u) >= 0.0).astype(float)
-        return (A + c * sp.diags(chi)).tocsr()
-
-    def f_decrease(u, up):
-        # f(u) - f(up) without forming the two near-equal totals
-        d = up - u
-        s = phi - u
-        m = np.maximum(0.0, s)
-        mh = np.maximum(0.0, s - d)
-        return (-float(d @ (A @ u)) - 0.5 * float(d @ (A @ d)) + float(b @ d)
-                + 0.5 * c * float(((m - mh) * (m + mh)).sum()))
+def _contact_problem(A, b, c, phi, name, metric, **extra):
+    """The Problem for f = 0.5<Au,u> - <b,u> + c/2 ||max(0, phi - u)||^2."""
+    dim = phi.size
 
     def near_kink(rng: SplitMix64) -> np.ndarray:
         return phi + 1e-9 * rng.normals(dim)
 
-    prob = Problem(
-        dim=dim,
-        f_value=f_value,
-        f_grad=f_grad,
-        hess=hess,
+    prob = penalised_quadratic(
+        A, -b, 0.0, -sp.identity(dim, format="csr"), -phi, c,
         metric=metric,
-        f_decrease=f_decrease,
-        hess_psd=True,
         name=name,
         x0=np.zeros(dim),
         sample_box=(phi - 0.5, phi + 0.5),
@@ -123,13 +102,10 @@ def membrane_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     A = laplacian_2d(m)
     b = (h * h) * np.full(m * m, -10.0)
     c = gamma * h * h
-    lam_min = 8.0 * np.sin(0.5 * np.pi * h) ** 2   # smallest stencil eigenvalue
 
-    return _penalised_quadratic(
+    return _contact_problem(
         A, b, c, phi, "membrane", _shared_metric("membrane", n, lambda: A),
-        m * m,
         strong_convexity=1.0,                       # R = A: energy norm
-        curvature_bound=(c / lam_min if c > 0 else 0.0),
     )
 
 
@@ -187,7 +163,4 @@ def plate_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     b = (h * h) * np.full(n * n, -12.0)
     c = gamma * h * h
 
-    return _penalised_quadratic(
-        A, b, c, phi, "plate", metric, n * n,
-        curvature_bound=(gamma if gamma > 0 else 0.0),  # c/lambda_min(R) <= gamma
-    )
+    return _contact_problem(A, b, c, phi, "plate", metric)

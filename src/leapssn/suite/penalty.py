@@ -1,0 +1,73 @@
+"""Quadratics with a one-sided quadratic penalty: the contact, imaging
+and SVM families.
+
+    f(x) = 0.5 <Qx, x> + <q, x> + const + (c/2) ||max(0, Kx - r)||^2
+
+with Q symmetric positive semidefinite and c >= 0.  The gradient is
+``Qx + q + c K' max(0, Kx - r)`` and the Newton derivative is the
+active-set form ``Q + c K' diag(chi) K`` with ``chi = [Kx - r >= 0]``
+(boundary case included), which is what makes semismooth Newton work on
+these problems (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002).
+
+K is either a scipy sparse matrix with at most one entry per row (a
+bound on single unknowns, as in contact and the flux box) or a dense
+ndarray (the SVM's sample rows).  With a sparse K, ``K' diag(chi) K`` is
+the diagonal ``diag((K o K)' chi)``; with a dense K it is ``Ka' Ka`` over
+the active rows ``Ka``, and H is dense.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from ..problem import Problem
+
+
+def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
+    """The Problem for f above; ``declarations`` go to :class:`Problem`."""
+    if sp.issparse(K):
+        K = K.tocsr()
+        if np.diff(K.indptr).max(initial=0) > 1:
+            raise ValueError("a sparse K needs at most one entry per row")
+        Kt = K.T.tocsr()
+        KKt = Kt.power(2)
+
+        def penalty_grad(s):
+            return Kt @ np.maximum(0.0, s)
+
+        def hess(x):
+            chi = ((K @ x - r) >= 0.0).astype(float)
+            return (Q + c * sp.diags(KKt @ chi)).tocsr()
+    else:
+        if sp.issparse(Q):
+            Q = Q.toarray()
+
+        def penalty_grad(s):
+            act = s > 0.0
+            return K[act].T @ s[act]
+
+        def hess(x):
+            Ka = K[(K @ x - r) >= 0.0]
+            return Q + c * (Ka.T @ Ka)
+
+    def f_value(x):
+        m = np.maximum(0.0, K @ x - r)
+        return (0.5 * float(x @ (Q @ x)) + float(q @ x) + const
+                + 0.5 * c * float(m @ m))
+
+    def f_grad(x):
+        return Q @ x + q + c * penalty_grad(K @ x - r)
+
+    def f_decrease(x, y):
+        # f(x) - f(y) without forming the two near-equal totals; y's
+        # penalty argument is taken as s + Kd, the linear move from x's
+        d = y - x
+        s = K @ x - r
+        m = np.maximum(0.0, s)
+        mp = np.maximum(0.0, s + K @ d)
+        return (-float(d @ (Q @ x)) - 0.5 * float(d @ (Q @ d)) - float(q @ d)
+                + 0.5 * c * float(((m - mp) * (m + mp)).sum()))
+
+    return Problem(dim=Q.shape[0], f_value=f_value, f_grad=f_grad, hess=hess,
+                   f_decrease=f_decrease, hess_psd=True, **declarations)

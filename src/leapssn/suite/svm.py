@@ -5,6 +5,11 @@ f(w, b) = 0.5 ||w||^2 + gamma * sum_i max(0, 1 - y_i (w.x_i + b))^2
 The squared hinge is C^1 with a piecewise-linear gradient, so the
 natural Newton derivative is the active-sample Gauss-Newton matrix.
 The intercept is unregularised, matching the usual L2-SVM convention.
+
+This is :func:`.penalty.penalised_quadratic` over v = (w, b) with
+Q = diag(1, ..., 1, 0), q = 0, const = 0, the dense rows K = -diag(y) [X 1],
+r = -1 and c = 2 gamma; that builder holds f, f', H and f_decrease, and
+this module only the data.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..problem import Problem
+from .penalty import penalised_quadratic
 from .rng import SplitMix64
 
 SEPARATION = 3.0    # distance between the two class means
@@ -40,59 +46,22 @@ def svm_problem(X: np.ndarray, y: np.ndarray, gamma: float) -> Problem:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     l, n = X.shape
-    Z = np.hstack([X, np.ones((l, 1))])
     dim = n + 1
-
-    def margins(v):
-        return 1.0 - y * (Z @ v)
-
-    def f_value(v):
-        m = np.maximum(0.0, margins(v))
-        return 0.5 * float(v[:n] @ v[:n]) + gamma * float(m @ m)
-
-    def f_grad(v):
-        m = margins(v)
-        act = m > 0
-        g = v.copy()
-        g[n] = 0.0
-        g -= 2.0 * gamma * (Z[act].T @ (m[act] * y[act]))
-        return g
-
-    def hess(v):
-        act = margins(v) > 0
-        Za = Z[act]
-        H = np.zeros((dim, dim))
-        H[:n, :n] = np.eye(n)
-        H += 2.0 * gamma * (Za.T @ Za)
-        return H
-
-    def f_decrease(v, vp):
-        # margins move linearly, so both hinge vectors share one matvec
-        d = vp - v
-        m = margins(v)
-        mp = m - y * (Z @ d)
-        a = np.maximum(0.0, m)
-        b = np.maximum(0.0, mp)
-        quad = -float(d[:n] @ v[:n]) - 0.5 * float(d[:n] @ d[:n])
-        return quad + gamma * float(((a - b) * (a + b)).sum())
+    K = np.hstack([X, np.ones((l, 1))])
+    K *= -y[:, None]        # in place: the rows -y_i (x_i, 1), one copy
+    Q = np.diag(np.r_[np.ones(n), 0.0])
 
     def near_kink(rng: SplitMix64) -> np.ndarray:
         v = rng.normals(dim) / np.sqrt(dim)
-        m0 = 1.0 - y[0] * (Z[0] @ v)
+        m0 = 1.0 + K[0] @ v
         v[n] += (m0 - 1e-9) * y[0]  # place sample 0 on the hinge edge
         return v
 
-    return Problem(
-        dim=dim,
-        f_value=f_value,
-        f_grad=f_grad,
-        hess=hess,
-        f_decrease=f_decrease,
-        hess_psd=True,
+    return penalised_quadratic(
+        Q, np.zeros(dim), 0.0, K, np.full(l, -1.0), 2.0 * gamma,
         name="svm",
         x0=np.full(dim, 0.5),
         lambda0=3.0 * gamma * float(np.sqrt((X * X).sum())),
-        curvature_bound=2.0 * gamma * float((Z * Z).sum()),
         sample_box=(np.full(dim, -2.0), np.full(dim, 2.0)),
         near_kink=near_kink,
     )
@@ -119,8 +88,6 @@ def read_svm_data(path):
                 continue
             labels.append(float(int(parts[0])))
             rows.append([float(tok) for tok in parts[1:]])
-    X = np.array(rows, dtype=float)
-    y = np.array(labels, dtype=float)
-    if X.size and any(len(r) != X.shape[1] for r in rows):
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("inconsistent feature counts")
-    return X, y
+    return np.array(rows, dtype=float), np.array(labels, dtype=float)

@@ -18,6 +18,11 @@ gamma controls how hard the box is enforced.  The Newton derivative adds
 gamma times the diagonal active-box indicator; the metric is the SPD
 flux-space operator div'div + eps G'G + 1e-8 I.
 
+This is :func:`.penalty.penalised_quadratic` with Q = div'div + 2 eps G'G
+(cell measure included), q = h^2 div'omega, const = h^2/2 ||omega||^2,
+K = [I; -I], r = (delta, delta) and c = gamma; that builder holds f, f',
+H and f_decrease, and this module only the operators and the image.
+
 DIV_SCALE compensates the coarse grid: the box radius delta is a
 per-face flux budget, so the correction capacity of the dual field
 scales with the divergence coupling.  At 64 x 64, a scale of 200
@@ -41,6 +46,7 @@ import scipy.sparse as sp
 from ..hilbert import Metric
 from ..problem import Problem
 from .imaging import GridImage
+from .penalty import penalised_quadratic
 from .rng import SplitMix64
 
 C0 = 1e-8          # SPD safeguard on the metric (flux constants are G-null)
@@ -103,43 +109,15 @@ def tv_dual_problem(omega, gamma: float) -> Problem:
     R = (DtD + eps * GtG + C0 * sp.identity(dim)).tocsr()
     const = 0.5 * h * h * float(w @ w)
 
-    def clips(q):
-        return np.maximum(0.0, q - delta), np.minimum(0.0, q + delta)
-
-    def f_value(q):
-        hi, lo = clips(q)
-        return (0.5 * float(q @ (DtD @ q)) + float(Dtw @ q) + const
-                + 0.5 * gamma * (float(hi @ hi) + float(lo @ lo))
-                + eps * float(q @ (GtG @ q)))
-
-    def f_grad(q):
-        hi, lo = clips(q)
-        return M @ q + Dtw + gamma * (hi + lo)
-
-    def hess(q):
-        chi = ((q - delta) >= 0.0).astype(float) + ((q + delta) <= 0.0).astype(float)
-        return (M + gamma * sp.diags(chi)).tocsr()
-
-    def f_decrease(q, qp):
-        d = qp - q
-        hi, lo = clips(q)
-        hip, lop = clips(qp)
-        quad = -float(d @ (M @ q)) - 0.5 * float(d @ (M @ d)) - float(Dtw @ d)
-        pen = float(((hi - hip) * (hi + hip)).sum()) + float(((lo - lop) * (lo + lop)).sum())
-        return quad + 0.5 * gamma * pen
-
     def near_kink(rng: SplitMix64) -> np.ndarray:
         q = delta * rng.signs(dim)
         return q + 1e-9 * rng.normals(dim)
 
-    prob = Problem(
-        dim=dim,
-        f_value=f_value,
-        f_grad=f_grad,
-        hess=hess,
+    eye = sp.identity(dim, format="csr")
+    prob = penalised_quadratic(
+        M, Dtw, const, sp.vstack([eye, -eye]).tocsr(), np.full(2 * dim, delta),
+        gamma,
         metric=Metric(R),
-        f_decrease=f_decrease,
-        hess_psd=True,
         name="tv",
         x0=-delta * np.sign(B.T @ w),
         # the imaging configuration: the nearly-free acceptance lets the

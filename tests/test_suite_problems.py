@@ -13,13 +13,15 @@ import leapssn
 import leapssn.suite
 from leapssn import leap_ssn
 from leapssn.suite import (GridImage, add_noise, laplacian_2d,
-                           membrane_problem, partial_smooth_2d, phantom,
+                           membrane_problem, obstacle, partial_smooth_2d,
+                           penalised_quadratic, phantom,
                            plate_bending_operator, plate_problem, psnr,
                            punch_obstacle, quadratic, rank_deficient_ls,
                            read_pgm, read_svm_data, rosenbrock, svm_data,
-                           svm_problem, tv_dual_problem, write_pgm,
+                           svm_problem, tv, tv_dual_problem, write_pgm,
                            write_svm_data)
 from leapssn.suite.registry import PROBLEM_NAMES, build_problem, default_tol
+from leapssn.suite.rng import SplitMix64
 
 
 def test_export_lists_resolve():
@@ -115,6 +117,13 @@ def test_svm_data_round_trip(tmp_path):
     X2, y2 = read_svm_data(path)
     assert np.array_equal(X, X2)
     assert np.array_equal(y, y2)
+
+
+def test_svm_data_refuses_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.txt"
+    path.write_text("+1 0.5 1.5\n-1 0.25\n")
+    with pytest.raises(ValueError, match="inconsistent feature counts"):
+        read_svm_data(path)
 
 
 # ---------------------------------------------------------------- obstacle
@@ -276,6 +285,64 @@ def test_tv_dual_gradient_is_consistent():
         e[idx] = h
         fd = (prob.f_value(x + e) - prob.f_value(x - e)) / (2 * h)
         assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-8)
+
+
+# ---------------------------------------------------------------- penalised quadratic
+
+def _box_points(prob, seed, count):
+    rng = SplitMix64(seed)
+    lo, hi = prob.sample_box
+    return [lo + (hi - lo) * rng.uniforms(prob.dim) for _ in range(count)]
+
+
+def _small_tv():
+    return tv_dual_problem(add_noise(phantom(8), 0.1, 3).data, 1e3)
+
+
+@pytest.mark.parametrize("module, build", [
+    (obstacle, lambda: membrane_problem(9, 1e4)),
+    (tv, _small_tv),
+], ids=["membrane", "tv"])
+def test_sparse_and_dense_penalty_rows_agree(monkeypatch, module, build):
+    sparse_prob = build()
+    monkeypatch.setattr(
+        module, "penalised_quadratic",
+        lambda Q, q, const, K, r, c, **declarations: penalised_quadratic(
+            Q, q, const, K.toarray(), r, c, **declarations))
+    dense_prob = build()
+    for x in _box_points(sparse_prob, 21, 5):
+        H = sparse_prob.hess(x)
+        assert sp.issparse(H) and isinstance(dense_prob.hess(x), np.ndarray)
+        np.testing.assert_allclose(dense_prob.hess(x), H.toarray(),
+                                   rtol=1e-15, atol=0.0)
+        g = sparse_prob.f_grad(x)
+        np.testing.assert_allclose(dense_prob.f_grad(x), g, rtol=0.0,
+                                   atol=1e-14 * np.abs(g).max())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: membrane_problem(9, 1e4),
+    lambda: plate_problem(9, 1e4),
+    _small_tv,
+    lambda: svm_problem(*svm_data(40, 3, 2), 10.0),
+], ids=["membrane", "plate", "tv", "svm"])
+def test_f_decrease_matches_the_difference_of_values(build):
+    prob = build()
+    lo, hi = prob.sample_box
+    rng = SplitMix64(11)
+    for x in _box_points(prob, 7, 10):
+        for scale in (1.0, 1e-3, 1e-8):
+            y = x + scale * (hi - lo) * (rng.uniforms(prob.dim) - 0.5)
+            fx, fy = prob.f_value(x), prob.f_value(y)
+            ulp = np.spacing(max(abs(fx), abs(fy)))
+            assert abs(prob.f_decrease(x, y) - (fx - fy)) <= 8 * ulp
+
+
+def test_a_sparse_penalty_row_bounds_one_unknown():
+    K = sp.csr_matrix(np.array([[1.0, -1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="one entry per row"):
+        penalised_quadratic(sp.identity(2, format="csr"), np.zeros(2), 0.0,
+                            K, np.zeros(2), 1.0)
 
 
 # ---------------------------------------------------------------- registry
