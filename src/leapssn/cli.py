@@ -20,7 +20,7 @@ that fails certification (a one-line message, no traceback).
 Configuration: flags may also be given in a ``--config`` file of plain
 ``key = value`` lines ('#' starts a comment).  Built-in defaults are
 overridden by the file, which is overridden by explicit flags.  The file
-may additionally set solver constants (alpha, beta, m, lambda0) that
+may additionally set solver constants (alpha, beta, lambda0) that
 have no dedicated flag.  ``--tol`` must be positive.  ``--budget`` (max
 linear solves) must be at least 1; unset, leapssn is unbounded and the
 baselines stop at 10000 in ``run``, and every solver gets 300 in
@@ -60,7 +60,7 @@ HESS_SYM_TOL = 1e-9
 _CONFIG_KEYS = {
     "problem": str, "solver": str, "gamma": float, "n": int, "seed": int,
     "tol": float, "budget": int, "out": str, "x0": str,
-    "alpha": float, "beta": float, "m": float, "lambda0": float,
+    "alpha": float, "beta": float, "lambda0": float,
 }
 
 
@@ -162,7 +162,7 @@ def _resolve_x0(spec, problem):
 
 def _constants(settings) -> dict:
     # pass on only what was set; the driver holds the defaults
-    return {key: settings[key] for key in ("alpha", "beta", "m", "lambda0")
+    return {key: settings[key] for key in ("alpha", "beta", "lambda0")
             if settings[key] is not None}
 
 

@@ -56,6 +56,12 @@ EXIT_CODES = {
 
 MAX_TRIALS = 60     # ladder rungs per outer iteration
 
+# Trial factor of the convergence theory: a trial is certain to be accepted
+# once lambda >= M * L (L the model-error constant), given
+# beta <= (M - 1) / (2M) = 1/4.  It bounds beta and the audit's ceiling
+# lambda_bar = 2 M L_hat; the ladder itself always doubles.
+M = 2.0
+
 TRACE_HEADER = "k,j_k,lambda_k,Lambda_k,F,grad_dual_norm,step_norm,cum_linear_solves"
 
 
@@ -125,8 +131,7 @@ def _initial_stationarity(problem, x, g):
 
 
 def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
-             max_solves=None, alpha=None, beta=None, m=2.0,
-             lambda0=None) -> Result:
+             max_solves=None, alpha=None, beta=None, lambda0=None) -> Result:
     """Run the adaptive solver on ``problem`` from ``x0``.
 
     Returns a :class:`Result`; ``result.trace`` always holds at least one
@@ -148,10 +153,8 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
         beta = problem.beta if problem.beta is not None else 0.25
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
-    if m < 1.0:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not (0.0 < beta <= (m - 1.0) / (2.0 * m)):
-        raise ValueError(f"beta must lie in (0, (m-1)/(2m)] = (0, {(m-1)/(2*m)}], got {beta}")
+    if not (0.0 < beta <= (M - 1.0) / (2.0 * M)):
+        raise ValueError(f"beta must lie in (0, (M-1)/(2M)] = (0, {(M-1)/(2*M)}], got {beta}")
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     Lam = lambda0
@@ -165,7 +168,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
 
     config = {
         "problem": problem.name, "dim": problem.dim, "alpha": alpha,
-        "beta": beta, "m": m, "lambda0": Lam, "grad_tol": grad_tol,
+        "beta": beta, "m": M, "lambda0": Lam, "grad_tol": grad_tol,
         "max_outer": max_outer, "max_solves": max_solves,
     }
     trace = Trace(x0=x.copy(), F0=F, g0_norm=g0_norm, config=config)

@@ -1,16 +1,20 @@
 """Small hand-checkable problems used for auditing and unit tests.
 
 Each builder returns a fully-declared :class:`~leapssn.problem.Problem`:
-known minimisers, curvature bounds and growth moduli are attached so the
-trace auditor can test every envelope it knows about.
+known minimisers and growth moduli are attached so the trace auditor can
+test every envelope it knows about.  ``partial_smooth_2d`` and
+``quadratic`` are penalised quadratics built by
+:func:`~leapssn.suite.penalty.penalised_quadratic` (``quadratic`` with no
+penalty rows); ``rank_deficient_ls`` and ``rosenbrock`` write their
+derivatives out by hand.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..hilbert import Metric
 from ..problem import Problem
+from .penalty import penalised_quadratic
 from .rng import SplitMix64
 
 
@@ -19,21 +23,10 @@ def partial_smooth_2d() -> Problem:
 
     The unique minimiser is the origin, where the smooth part is twice
     differentiable on each side of {x0 = 0} but the Hessian jumps.  The
-    |x0| term makes it a genuine composite instance with a prox that is
-    soft-thresholding in the first coordinate only.
+    smooth part is the penalised quadratic with Q = 2I, K = [1 0], r = 0
+    and c = 2.  The |x0| term makes it a genuine composite instance with
+    a prox that is soft-thresholding in the first coordinate only.
     """
-
-    def f_value(x):
-        m = max(0.0, x[0])
-        return float(x[0] * x[0] + x[1] * x[1] + m * m)
-
-    def f_grad(x):
-        m = max(0.0, x[0])
-        return np.array([2.0 * x[0] + 2.0 * m, 2.0 * x[1]])
-
-    def hess(x):
-        a = 4.0 if x[0] >= 0.0 else 2.0
-        return np.diag([a, 2.0])
 
     def psi_value(x):
         return float(abs(x[0]))
@@ -43,27 +36,15 @@ def partial_smooth_2d() -> Problem:
         out[0] = np.sign(v[0]) * max(0.0, abs(v[0]) - t)
         return out
 
-    def f_decrease(x, y):
-        m, mh = max(0.0, x[0]), max(0.0, y[0])
-        return float(
-            (x[0] - y[0]) * (x[0] + y[0])
-            + (x[1] - y[1]) * (x[1] + y[1])
-            + (m - mh) * (m + mh)
-        )
-
     def near_kink(rng: SplitMix64) -> np.ndarray:
         z = rng.normals(2)
         return np.array([1e-9 * z[0], z[1]])
 
-    return Problem(
-        dim=2,
-        f_value=f_value,
-        f_grad=f_grad,
-        hess=hess,
+    return penalised_quadratic(
+        2.0 * np.eye(2), np.zeros(2), 0.0, np.array([[1.0, 0.0]]),
+        np.zeros(1), 2.0,
         psi_value=psi_value,
         prox=prox,
-        f_decrease=f_decrease,
-        hess_psd=True,
         name="partial_smooth_2d",
         x0=np.array([1.0, 1.0]),
         f_star=0.0,
@@ -182,6 +163,8 @@ def rosenbrock(n: int = 10) -> Problem:
 
 def quadratic(n: int = 8, seed: int = 3) -> Problem:
     """Strongly convex quadratic with spectrum spread over [1, 10]."""
+    if n < 1:
+        raise ValueError(f"quadratic needs n >= 1, got {n}")
     mu, L = 1.0, 10.0
     rng = SplitMix64(0xACAD0000 + seed)
     G = rng.normals(n * n).reshape(n, n)
@@ -191,24 +174,8 @@ def quadratic(n: int = 8, seed: int = 3) -> Problem:
     A = 0.5 * (A + A.T)
     xstar = rng.normals(n)
     b = A @ xstar
-
-    def f_value(x):
-        return 0.5 * float(x @ (A @ x)) - float(b @ x) + 0.5 * float(xstar @ b)
-
-    def f_grad(x):
-        return A @ x - b
-
-    def f_decrease(x, y):
-        d = x - y
-        return float(d @ (A @ y)) + 0.5 * float(d @ (A @ d)) - float(b @ d)
-
-    return Problem(
-        dim=n,
-        f_value=f_value,
-        f_grad=f_grad,
-        hess=lambda x: A,
-        f_decrease=f_decrease,
-        hess_psd=True,
+    return penalised_quadratic(
+        A, -b, 0.5 * float(xstar @ b), np.zeros((0, n)), np.zeros(0), 0.0,
         name="quadratic",
         x0=np.zeros(n),
         f_star=0.0,

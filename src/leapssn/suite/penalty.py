@@ -1,5 +1,5 @@
 """Quadratics with a one-sided quadratic penalty: the contact, imaging
-and SVM families.
+and SVM families and the academic ``partial_smooth_2d`` and ``quadratic``.
 
     f(x) = 0.5 <Qx, x> + <q, x> + const + (c/2) ||max(0, Kx - r)||^2
 
@@ -13,7 +13,8 @@ K is either a scipy sparse matrix with at most one entry per row (a
 bound on single unknowns, as in contact and the flux box) or a dense
 ndarray (the SVM's sample rows).  With a sparse K, ``K' diag(chi) K`` is
 the diagonal ``diag((K o K)' chi)``; with a dense K it is ``Ka' Ka`` over
-the active rows ``Ka``, and H is dense.
+the active rows ``Ka``, and H is dense.  A dense K with no rows is a
+plain quadratic (``quadratic``).
 """
 
 from __future__ import annotations

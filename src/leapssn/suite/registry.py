@@ -93,12 +93,12 @@ def _entry(name: str):
 def problem_knobs(name: str, gamma=None, n=None, seed=None) -> dict:
     """``gamma``, ``n`` and ``seed`` as the named problem is built with them.
 
-    An unset ``gamma`` or ``seed`` and a falsy ``n`` take the problem's
-    default; a knob the problem does not read is None.
+    A knob left None takes the problem's default; a knob the problem does
+    not read is None.
     """
     defaults = _entry(name)[1]
     knobs = dict.fromkeys(("gamma", "n", "seed"))
-    for key, value in (("gamma", gamma), ("n", n or None), ("seed", seed)):
+    for key, value in (("gamma", gamma), ("n", n), ("seed", seed)):
         if key in defaults:
             knobs[key] = defaults[key] if value is None else value
     return knobs

@@ -29,6 +29,9 @@ def svm_data(n_samples: int, n_features: int, seed: int):
     Returns (X, y) with y in {+1.0, -1.0}.  The shift is scaled by
     1/sqrt(n_features) so the class distance is independent of dimension.
     """
+    if not (n_samples >= 1 and n_features >= 1):
+        raise ValueError(f"svm_data needs n_samples >= 1 and n_features >= 1, "
+                         f"got {n_samples} and {n_features}")
     rng = SplitMix64(seed)
     y = rng.signs(n_samples)
     shift = 0.5 * SEPARATION / np.sqrt(n_features)

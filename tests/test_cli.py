@@ -171,9 +171,12 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert s2["linear_solves"] > s1["linear_solves"]
 
 
-def test_config_file_unknown_key_is_an_error(tmp_path):
+@pytest.mark.parametrize("line", ["shenanigans = 3", "m = 2"],
+                         ids=["shenanigans", "m"])
+def test_config_file_unknown_key_is_an_error(tmp_path, line):
+    # m, the theory's trial factor, is a driver constant, not a setting
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("problem = quadratic\nshenanigans = 3\n")
+    cfg.write_text(f"problem = quadratic\n{line}\n")
     assert _run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
 
 
@@ -238,6 +241,23 @@ def test_compare_marks_failed_cells(tmp_path):
     assert _run("compare", "--problem", "rosenbrock", "--gamma", "1",
                 "--budget", "1", "--out", str(out)) == 0
     assert (out / "compare.csv").read_text().splitlines()[1] == "1,-,-"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--problem", "membrane", "--n", "0,17", "--gamma", "1e2"],
+     "n must be at least 3"),
+    (["run", "--problem", "svm", "--n", "0"], "n_features >= 1"),
+    (["run", "--problem", "svm", "--n", "-1"], "n_features >= 1"),
+], ids=["compare-membrane-n0", "run-svm-n0", "run-svm-n-1"])
+def test_nonpositive_n_is_refused_by_the_builder(tmp_path, capsys, argv,
+                                                 message):
+    # n = 0 is a size, not "unset": it must not solve the default size
+    out = tmp_path / "o"
+    assert _run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("leapssn: error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_verify_clean_problem(tmp_path):

@@ -87,13 +87,11 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         leap_ssn(prob, alpha=0.75)
     with pytest.raises(ValueError):
-        leap_ssn(prob, beta=0.3, m=2.0)   # beta must stay <= (m-1)/(2m)
-    with pytest.raises(ValueError):
-        leap_ssn(prob, m=0.5)
+        leap_ssn(prob, beta=0.3)   # beta must stay <= (M-1)/(2M)
     with pytest.raises(ValueError):
         leap_ssn(prob, lambda0=0.0)
     # boundary values are legal
-    assert leap_ssn(prob, alpha=0.5, beta=0.25, m=2.0).status == "converged"
+    assert leap_ssn(prob, alpha=0.5, beta=0.25).status == "converged"
 
 
 @pytest.mark.parametrize("grad_tol", [0.0, -1.0, float("nan")])
@@ -200,7 +198,7 @@ def test_a_changed_h_gets_a_fresh_operator(monkeypatch):
 
     monkeypatch.setattr(driver, "Operator", Recorded)
     prob = quadratic()
-    A = sp.csr_matrix(prob.hess(None))
+    A = sp.csr_matrix(prob.hess(prob.x0))
     same = dataclasses.replace(prob, hess=lambda x: A.copy())
     res = leap_ssn(same, x0=prob.solution + 2.0)
     assert res.iterations > 2 and len(made) == 1

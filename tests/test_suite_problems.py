@@ -3,6 +3,7 @@ solutions, operator kernels, and data-format round trips."""
 
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,7 +326,8 @@ def test_sparse_and_dense_penalty_rows_agree(monkeypatch, module, build):
     lambda: plate_problem(9, 1e4),
     _small_tv,
     lambda: svm_problem(*svm_data(40, 3, 2), 10.0),
-], ids=["membrane", "plate", "tv", "svm"])
+    partial_smooth_2d,
+], ids=["membrane", "plate", "tv", "svm", "partial_smooth_2d"])
 def test_f_decrease_matches_the_difference_of_values(build):
     prob = build()
     lo, hi = prob.sample_box
@@ -336,6 +338,30 @@ def test_f_decrease_matches_the_difference_of_values(build):
             fx, fy = prob.f_value(x), prob.f_value(y)
             ulp = np.spacing(max(abs(fx), abs(fy)))
             assert abs(prob.f_decrease(x, y) - (fx - fy)) <= 8 * ulp
+
+
+def test_quadratic_f_decrease_matches_the_exact_decrease():
+    # quadratic's f adds terms of up to ~80 into values of ~10, so the
+    # difference of two f values can be ~14 ulp of f off; the reference here
+    # is the exact rational 1/2 (x'Ax - y'Ay) + q'(x - y) of the float data
+    prob = quadratic(n=8)
+    A = [[Fraction(v) for v in row] for row in prob.hess(prob.x0).tolist()]
+    q = [Fraction(v) for v in prob.f_grad(np.zeros(prob.dim)).tolist()]
+
+    def exact_f(x):
+        x = [Fraction(v) for v in x.tolist()]
+        quad = sum(xi * aij * xj for xi, row in zip(x, A)
+                   for aij, xj in zip(row, x))
+        return quad / 2 + sum(qi * xi for qi, xi in zip(q, x))
+
+    lo, hi = prob.sample_box
+    rng = SplitMix64(11)
+    for x in _box_points(prob, 7, 10):
+        for scale in (1.0, 1e-3, 1e-8):
+            y = x + scale * (hi - lo) * (rng.uniforms(prob.dim) - 0.5)
+            ulp = np.spacing(max(abs(prob.f_value(x)), abs(prob.f_value(y))))
+            exact = float(exact_f(x) - exact_f(y))
+            assert abs(prob.f_decrease(x, y) - exact) <= 8 * ulp
 
 
 def test_a_sparse_penalty_row_bounds_one_unknown():
