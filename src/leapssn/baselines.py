@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .driver import (CONVERGED, OUTER_BUDGET, SOLVE_BUDGET,
-                     SUBPROBLEM_FAILURE, Record, Result, Trace)
+                     SUBPROBLEM_FAILURE, Record, Result, Trace, check_start)
 from .hilbert import solve_posdef
 from .problem import Problem
 
@@ -48,8 +48,9 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
         raise ValueError("baselines handle smooth problems only")
     x = problem.start_point(x0)
     g = np.asarray(problem.f_grad(x), dtype=float)
-    gpn = problem.metric.dual_norm(g)
     F = float(problem.f_value(x))
+    check_start(F, g)
+    gpn = problem.metric.dual_norm(g)
     config = {"problem": problem.name, "dim": problem.dim,
               "solver": solver, "grad_tol": grad_tol,
               "max_outer": max_outer, "max_solves": max_solves}

@@ -117,6 +117,14 @@ class Result:
         return self.status == CONVERGED
 
 
+def check_start(F, g):
+    """Raise ValueError unless ``F`` and ``f' = g`` at the start point are
+    finite; a solver started there could only fail."""
+    if not (np.isfinite(F) and np.isfinite(g).all()):
+        raise ValueError(f"F or f' is not finite at the start point "
+                         f"(F = {F})")
+
+
 def _initial_stationarity(problem, x, g):
     """Dual-norm stationarity measure at the start point.
 
@@ -140,11 +148,14 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     norm at most ``grad_tol`` (the start point is never tested, so a trace is
     never empty on the converged path).  ``alpha``, ``beta`` and
     ``lambda0`` default to the problem's declarations, else to 0.5, 0.25
-    and 1.  Raises ValueError unless ``grad_tol > 0`` and the constants
-    meet the conditions of the convergence theory.
+    and 1.  Raises ValueError unless ``grad_tol > 0``, the budgets are at
+    least 1, the constants meet the conditions of the convergence theory
+    and F and f' are finite at the start point.
     """
     if not grad_tol > 0:
         raise ValueError("grad_tol must be positive")
+    if max_outer < 1 or (max_solves is not None and max_solves < 1):
+        raise ValueError("budgets must be at least 1")
     if lambda0 is None:
         lambda0 = problem.lambda0 or 1.0
     if alpha is None:
@@ -155,8 +166,8 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
     if not (0.0 < beta <= (M - 1.0) / (2.0 * M)):
         raise ValueError(f"beta must lie in (0, (M-1)/(2M)] = (0, {(M-1)/(2*M)}], got {beta}")
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    if not 0.0 < lambda0 < np.inf:
+        raise ValueError(f"lambda0 must be positive and finite, got {lambda0}")
     Lam = lambda0
 
     x = problem.start_point(x0)
@@ -164,6 +175,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     psix = problem.psi(x)
     F = fx + psix
     g = np.asarray(problem.f_grad(x), dtype=float)
+    check_start(F, g)
     g0_norm = _initial_stationarity(problem, x, g)
 
     config = {
@@ -202,10 +214,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             d = x_plus - x
 
             fg_plus = np.asarray(problem.f_grad(x_plus), dtype=float)
-            if problem.smooth:
-                g_plus, psi_xp = fg_plus, 0.0
-            else:
-                g_plus, psi_xp = fg_plus + sub.psi_grad, sub.psi_value
+            g_plus, psi_xp = fg_plus + sub.psi_grad, sub.psi_value
 
             gpn2 = float(g_plus @ problem.metric.solve(g_plus))
             gpn = float(np.sqrt(max(0.0, gpn2)))

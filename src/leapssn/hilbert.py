@@ -21,11 +21,12 @@ rounding leaves that pivot, and a negative one shows it indefinite.  Every
 solve, dense or sparse, also keeps a check on the returned solution: its
 normwise backward error must be at most ``RESIDUAL_TOL`` (see
 :func:`_checked`).  An uncertifiable trial solve returns ``None`` so the
-caller can treat the step as non-computable.
+caller can treat the step as non-computable.  One routine,
+:func:`_certified_factor`, factors and certifies every operator.
 
 Escalated rungs: the shifts ``H + lambda R`` of one sparse ``H``, of any
-size, share one kept factor.  ``H`` keeps the factor of its last rung at
-``lambda0`` that cleared the pivot floor.  A later rung ``lambda >=
+size, share one kept factor.  ``H`` keeps the solve of its last rung at
+``lambda0`` whose factor cleared the pivot floor.  A later rung ``lambda >=
 lambda0`` with the same certified metric ``R`` satisfies ``H + lambda R =
 (H + lambda0 R) + (lambda - lambda0) R``, which lies above an SPD operator
 in the Loewner order, so it is SPD without a factorization of its own.  It
@@ -108,21 +109,6 @@ def _pivots_clear_floor(d):
     return d.min() > d.shape[0] * PIVOT_FLOOR * d.max()
 
 
-def _cholesky_solver(A):
-    try:
-        c, low = sla.cho_factor(0.5 * (A + A.T), check_finite=False)
-    except (sla.LinAlgError, ValueError):
-        return None
-    if not _pivots_clear_floor(np.diag(c) ** 2):
-        return None
-    anorm = _norm_floor(A)
-
-    def solve(rhs):
-        x = sla.cho_solve((c, low), rhs, check_finite=False)
-        return _checked(A, anorm, x, rhs)
-    return solve
-
-
 def _symmetric_splu(A):
     """Symmetric-mode SuperLU of ``A``: no row pivoting, so U's diagonal
     holds the LDL^T pivots of ``P A P^T``.  ``None`` on an exactly zero
@@ -135,10 +121,36 @@ def _symmetric_splu(A):
         return None
 
 
-def _certified(lu):
-    """The pivot floor on a symmetric-mode factor, as for Cholesky."""
-    return (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
-            and _pivots_clear_floor(lu.U.diagonal()))
+def _certified_factor(A, lasting=False):
+    """The solve ``rhs -> x`` of a factor of ``A`` that clears the pivot
+    floor, or ``None`` when none does.
+
+    Dense ``A`` gets Cholesky (pivots ``c_ii**2``), sparse ``A`` symmetric-
+    mode SuperLU, whose U diagonal holds the pivots when no rows were
+    exchanged.  Reading U makes the SuperLU object keep full copies of L
+    and U, so a ``lasting`` factor (one kept as long as its problem) is
+    computed again after the certificate and the read one is dropped.
+    """
+    if not sp.issparse(A):
+        try:
+            c = sla.cho_factor(0.5 * (A + A.T), check_finite=False)
+        except (sla.LinAlgError, ValueError):
+            return None
+        if not _pivots_clear_floor(np.diag(c[0]) ** 2):
+            return None
+        return lambda rhs: sla.cho_solve(c, rhs, check_finite=False)
+    lu = _symmetric_splu(A)
+    if (lu is None or not np.array_equal(lu.perm_r, lu.perm_c)
+            or not _pivots_clear_floor(lu.U.diagonal())):
+        return None
+    if lasting:
+        del lu      # free it first, so the kept factor can reuse its memory
+        lu = _symmetric_splu(A)
+
+    def solve(rhs):
+        with np.errstate(all="ignore"):
+            return lu.solve(rhs)
+    return solve
 
 
 def _norm_floor(A):
@@ -163,44 +175,15 @@ def _checked(A, anorm, x, rhs):
     return x if np.isfinite(res) and res <= RESIDUAL_TOL * scale else None
 
 
-def _lu_solve(lu, A, anorm, rhs):
-    with np.errstate(all="ignore"):
-        x = lu.solve(rhs)
-    return _checked(A, anorm, x, rhs)
-
-
-def _sparse_ldl_solver(A, lasting=False):
-    """Certified symmetric-mode SuperLU solve of ``A``, or ``None``.
-
-    Reading U makes the SuperLU object keep full copies of L and U, so a
-    ``lasting`` factor (one kept as long as its problem) is computed again
-    after the certificate and the read one is dropped.
-    """
-    lu = _symmetric_splu(A)
-    if not _certified(lu):
-        return None
-    if lasting:
-        del lu      # free it first, so the kept factor can reuse its memory
-        lu = _symmetric_splu(A)
-    anorm = _norm_floor(A)
-    return lambda rhs: _lu_solve(lu, A, anorm, rhs)
-
-
 def _rung_solver(A, H, lam, R):
     """Solve with the rung ``A = H + lam R`` of the sparse operator ``H``.
 
-    ``H`` keeps one factor, of its last rung that cleared the pivot floor,
-    as ``(lam0, R, lu)``.  For ``lam >= lam0`` and a certified ``R``,
-    ``A = (H + lam0 R) + (lam - lam0) R`` is SPD, and that factor is a
-    preconditioner whose generalized eigenvalues with ``A`` lie in
-    ``[1, lam / lam0]`` when ``H`` is PSD; the rung is solved by PCG on it.
-    A rung below ``lam0`` (an ``H`` carried into a later outer iteration)
-    first has ``H`` itself factored, once: when that factor clears the
-    pivot floor, ``H`` is SPD, so is every rung of it, and the factor is
-    kept as the one of rung ``lam0 = 0``.  After that every rung is solved
-    by PCG on the kept factor, whichever side of ``lam0`` it lies.  When
-    PCG fails, the kept factor is dropped and this rung is factored and
-    kept in its place.  A refused factor is never kept.
+    ``H._cache["rung"]`` keeps ``(lam0, R, solve)`` of its last rung whose
+    factor cleared the pivot floor, and ``H._cache["posdef"]`` whether
+    ``H``'s own factor (``lam0 = 0``) did.  The module docstring says when
+    a rung is solved by PCG on the kept factor (whose generalized
+    eigenvalues with ``A`` lie in ``[1, lam / lam0]`` when ``H`` is PSD)
+    and when it is factored; a refused factor is never kept.
     """
     anorm = _norm_floor(A)
 
@@ -211,25 +194,25 @@ def _rung_solver(A, H, lam, R):
         elif lam < kept[0] and "posdef" not in H._cache:
             kept = None
             H._cache.pop("rung")    # free it before H's own factor
-            lu = _symmetric_splu(H.A)
-            H._cache["posdef"] = _certified(lu)
-            if H._cache["posdef"]:
-                H._cache["rung"] = kept = (0.0, R, lu)
+            factor = _certified_factor(H.A)
+            H._cache["posdef"] = factor is not None
+            if factor is not None:
+                H._cache["rung"] = kept = (0.0, R, factor)
         if kept is not None and (kept[0] <= lam or H._cache.get("posdef")):
             with np.errstate(all="ignore"):
                 x = cg_certified(A.__matmul__, rhs, maxiter=_PCG_MAXIT,
-                                 precond=kept[2].solve)
+                                 precond=kept[2])
             x = _checked(A, anorm, x, rhs)
             if x is not None:
                 return x
         # drop the kept factor first, so this rung's can reuse its memory
-        kept = lu = None
+        kept = factor = None
         H._cache.pop("rung", None)
-        lu = _symmetric_splu(A)
-        if not _certified(lu):
+        factor = _certified_factor(A)
+        if factor is None:
             return None
-        H._cache["rung"] = (lam, R, lu)
-        return _lu_solve(lu, A, anorm, rhs)
+        H._cache["rung"] = (lam, R, factor)
+        return _checked(A, anorm, factor(rhs), rhs)
     return solve
 
 
@@ -301,9 +284,11 @@ class Operator:
     def _factor(self, lasting=False):
         if self.kind == "identity":
             return lambda rhs: rhs
-        if self.kind == "dense":
-            return _cholesky_solver(self.A)
-        return _sparse_ldl_solver(self.A, lasting)
+        factor = _certified_factor(self.A, lasting)
+        if factor is None:
+            return None
+        A, anorm = self.A, _norm_floor(self.A)
+        return lambda rhs: _checked(A, anorm, factor(rhs), rhs)
 
     def norm_estimate(self):
         """Deterministic power-iteration estimate of ``||A||_2`` (cached)."""

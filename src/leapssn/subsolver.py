@@ -7,9 +7,13 @@ Each outer trial minimises the regularised local model
 
 For smooth problems (``psi == 0``) the minimiser solves the SPD system
 ``(H + lambda R) d = -f'(x)`` directly; for composite problems the model is
-minimised by a monotone accelerated proximal-gradient loop whose final
-iterate is produced by one extra prox step, so that the prox fixed-point
-identity hands back an exact subgradient of ``psi`` at the returned point.
+minimised by a monotone accelerated proximal-gradient loop.  That loop
+evaluates each point's model once, value and gradient from one product with
+``H``, and returns the prox step whose fixed-point residual passed its test,
+so the prox fixed-point identity hands back an exact subgradient of ``psi``
+at the returned point.  Both steps return that subgradient and ``psi``'s
+value there (zeros and 0 on a smooth problem), so the driver scores every
+candidate the same way.
 
 A step is *non-computable* when the system is not positive definite (the
 model has no minimiser for this lambda) or the inner iteration fails to
@@ -47,20 +51,27 @@ class SubproblemResult:
 
 
 def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
-    """Minimise the model for a smooth problem: one certified SPD solve."""
+    """Minimise the model for a smooth problem: one certified SPD solve.
+    The subgradient of ``psi == 0`` is zero and its value 0."""
     if not problem.smooth:
         raise ValueError("smooth_step requires psi == 0")
     H = Operator.of(H)
     d = solve_posdef(H.shift(lam, problem.metric), -grad)
-    return SubproblemResult(None if d is None else x + d)
+    if d is None:
+        return SubproblemResult(None)
+    return SubproblemResult(x + d, psi_grad=np.zeros_like(d), psi_value=0.0)
 
 
 def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """Minimise the composite model with a monotone accelerated prox loop.
 
-    Termination is by the prox fixed-point residual; the returned point is
-    always the output of a prox step from the last smooth iterate, so
-    ``(v - x_plus)/t`` is an exact element of ``partial psi(x_plus)``.
+    Termination is by the prox fixed-point residual ``||y - p|| / t`` of
+    ``p = prox(v, t)``, ``v = y - t * g(y)``; the returned point is that
+    ``p``, so ``(v - p)/t`` is an exact element of ``partial psi(p)``.
+    Each point's model value and gradient come from one product with
+    ``H``, and the loop carries ``y``'s gradient into the restart, the
+    residual and the certificate: an iteration pays one product for the
+    momentum point ``z`` and one for each candidate it evaluates.
     Counts as one trial solve in the driver's accounting.  Passing ``H``
     as an :class:`Operator` shares its cached step-size estimate across
     the rungs of one outer iteration.
@@ -89,37 +100,32 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """
     prox = problem.prox if not problem.smooth else (lambda v, t: v)
     H = Operator.of(H)
-    matvec = H.apply
     t = 1.0 / (1.1 * H.norm_estimate() + lam)
-
-    def model_grad(y):
-        d = y - x
-        return grad + matvec(d) + lam * d
-
     indefinite = False
 
-    def model_smooth(y):
+    def model(y):
+        """The model's value at ``y`` and its smooth part's gradient there,
+        from one product with ``H``."""
         nonlocal indefinite
         d = y - x
-        q, dd = float(d @ matvec(d)), float(d @ d)
+        Hd = H.apply(d)
+        q, dd = float(d @ Hd), float(d @ d)
         if q + lam * dd <= 0.0 < dd:
             indefinite = True
-        return float(grad @ d) + 0.5 * q + 0.5 * lam * dd
-
-    def model_total(y):
-        return model_smooth(y) + problem.psi(y)
+        value = float(grad @ d) + 0.5 * q + 0.5 * lam * dd + problem.psi(y)
+        return value, grad + Hd + lam * d
 
     y = x.copy()
     z = x.copy()          # momentum point
-    m_best = model_total(y)
+    m_best, g_y = model(y)
     theta = 1.0
     res_scale = max(1.0, float(np.linalg.norm(x)))
     threshold = INNER_TOL * res_scale
     stop = None
     for it in range(INNER_MAXIT):
-        g_z = model_grad(z)
-        cand = prox(z - t * g_z, t)
-        m_cand = model_total(cand)
+        d = z - x           # z needs only the gradient, not the model value
+        cand = prox(z - t * (grad + H.apply(d) + lam * d), t)
+        m_cand, g_cand = model(cand)
         if it == 0:
             # near outer convergence the absolute threshold can exceed the
             # step itself; demand a fixed reduction of the base point's own
@@ -135,20 +141,20 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         if m_cand > m_best + tau:  # material increase: restart from best point
             z = y.copy()
             theta = 1.0
-            g_z = model_grad(z)
-            cand = prox(z - t * g_z, t)
-            m_cand = model_total(cand)
+            cand = prox(z - t * g_y, t)
+            m_cand, g_cand = model(cand)
             if m_cand > m_best + tau:   # no progress even from the best point
-                cand, m_cand = y, m_best
+                cand, m_cand, g_cand = y, m_best, g_y
                 stalled = True
         if indefinite:
             stop = "indefinite"
             break
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         z = cand + ((theta - 1.0) / theta_next) * (cand - y)
-        y, m_best, theta = cand, min(m_best, m_cand), theta_next
+        y, g_y, m_best, theta = cand, g_cand, min(m_best, m_cand), theta_next
         # prox fixed-point residual at y decides termination
-        p = prox(y - t * model_grad(y), t)
+        v = y - t * g_y
+        p = prox(v, t)
         res = float(np.linalg.norm(y - p)) / t
         if res <= threshold:
             break
@@ -165,12 +171,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         return SubproblemResult(None, diagnostics={"inner_iters": it + 1,
                                                    "stop": stop})
 
-    # certification: one clean prox step from y, so the fixed-point identity
+    # the prox whose residual passed is the step: its fixed-point identity
     # hands back an exact subgradient of psi at the returned point
-    g_y = model_grad(y)
-    v = y - t * g_y
-    x_plus = prox(v, t)
-    psi_grad = (v - x_plus) / t
-    psi_val = problem.psi(x_plus)
-    return SubproblemResult(x_plus, psi_grad=psi_grad, psi_value=psi_val,
+    return SubproblemResult(p, psi_grad=(v - p) / t, psi_value=problem.psi(p),
                             diagnostics={"inner_iters": it + 1})

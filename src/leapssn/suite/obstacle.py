@@ -90,8 +90,8 @@ def membrane_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     m = n - 2
     h = 1.0 / (n - 1)
     xs = np.arange(1, n - 1) * h
@@ -152,8 +152,8 @@ def plate_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     """
     if n < 5:
         raise ValueError("n must be at least 5")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     h = 1.0 / (n - 1)
     phi = punch_obstacle(n)
 

@@ -46,8 +46,8 @@ def svm_problem(X: np.ndarray, y: np.ndarray, gamma: float) -> Problem:
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be (l, n) with matching labels")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     l, n = X.shape
     dim = n + 1
     K = np.hstack([X, np.ones((l, 1))])

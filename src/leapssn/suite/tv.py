@@ -88,8 +88,8 @@ def tv_dual_problem(omega, gamma: float) -> Problem:
         om = np.asarray(omega, dtype=float)
     if om.ndim != 2 or om.shape[0] != om.shape[1]:
         raise ValueError("omega must be a square image")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     n = om.shape[0]
     if n < 3:
         raise ValueError("image too small")

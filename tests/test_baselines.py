@@ -73,3 +73,13 @@ def test_solve_budget_status():
     res = plain_newton(prob, grad_tol=1e-12, max_solves=1)
     assert res.status == "solve_budget"
     assert res.solves == 1
+
+
+@pytest.mark.parametrize("solver", [leap_ssn, plain_newton,
+                                    backtracking_newton])
+def test_a_nonfinite_start_is_refused_before_any_solve(solver):
+    prob = quadratic()
+    x0 = prob.solution.copy()
+    x0[3] = np.nan
+    with pytest.raises(ValueError, match="not finite at the start point"):
+        solver(prob, x0=x0)

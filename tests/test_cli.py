@@ -260,6 +260,39 @@ def test_nonpositive_n_is_refused_by_the_builder(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["run", "--problem", "quadratic"], "lambda0 = nan",
+     "lambda0 must be positive and finite, got nan"),
+    (["run", "--problem", "quadratic"], "lambda0 = inf",
+     "lambda0 must be positive and finite, got inf"),
+    (["run", "--problem", "svm", "--gamma", "nan"], None,
+     "gamma must be finite and positive, got nan"),
+    (["run", "--problem", "svm", "--gamma", "inf"], None,
+     "gamma must be finite and positive, got inf"),
+    (["run", "--problem", "membrane", "--gamma", "nan"], None,
+     "gamma must be finite and nonnegative, got nan"),
+    (["run", "--problem", "plate", "--gamma", "inf"], None,
+     "gamma must be finite and nonnegative, got inf"),
+    (["run", "--problem", "tv", "--n", "8", "--gamma", "nan"], None,
+     "gamma must be finite and positive, got nan"),
+    (["run", "--problem", "quadratic", "--x0", "x0.txt"], None,
+     "F or f' is not finite at the start point (F = nan)"),
+], ids=["lambda0-nan", "lambda0-inf", "svm-gamma-nan", "svm-gamma-inf",
+        "membrane-gamma-nan", "plate-gamma-inf", "tv-gamma-nan", "x0-nan"])
+def test_nonfinite_input_is_a_one_line_error(tmp_path, capsys, monkeypatch,
+                                             argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("x0.txt", np.r_[np.zeros(7), np.nan])
+    if config is not None:
+        (tmp_path / "c.cfg").write_text(config + "\n")
+        argv = argv + ["--config", "c.cfg"]
+    out = tmp_path / "o"
+    assert _run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"leapssn: error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_clean_problem(tmp_path):
     out = tmp_path / "v"
     code = _run("verify", "--problem", "partial_smooth", "--tol", "1e-10",

@@ -90,6 +90,13 @@ def test_parameter_validation():
         leap_ssn(prob, beta=0.3)   # beta must stay <= (M-1)/(2M)
     with pytest.raises(ValueError):
         leap_ssn(prob, lambda0=0.0)
+    for bad in ({"lambda0": np.nan}, {"lambda0": np.inf}, {"max_outer": 0},
+                {"max_solves": 0}):
+        with pytest.raises(ValueError):
+            leap_ssn(prob, **bad)
+    for declared in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda0"):
+            leap_ssn(dataclasses.replace(prob, lambda0=declared))
     # boundary values are legal
     assert leap_ssn(prob, alpha=0.5, beta=0.25).status == "converged"
 

@@ -244,7 +244,7 @@ def test_escalated_rung_by_pcg_agrees_with_its_direct_solve(counted):
     assert counted["splu"] == base + 1 and counted["pcg"] == 2
     for lam, d in steps.items():
         A = (H.A + lam * R.A).tocsr()
-        direct = hilbert._sparse_ldl_solver(A)(-g)
+        direct = Operator(A).solver()(-g)
         # the exact step to working accuracy: refine with a pivoting LU
         lu, exact = spla.splu(A.tocsc()), direct.copy()
         for _ in range(4):

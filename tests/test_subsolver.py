@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from leapssn import composite_step, driver, leap_ssn, smooth_step
+from leapssn import Operator, composite_step, driver, leap_ssn, smooth_step
 from leapssn.subsolver import INNER_MAXIT
 from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic, rosenbrock,
                            svm_data, svm_problem)
@@ -83,6 +83,43 @@ def test_composite_step_matches_smooth_step_when_psi_is_absent():
         b = composite_step(prob, x, g, H, lam)
         assert b.computable
         assert np.linalg.norm(a.x_plus - b.x_plus) <= 1e-8
+        # both hand the driver the same psi data: none
+        for res in (a, b):
+            assert np.array_equal(res.psi_grad, np.zeros(prob.dim))
+            assert res.psi_value == 0.0
+
+
+@pytest.mark.parametrize("make", [partial_smooth_2d,
+                                  lambda: _l1_svm(300, 20, 1, 1.0)],
+                         ids=["partial_smooth_2d", "l1_svm"])
+def test_composite_step_evaluates_each_point_once(make):
+    """One H product per model point: the start, each momentum point and
+    each candidate (r restarts add one candidate each).  The certified step
+    is the prox whose residual passed, so each iteration pays two prox
+    steps and each restart one more.  psi is evaluated at the start, at
+    each candidate and at the returned point, which counts r."""
+    base = make()
+    counts = {"apply": 0, "prox": 0, "psi": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    prob = dataclasses.replace(base, prox=counted("prox", base.prox),
+                               psi_value=counted("psi", base.psi_value))
+    x = prob.start_point()
+    H = Operator(prob.hess(x))
+    H.norm_estimate()
+    H.apply = counted("apply", H.apply)
+    res = composite_step(prob, x, prob.f_grad(x), H, 1.0)
+    assert res.computable
+    it = res.diagnostics["inner_iters"]
+    restarts = counts["psi"] - it - 2
+    assert restarts >= 1
+    assert counts["apply"] == 2 * it + restarts + 1
+    assert counts["prox"] == 2 * it + restarts
 
 
 def test_composite_step_gives_up_on_indefinite_model():
