@@ -38,6 +38,14 @@ class Problem:
     O(1) objective values floors at ulp(F) while true decreases sit orders
     of magnitude lower; problems whose structure allows exact cancellation
     (quadratics plus clipped penalties) should supply this.
+
+    ``hess_apply(x, V)`` optionally evaluates ``hess(x) @ V`` for any
+    dim x k block ``V`` without forming ``hess(x)``, with the same
+    selection of the generalized derivative as ``hess``.  Like
+    ``f_decrease`` it is a performance hook: the verification harness
+    applies it to a base point's block of directions where forming a
+    dense H would cost more than the products, and the solver never
+    calls it.  ``verify.hess_symmetry_check`` compares it with ``hess``.
     """
 
     dim: int
@@ -51,6 +59,7 @@ class Problem:
 
     # optional structure/performance hooks
     f_decrease: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     x0: Optional[np.ndarray] = None
     lambda0: Optional[float] = None
     alpha: Optional[float] = None     # preferred acceptance constants, used

@@ -22,8 +22,10 @@ Three layers:
   (lhs, rhs) pairs for property tests.
 
 Each point is evaluated once: the partners of a base point share one
-f'(x) and one H(x), and ``audit_trace`` evaluates f' once per iterate for
-its gradient checks and its iterate pairs.  Sample sizes and seeds are
+f'(x) and one application of H(x) to their block of directions (one
+``hess_apply`` call when the problem has that hook, else one formed
+``hess(x)``), and ``audit_trace`` evaluates f' once per iterate for its
+gradient checks and its iterate pairs.  Sample sizes and seeds are
 fixed module constants, so an audit of a given trace always repeats.
 
 Every envelope check is one-sided: the harness asserts trace <= bound,
@@ -116,32 +118,62 @@ def grad_check(problem: Problem, points) -> float:
 
 
 def hess_symmetry_check(problem: Problem, points) -> float:
-    """Max relative asymmetry |<Hu,v> - <Hv,u>| over random probe pairs."""
+    """Max relative asymmetry |<Hu,v> - <Hv,u>| over random probe pairs.
+
+    When the problem has a ``hess_apply`` hook, its relative mismatch
+    ||hess_apply(x, U) - H U|| / max(1, ||H U||) on the block U of the
+    probes u is folded in, so a hook that disagrees with ``hess`` fails
+    the check."""
     rng = SplitMix64(SYMMETRY_SEED)
     worst = 0.0
     for x in points:
-        H = problem.hess(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        H = problem.hess(x)
+        us, Hus = [], []
         for _ in range(SYMMETRY_PROBES):
             u = rng.normals(problem.dim)
             v = rng.normals(problem.dim)
-            a = float((H @ u) @ v)
+            Hu = H @ u
+            a = float(Hu @ v)
             b = float((H @ v) @ u)
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
+            us.append(u)
+            Hus.append(Hu)
+        if problem.hess_apply is not None:
+            HU = np.column_stack(Hus)
+            gap = float(np.linalg.norm(
+                problem.hess_apply(x, np.column_stack(us)) - HU))
+            worst = max(worst, gap / max(1.0, float(np.linalg.norm(HU))))
     return worst
+
+
+def _hess_products(problem: Problem, x, dirs) -> list:
+    """H(x) d for each direction d, as contiguous vectors: one
+    ``hess_apply`` over the block of directions when the problem has the
+    hook, else ``hess(x)`` formed once and applied to each d."""
+    if not dirs:
+        return []
+    if problem.hess_apply is None:
+        H = problem.hess(x)
+        return [H @ d for d in dirs]
+    HD = problem.hess_apply(x, np.column_stack(dirs))
+    return [np.ascontiguousarray(HD[:, j]) for j in range(len(dirs))]
 
 
 def _model_error(problem: Problem, points, grads) -> float:
     """Largest finite model-error ratio of ``points[0]`` against the rest,
     or 0; ``grads`` holds f' at each point, H is evaluated at points[0]."""
     x, g_x = points[0], grads[0]
-    H = problem.hess(x)
-    best = 0.0
+    pairs = []
     for y, g_y in zip(points[1:], grads[1:]):
         d = y - x
         nd = problem.metric.norm(d)
-        if not np.isfinite(nd) or nd <= 1e-14:
-            continue
-        r = problem.metric.dual_norm(g_y - g_x - H @ d) / nd
+        if np.isfinite(nd) and nd > 1e-14:
+            pairs.append((d, nd, g_y))
+    best = 0.0
+    Hds = _hess_products(problem, x, [d for d, _, _ in pairs])
+    for (_, nd, g_y), Hd in zip(pairs, Hds):
+        r = problem.metric.dual_norm(g_y - g_x - Hd) / nd
         if np.isfinite(r):
             best = max(best, r)
     return best
@@ -426,8 +458,8 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
         if dn <= 1e-300:
             out.append(0.0)
             continue
-        dH = (problem.hess(x_plus) @ (x_plus - x_star)
-              - H_k.apply(x_plus - x_star))
+        e = x_plus - x_star
+        dH = _hess_products(problem, x_plus, [e])[0] - H_k.apply(e)
         out.append(problem.metric.dual_norm(dH) / dn)
     return out
 

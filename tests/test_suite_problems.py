@@ -1,6 +1,7 @@
 """Oracle checks for the problem suite: hand-computed gradients, classical
 solutions, operator kernels, and data-format round trips."""
 
+import dataclasses
 import gc
 import weakref
 from fractions import Fraction
@@ -362,6 +363,59 @@ def test_quadratic_f_decrease_matches_the_exact_decrease():
             ulp = np.spacing(max(abs(prob.f_value(x)), abs(prob.f_value(y))))
             exact = float(exact_f(x) - exact_f(y))
             assert abs(prob.f_decrease(x, y) - exact) <= 8 * ulp
+
+
+# the problems whose penalty rows K are dense, and so carry hess_apply
+HOOKED = {
+    "svm": lambda: svm_problem(*svm_data(300, 20, 1), 1e3),
+    "partial_smooth_2d": partial_smooth_2d,
+    "quadratic": quadratic,     # a dense K with no rows
+}
+
+
+def _assert_applies(prob, x, H):
+    """hess_apply(x, V) equals H @ V to 1e-13 for 1- and 5-column blocks."""
+    rng = SplitMix64(17)
+    for k in (1, 5):
+        V = rng.normals(prob.dim * k).reshape(prob.dim, k)
+        HV = H @ V
+        assert (np.linalg.norm(prob.hess_apply(x, V) - HV)
+                <= 1e-13 * np.linalg.norm(HV))
+
+
+@pytest.mark.parametrize("build", list(HOOKED.values()), ids=list(HOOKED))
+def test_hess_apply_matches_hess(build):
+    prob = build()
+    for x in _box_points(prob, 13, 4):
+        _assert_applies(prob, x, prob.hess(x))
+    composite = dataclasses.replace(prob, psi_value=lambda x: 0.0,
+                                    prox=lambda v, t: v)
+    assert composite.hess_apply is prob.hess_apply
+
+
+def test_hess_apply_counts_a_sample_on_the_hinge_as_active():
+    # w = 0, b = 1 puts every y = +1 sample exactly on the hinge and every
+    # y = -1 sample inside it, so the whole of K is active
+    X, y = svm_data(300, 20, 1)
+    prob = svm_problem(X, y, 1e3)
+    x = np.r_[np.zeros(20), 1.0]
+    K = -y[:, None] * np.hstack([X, np.ones((300, 1))])
+    assert np.count_nonzero(K @ x + 1.0 == 0.0) == np.count_nonzero(y > 0) > 0
+    H = np.diag(np.r_[np.ones(20), 0.0]) + 2e3 * (K.T @ K)
+    np.testing.assert_allclose(prob.hess(x), H, rtol=1e-13, atol=0.0)
+    _assert_applies(prob, x, H)
+
+    # partial_smooth_2d's one row x0 >= 0 sits on the hinge at x0 = 0
+    prob = partial_smooth_2d()
+    x = np.array([0.0, 0.7])
+    H = np.diag([4.0, 2.0])
+    np.testing.assert_array_equal(prob.hess(x), H)
+    _assert_applies(prob, x, H)
+
+
+def test_sparse_penalty_rows_have_no_hess_apply():
+    assert membrane_problem(9, 1e4).hess_apply is None
+    assert _small_tv().hess_apply is None
 
 
 def test_a_sparse_penalty_row_bounds_one_unknown():

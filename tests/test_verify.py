@@ -14,8 +14,10 @@ from leapssn import (audit_trace, dm_condition_sample, grad_check,
                      sample_points, step_length_bound, step_shift_bound,
                      superlinear_check)
 from leapssn.driver import Record, Trace
+from leapssn.cli import HESS_SYM_TOL
 from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic,
-                           rank_deficient_ls, rosenbrock)
+                           rank_deficient_ls, rosenbrock, svm_data,
+                           svm_problem)
 from leapssn.suite.registry import broken_gradient_problem
 from leapssn.verify import assumption2_sample
 
@@ -36,6 +38,22 @@ def test_hess_symmetry_on_suite_members():
     for prob in (quadratic(), rosenbrock(n=4), partial_smooth_2d()):
         pts = sample_points(prob, 4)
         assert hess_symmetry_check(prob, pts) <= 1e-9
+
+
+def _svm():
+    return svm_problem(*svm_data(300, 20, 0), 1e3)
+
+
+@pytest.mark.parametrize("build", [partial_smooth_2d, _svm],
+                         ids=["partial_smooth_2d", "svm"])
+def test_hess_symmetry_flags_a_wrong_hess_apply(build):
+    prob = build()
+    pts = sample_points(prob, 4)
+    assert hess_symmetry_check(prob, pts) <= HESS_SYM_TOL
+    hook = prob.hess_apply
+    bad = dataclasses.replace(
+        prob, hess_apply=lambda x, V: (1.0 + 1e-6) * hook(x, V))
+    assert hess_symmetry_check(bad, pts) > HESS_SYM_TOL
 
 
 def test_sample_points_deterministic_and_boxed():
@@ -85,31 +103,53 @@ def _assert_verdicts(rep):
 
 
 def _counted(problem):
-    """The problem with f_grad and hess wrapped to count their calls."""
-    counts = {"f_grad": 0, "hess": 0}
+    """The problem with f_grad, hess and hess_apply (when present) wrapped
+    to count their calls."""
+    counts = {"f_grad": 0, "hess": 0, "hess_apply": 0}
 
     def counting(name):
         fn = getattr(problem, name)
+        if fn is None:
+            return None
 
-        def wrapped(x):
+        def wrapped(*args):
             counts[name] += 1
-            return fn(x)
+            return fn(*args)
         return wrapped
 
-    return dataclasses.replace(problem, f_grad=counting("f_grad"),
-                               hess=counting("hess")), counts
+    return dataclasses.replace(problem, **{name: counting(name)
+                                           for name in counts}), counts
 
 
 def test_each_point_is_evaluated_once():
-    # 40 box base points with 2 partners, 10 near-kink ones with 6
-    prob, counts = _counted(partial_smooth_2d())
-    assumption2_sample(prob)
-    assert counts == {"f_grad": 190, "hess": 50}
+    # 40 box base points with 2 partners, 10 near-kink ones with 6; H(x) is
+    # evaluated once per base point, by hess_apply when the problem has it
+    plain = dataclasses.replace(partial_smooth_2d(), hess_apply=None)
+    for problem, tol in ((partial_smooth_2d(), 1e-10), (plain, 1e-10),
+                         (_svm(), 1e-6)):
+        prob, counts = _counted(problem)
+        assumption2_sample(prob)
+        assert counts["f_grad"] == 190
+        assert counts["hess"] + counts["hess_apply"] == 50
+        assert counts["hess"] == (50 if problem.hess_apply is None else 0)
 
-    res = leap_ssn(partial_smooth_2d(), grad_tol=1e-10)
-    counts["f_grad"] = 0
-    audit_trace(res.trace, prob)
-    assert counts["f_grad"] == len(res.trace.records) + 1
+        res = leap_ssn(problem, grad_tol=tol)
+        assert res.status == "converged"
+        counts.update(f_grad=0, hess=0, hess_apply=0)
+        audit_trace(res.trace, prob)
+        assert counts["f_grad"] == len(res.trace.records) + 1
+        assert counts["hess"] + counts["hess_apply"] == len(res.trace.records)
+
+
+def test_hess_apply_leaves_the_model_error_constant():
+    prob = _svm()
+    plain = dataclasses.replace(prob, hess_apply=None)
+    a, b = assumption2_sample(prob), assumption2_sample(plain)
+    assert abs(a - b) <= 1e-12 * b
+    trace = leap_ssn(prob, grad_tol=1e-6).trace
+    a = audit_trace(trace, prob).L_hat
+    b = audit_trace(trace, plain).L_hat
+    assert b > 0 and abs(a - b) <= 1e-12 * b
 
 
 def test_audit_clean_run():
