@@ -3,9 +3,12 @@
 A :class:`Problem` bundles the smooth part ``f`` (value, gradient, and a
 symmetric curvature operator ``H(x)``), an optional nonsmooth part ``psi``
 given by its value and Euclidean proximal map, the SPD metric defining norms,
-and optional declarations (known minimum value, positive semidefinite
-curvature, strong-convexity modulus, sampling region) that the
-verification harness uses to decide which theory checks apply.
+optional performance hooks (a difference-form decrease, and block
+evaluations of H, f and f' that the verification harness runs one base
+point's sample through), and optional declarations (known minimum value,
+positive semidefinite curvature, strong-convexity modulus, sampling
+region) that the verification harness uses to decide which theory checks
+apply.
 """
 
 from __future__ import annotations
@@ -46,6 +49,16 @@ class Problem:
     applies it to a base point's block of directions where forming a
     dense H would cost more than the products, and the solver never
     calls it.  ``verify.hess_symmetry_check`` compares it with ``hess``.
+
+    ``f_values(X)`` and ``f_grads(X)`` optionally evaluate f and f' at
+    each column of a dim x k block ``X``, returning the k values and a
+    dim x k block of gradients.  They are audit-only performance hooks
+    too: the verification harness evaluates a base point's sample of
+    points as one block through them, and ``verify.grad_check`` compares
+    them with ``f_value`` and ``f_grad``.  They need not round as the
+    per-point calls do, so the solver and ``audit_trace``, which compares
+    f' with the solver's own stored gradients bit for bit, never call
+    them.
     """
 
     dim: int
@@ -60,6 +73,8 @@ class Problem:
     # optional structure/performance hooks
     f_decrease: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    f_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f_grads: Optional[Callable[[np.ndarray], np.ndarray]] = None
     x0: Optional[np.ndarray] = None
     lambda0: Optional[float] = None
     alpha: Optional[float] = None     # preferred acceptance constants, used

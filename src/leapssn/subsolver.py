@@ -36,6 +36,7 @@ from .problem import Problem
 INNER_TOL = 1e-10
 INNER_REL = 1e-4     # residual reduction relative to the base point's own
 INNER_MAXIT = 10000
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -131,12 +132,12 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
             # step itself; demand a fixed reduction of the base point's own
             # prox residual too (floored at attainable rounding accuracy)
             res0 = float(np.linalg.norm(x - cand)) / t
-            floor = 4.0 * np.finfo(float).eps * res_scale / t
+            floor = 4.0 * _EPS * res_scale / t
             threshold = min(threshold, max(INNER_REL * res0, floor))
         # monotone safeguard with a rounding-noise dead band: near the model
         # optimum measured values differ by ulps in either direction, and a
         # hard comparison would reject every candidate and freeze the loop
-        tau = 16.0 * np.finfo(float).eps * max(1.0, abs(m_best))
+        tau = 16.0 * _EPS * max(1.0, abs(m_best))
         stalled = False
         if m_cand > m_best + tau:  # material increase: restart from best point
             z = y.copy()

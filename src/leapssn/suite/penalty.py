@@ -18,8 +18,15 @@ plain quadratic (``quadratic``).
 
 A dense K also gets the ``hess_apply`` hook ``H V = Q V + c K' (chi o K V)``,
 which costs O(l n) per column where forming H costs O(l n^2) for l rows
-and n unknowns.  A sparse K gets none: its H is Q plus a diagonal, formed
-in O(nnz) and applied at the same cost as the hook would be.
+and n unknowns, and the block hooks ``f_values``/``f_grads``, which
+evaluate f and f' at a block of points from one product of K with the
+block.  Each value's totals are still contiguous dot products, one per
+point, as in ``f_value``: a column-wise reduction over the block rounds
+worse, and the finite differences of ``verify.grad_check`` divide that
+rounding by their step.  A sparse K gets no hooks: its H is Q plus a
+diagonal, formed in O(nnz) and applied at the same cost as the hook would
+be, and its per-point products cost O(nnz) too, so a block would save
+little while its temporaries raised the peak memory of the large meshes.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
             chi = ((K @ x - r) >= 0.0).astype(float)
             return (Q + c * sp.diags(KKt @ chi)).tocsr()
 
-        hess_apply = None
+        hess_apply = f_values = f_grads = None
     else:
         if sp.issparse(Q):
             Q = Q.toarray()
@@ -65,6 +72,27 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
             KV = V.T @ K.T
             KV[:, ~((K @ x - r) >= 0.0)] = 0.0
             return Q @ V + c * (KV @ K).T
+
+        # the block hooks work on the rows P = X' (one point per row), so
+        # each point's penalty terms are a contiguous row of one k x l
+        # block, clipped in place; f_values takes the O(n^2) quadratic part
+        # per point, as f_value does, since a block product rounds it
+        # differently
+        def penalty_rows(X):
+            P = np.ascontiguousarray(X.T)
+            M = P @ K.T
+            M -= r
+            return P, np.maximum(M, 0.0, out=M)
+
+        def f_values(X):
+            P, M = penalty_rows(X)
+            return np.array([0.5 * float(p @ (Q @ p)) + float(q @ p) + const
+                             + 0.5 * c * float(m @ m)
+                             for p, m in zip(P, M)])
+
+        def f_grads(X):
+            P, M = penalty_rows(X)
+            return (P @ Q + q + c * (M @ K)).T
 
     def f_value(x):
         m = np.maximum(0.0, K @ x - r)
@@ -86,4 +114,5 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
 
     return Problem(dim=Q.shape[0], f_value=f_value, f_grad=f_grad, hess=hess,
                    f_decrease=f_decrease, hess_apply=hess_apply,
+                   f_values=f_values, f_grads=f_grads,
                    hess_psd=True, **declarations)

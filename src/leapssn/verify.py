@@ -21,12 +21,17 @@ Three layers:
   satisfies (step length vs subgradient norm, and lambda-sensitivity) as
   (lhs, rhs) pairs for property tests.
 
-Each point is evaluated once: the partners of a base point share one
-f'(x) and one application of H(x) to their block of directions (one
-``hess_apply`` call when the problem has that hook, else one formed
-``hess(x)``), and ``audit_trace`` evaluates f' once per iterate for its
-gradient checks and its iterate pairs.  Sample sizes and seeds are
-fixed module constants, so an audit of a given trace always repeats.
+Each point is evaluated once, and a base point's sample as one block
+where the problem has the hooks: the partners of a base point share one
+application of H(x) to their block of directions (one ``hess_apply``
+call, else one formed ``hess(x)``), the base point and its partners get
+f' from one ``f_grads`` call (else one ``f_grad`` call each), and
+``grad_check`` evaluates a base point's shifted points x + step d and
+x - step d as two ``f_values`` blocks (else one ``f_value`` call each).
+``audit_trace`` evaluates f' once per iterate, by ``f_grad``, for its
+gradient checks and its iterate pairs, since its cache check compares
+with the solver's stored gradients bit for bit.  Sample sizes and seeds
+are fixed module constants, so an audit of a given trace always repeats.
 
 Every envelope check is one-sided: the harness asserts trace <= bound,
 never tightness.  Sampled constants may undershoot the truth, so all
@@ -53,6 +58,8 @@ SLACK = 1e-8        # relative arithmetic slack on audited inequalities
 L_INFLATION = 1.05  # sampled model-error constants may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
+GRAD_DIRECTIONS = 50  # random directions beyond, and points per f_values block
+HOOK_WEIGHT = 1e4   # scale of a block hook's mismatch in grad_check
 BOX_RADIUS = 2.0    # half-width of the sampling box when none is declared
 SAMPLE_SEED = 0x5EEDB0C5
 SYMMETRY_PROBES = 5  # probe pairs per point in hess_symmetry_check
@@ -82,39 +89,88 @@ def sample_points(problem: Problem, count: int) -> list:
     return [lo + (hi - lo) * rng.uniforms(problem.dim) for _ in range(count)]
 
 
+def _values(problem: Problem, pts) -> list:
+    """f at each point of ``pts``: one ``f_values`` call per block of at
+    most ``GRAD_DIRECTIONS`` points when the problem has the hook, else
+    one ``f_value`` call per point."""
+    if problem.f_values is None:
+        return [float(problem.f_value(p)) for p in pts]
+    blocks = (np.column_stack(pts[j:j + GRAD_DIRECTIONS])
+              for j in range(0, len(pts), GRAD_DIRECTIONS))
+    return [float(v) for X in blocks for v in problem.f_values(X)]
+
+
+def _grads(problem: Problem, pts) -> list:
+    """f' at each point of ``pts`` as contiguous vectors: one ``f_grads``
+    call over the block when the problem has the hook, else one
+    ``f_grad`` call per point."""
+    if problem.f_grads is None:
+        return [_grad(problem, p) for p in pts]
+    G = np.asarray(problem.f_grads(np.column_stack(pts)), dtype=float)
+    return [np.ascontiguousarray(G[:, j]) for j in range(len(pts))]
+
+
+def _block_hook_error(problem: Problem, points, grads) -> float:
+    """Largest relative mismatch of the ``f_values``/``f_grads`` hooks
+    against per-point ``f_value`` and the per-point ``grads`` at
+    ``points``, times ``HOOK_WEIGHT``; 0 when the problem has neither."""
+    worst = 0.0
+    if problem.f_values is not None:
+        for x, w in zip(points, _values(problem, points)):
+            v = float(problem.f_value(x))
+            worst = max(worst, abs(w - v) / max(1.0, abs(v)))
+    if problem.f_grads is not None:
+        for g, h in zip(grads, _grads(problem, points)):
+            gn = float(np.linalg.norm(g))
+            worst = max(worst, float(np.linalg.norm(h - g)) / max(1.0, gn))
+    return HOOK_WEIGHT * worst
+
+
 def grad_check(problem: Problem, points) -> float:
     """Max relative error of f' against central finite differences.
 
     Coordinate-wise differences for dim <= 200; for larger problems 50
     seeded random directions (a full coordinate sweep would straddle
-    penalty kinks often enough to pollute the measurement).
+    penalty kinks often enough to pollute the measurement).  A base
+    point's shifted points x + step d and x - step d are evaluated as two
+    blocks when the problem has the ``f_values`` hook.
+
+    The ``f_values`` and ``f_grads`` hooks are compared with per-point
+    ``f_value`` and ``f_grad`` at ``points``, and their largest relative
+    mismatch, times ``HOOK_WEIGHT``, is folded in.  A hook re-evaluates
+    the same f, so it agrees to rounding (~1e-15), which adds ~1e-11,
+    below the differences' own error; a hook off by 1e-9 or more reaches
+    the 1e-5 tolerance that ``leapssn verify`` holds this check to.
     """
-    worst = 0.0
-    dirs = None
-    if problem.dim > MAX_COORD_DIM:
+    points = [np.asarray(x, dtype=float) for x in points]
+    coords = problem.dim <= MAX_COORD_DIM
+    if coords:
+        dirs = list(np.eye(problem.dim))
+    else:
         rng = SplitMix64(0xD1FF5EED)
         dirs = []
-        for _ in range(50):
+        for _ in range(GRAD_DIRECTIONS):
             d = rng.normals(problem.dim)
             d /= np.linalg.norm(d)
             dirs.append(d)
+    worst = 0.0
+    grads = []
     for x in points:
-        x = np.asarray(x, dtype=float)
         g = _grad(problem, x)
+        grads.append(g)
         step = GRAD_STEP * (1.0 + float(np.linalg.norm(x)))
-        if dirs is None:
-            for i in range(problem.dim):
-                e = np.zeros(problem.dim)
-                e[i] = step
-                fd = (float(problem.f_value(x + e)) - float(problem.f_value(x - e))) / (2 * step)
-                worst = max(worst, abs(fd - g[i]) / max(1.0, abs(g[i])))
+        f_plus = _values(problem, [x + step * d for d in dirs])
+        f_minus = _values(problem, [x - step * d for d in dirs])
+        if coords:
+            slopes = g
+            scales = [max(1.0, abs(gi)) for gi in g]
         else:
-            gnorm = float(np.linalg.norm(g))
-            for d in dirs:
-                fd = (float(problem.f_value(x + step * d))
-                      - float(problem.f_value(x - step * d))) / (2 * step)
-                worst = max(worst, abs(fd - float(g @ d)) / max(1.0, gnorm))
-    return worst
+            slopes = [float(g @ d) for d in dirs]
+            scales = [max(1.0, float(np.linalg.norm(g)))] * len(dirs)
+        for fp, fm, slope, scale in zip(f_plus, f_minus, slopes, scales):
+            fd = (fp - fm) / (2 * step)
+            worst = max(worst, abs(fd - slope) / scale)
+    return max(worst, _block_hook_error(problem, points, grads))
 
 
 def hess_symmetry_check(problem: Problem, points) -> float:
@@ -196,7 +252,7 @@ def assumption2_sample(problem: Problem) -> float:
         x = lo + span * rng.uniforms(problem.dim)
         pts = [x, lo + span * rng.uniforms(problem.dim),
                x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)]
-        best = max(best, _model_error(problem, pts, [_grad(problem, p) for p in pts]))
+        best = max(best, _model_error(problem, pts, _grads(problem, pts)))
 
     if problem.near_kink is not None:
         for _ in range(max(4, MODEL_ERROR_BASES // 4)):
@@ -207,7 +263,7 @@ def assumption2_sample(problem: Problem) -> float:
                 y = x.copy()
                 y[i] -= 4e-9 * float(rng.signs(1)[0])
                 pts.append(y)
-            best = max(best, _model_error(problem, pts, [_grad(problem, p) for p in pts]))
+            best = max(best, _model_error(problem, pts, _grads(problem, pts)))
     return best
 
 

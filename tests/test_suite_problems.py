@@ -413,9 +413,38 @@ def test_hess_apply_counts_a_sample_on_the_hinge_as_active():
     _assert_applies(prob, x, H)
 
 
-def test_sparse_penalty_rows_have_no_hess_apply():
-    assert membrane_problem(9, 1e4).hess_apply is None
-    assert _small_tv().hess_apply is None
+@pytest.mark.parametrize("build", list(HOOKED.values()), ids=list(HOOKED))
+def test_block_hooks_match_pointwise(build):
+    """Each column of f_values/f_grads equals the per-point f_value/f_grad
+    to 1e-13, for 1- and 6-column blocks that include a point on the
+    hinge (Kx - r == 0 in some row; quadratic has no rows)."""
+    prob = build()
+    # on the hinge: w = 0, b = 1 for every y = +1 sample of the SVM (as
+    # test_hess_apply_counts_a_sample_on_the_hinge_as_active asserts), and
+    # x0 = 0 for partial_smooth_2d's one row
+    hinge = {"svm": np.r_[np.zeros(prob.dim - 1), 1.0],
+             "partial_smooth_2d": np.array([0.0, 0.7])}.get(prob.name)
+    pts = _box_points(prob, 19, 5) + ([] if hinge is None else [hinge])
+    for block in ([pts[0]], pts):
+        X = np.column_stack(block)
+        values = prob.f_values(X)
+        grads = prob.f_grads(X)
+        assert values.shape == (len(block),)
+        assert grads.shape == (prob.dim, len(block))
+        for j, x in enumerate(block):
+            f, g = prob.f_value(x), prob.f_grad(x)
+            assert abs(values[j] - f) <= 1e-13 * abs(f)
+            assert np.linalg.norm(grads[:, j] - g) <= 1e-13 * np.linalg.norm(g)
+    composite = dataclasses.replace(prob, psi_value=lambda x: 0.0,
+                                    prox=lambda v, t: v)
+    assert composite.f_values is prob.f_values
+    assert composite.f_grads is prob.f_grads
+
+
+def test_sparse_penalty_rows_have_no_block_hooks():
+    for prob in (membrane_problem(9, 1e4), plate_problem(9, 1e4), _small_tv()):
+        assert prob.hess_apply is None
+        assert prob.f_values is None and prob.f_grads is None
 
 
 def test_a_sparse_penalty_row_bounds_one_unknown():

@@ -14,7 +14,7 @@ from leapssn import (audit_trace, dm_condition_sample, grad_check,
                      sample_points, step_length_bound, step_shift_bound,
                      superlinear_check)
 from leapssn.driver import Record, Trace
-from leapssn.cli import HESS_SYM_TOL
+from leapssn.cli import GRAD_CHECK_TOL, HESS_SYM_TOL
 from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic,
                            rank_deficient_ls, rosenbrock, svm_data,
                            svm_problem)
@@ -54,6 +54,26 @@ def test_hess_symmetry_flags_a_wrong_hess_apply(build):
     bad = dataclasses.replace(
         prob, hess_apply=lambda x, V: (1.0 + 1e-6) * hook(x, V))
     assert hess_symmetry_check(bad, pts) > HESS_SYM_TOL
+
+
+@pytest.mark.parametrize("hook", ["f_values", "f_grads"])
+def test_grad_check_flags_a_wrong_block_hook(hook):
+    for prob in (_svm(), partial_smooth_2d()):
+        pts = sample_points(prob, 4)
+        assert grad_check(prob, pts) <= 1e-8
+        fn = getattr(prob, hook)
+        bad = dataclasses.replace(
+            prob, **{hook: lambda X, fn=fn: (1.0 + 1e-6) * fn(X)})
+        assert grad_check(bad, pts) > GRAD_CHECK_TOL
+
+
+def test_block_hooks_leave_grad_check_near_its_pointwise_error():
+    # 251 unknowns: the direction branch, two 50-point blocks per base point
+    prob = svm_problem(*svm_data(1000, 250, 1), 1.0)
+    plain = dataclasses.replace(prob, f_values=None, f_grads=None)
+    pts = sample_points(prob, 4)
+    a, b = grad_check(prob, pts), grad_check(plain, pts)
+    assert 0 < a <= 2 * b <= 1e-9
 
 
 def test_sample_points_deterministic_and_boxed():
@@ -102,10 +122,13 @@ def _assert_verdicts(rep):
             assert verdict is names.isdisjoint(owned), flag
 
 
+HOOKS = ("f_value", "f_values", "f_grad", "f_grads", "hess", "hess_apply")
+
+
 def _counted(problem):
-    """The problem with f_grad, hess and hess_apply (when present) wrapped
-    to count their calls."""
-    counts = {"f_grad": 0, "hess": 0, "hess_apply": 0}
+    """The problem with the callables named in HOOKS (when present)
+    wrapped to count their calls."""
+    counts = dict.fromkeys(HOOKS, 0)
 
     def counting(name):
         fn = getattr(problem, name)
@@ -122,22 +145,37 @@ def _counted(problem):
 
 
 def test_each_point_is_evaluated_once():
-    # 40 box base points with 2 partners, 10 near-kink ones with 6; H(x) is
-    # evaluated once per base point, by hess_apply when the problem has it
-    plain = dataclasses.replace(partial_smooth_2d(), hess_apply=None)
+    # 40 box base points with 2 partners, 10 near-kink ones with 6; each
+    # base point's sample is one f_grads block and H(x) is evaluated once,
+    # by the hooks when the problem has them
+    plain = dataclasses.replace(partial_smooth_2d(), hess_apply=None,
+                                f_values=None, f_grads=None)
     for problem, tol in ((partial_smooth_2d(), 1e-10), (plain, 1e-10),
                          (_svm(), 1e-6)):
         prob, counts = _counted(problem)
         assumption2_sample(prob)
-        assert counts["f_grad"] == 190
+        hooked = problem.f_grads is not None
+        assert counts["f_grads"] == (50 if hooked else 0)
+        assert counts["f_grad"] == (0 if hooked else 190)
         assert counts["hess"] + counts["hess_apply"] == 50
         assert counts["hess"] == (50 if problem.hess_apply is None else 0)
 
+        # grad_check: x + step d and x - step d as two f_values blocks per
+        # base point (dim <= 50 directions each), and one more block and
+        # one f_value per point to check the hook; else f_value per point
+        counts.update(dict.fromkeys(HOOKS, 0))
+        grad_check(prob, sample_points(prob, 4))
+        if hooked:
+            assert (counts["f_values"], counts["f_value"]) == (9, 4)
+        else:
+            assert (counts["f_values"], counts["f_value"]) == (0, 16)
+
         res = leap_ssn(problem, grad_tol=tol)
         assert res.status == "converged"
-        counts.update(f_grad=0, hess=0, hess_apply=0)
+        counts.update(dict.fromkeys(HOOKS, 0))
         audit_trace(res.trace, prob)
         assert counts["f_grad"] == len(res.trace.records) + 1
+        assert counts["f_grads"] == 0
         assert counts["hess"] + counts["hess_apply"] == len(res.trace.records)
 
 
