@@ -28,11 +28,13 @@ _MAX_HALVINGS = 40
 
 
 def _armijo_step(problem, x, d, F, slope):
-    """Longest dyadic step with sufficient decrease, or None."""
+    """Longest dyadic step with sufficient decrease and f at its point,
+    or None."""
     t = 1.0
     for _ in range(_MAX_HALVINGS + 1):
-        if float(problem.f_value(x + t * d)) <= F + _ARMIJO_C * t * slope:
-            return t
+        F_trial = float(problem.f_value(x + t * d))
+        if F_trial <= F + _ARMIJO_C * t * slope:
+            return t, F_trial
         t *= _SHRINK
     return None
 
@@ -71,17 +73,17 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
             status = SUBPROBLEM_FAILURE
             break
 
-        t = 1.0
+        t, F_next = 1.0, None
         if armijo:
-            t = _armijo_step(problem, x, d, F, float(g @ d))
-            if t is None:
+            step = _armijo_step(problem, x, d, F, float(g @ d))
+            if step is None:
                 status = SUBPROBLEM_FAILURE
                 break
-
+            t, F_next = step    # the line search evaluated f there
         x = x + t * d
         g = np.asarray(problem.f_grad(x), dtype=float)
         gpn = problem.metric.dual_norm(g)
-        F = float(problem.f_value(x))
+        F = float(problem.f_value(x)) if F_next is None else F_next
         if not np.isfinite(F) or not np.isfinite(gpn):
             status = SUBPROBLEM_FAILURE
             break

@@ -17,6 +17,10 @@ Exit codes (stable contract): 0 converged / success, 2 budget exhausted,
 3 persistent subproblem failure, 1 usage or I/O error or a metric solve
 that fails certification (a one-line message, no traceback).
 
+summary.json and report.json also carry ``environment``: the numpy and
+scipy versions, the BLAS name and version, and the BLAS thread variables
+the run saw, so that a result can be read against where it was computed.
+
 Configuration: flags may also be given in a ``--config`` file of plain
 ``key = value`` lines ('#' starts a comment).  Built-in defaults are
 overridden by the file, which is overridden by explicit flags.  The file
@@ -39,6 +43,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from .baselines import backtracking_newton, plain_newton
 from .driver import EXIT_CODES, leap_ssn
@@ -56,6 +61,8 @@ SOLVERS = {"leapssn": leap_ssn, "plain": plain_newton,
 SOLVER_NAMES = tuple(SOLVERS)
 GRAD_CHECK_TOL = 1e-5
 HESS_SYM_TOL = 1e-9
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 _CONFIG_KEYS = {
     "problem": str, "solver": str, "gamma": float, "n": int, "seed": int,
@@ -146,6 +153,21 @@ def _write(out: str, files: dict) -> None:
         raise OSError(f"cannot write outputs: {e}") from None
 
 
+def environment() -> dict:
+    """The numerical environment a result was computed in: the numpy and
+    scipy versions, the BLAS numpy was built with ("unknown" where its
+    build config does not say) and the BLAS thread variables (None where
+    unset), since the last bits of a run may depend on all of them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": blas,
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
+
+
 def _resolve_x0(spec, problem):
     if spec is None or spec == "default":
         return None
@@ -206,6 +228,7 @@ def cmd_run(ns) -> int:
         "final_grad_dual_norm": result.grad_dual_norm,
         "wall_time_seconds": wall,
         "exit_code": EXIT_CODES[result.status],
+        "environment": environment(),
     }
     files = {"trace.csv": result.trace.write_csv,
              "summary.json": json.dumps(summary, indent=2) + "\n"}
@@ -305,6 +328,7 @@ def cmd_verify(ns) -> int:
         "dm_ratios": dm,
         "manifold_index": manifold,
         "violations": violations,
+        "environment": environment(),
     }
     _write(settings["out"], {"report.json": json.dumps(doc, indent=2) + "\n"})
     status = "clean" if not violations else f"{len(violations)} violation(s)"

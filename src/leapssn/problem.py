@@ -4,11 +4,11 @@ A :class:`Problem` bundles the smooth part ``f`` (value, gradient, and a
 symmetric curvature operator ``H(x)``), an optional nonsmooth part ``psi``
 given by its value and Euclidean proximal map, the SPD metric defining norms,
 optional performance hooks (a difference-form decrease, and block
-evaluations of H, f and f' that the verification harness runs one base
-point's sample through), and optional declarations (known minimum value,
-positive semidefinite curvature, strong-convexity modulus, sampling
-region) that the verification harness uses to decide which theory checks
-apply.
+evaluations of H, f and f' that the verification harness runs its
+samples through, in blocks that span base points), and optional
+declarations (known minimum value, positive semidefinite curvature,
+strong-convexity modulus, sampling region) that the verification harness
+uses to decide which theory checks apply.
 """
 
 from __future__ import annotations
@@ -42,20 +42,23 @@ class Problem:
     of magnitude lower; problems whose structure allows exact cancellation
     (quadratics plus clipped penalties) should supply this.
 
-    ``hess_apply(x, V)`` optionally evaluates ``hess(x) @ V`` for any
-    dim x k block ``V`` without forming ``hess(x)``, with the same
-    selection of the generalized derivative as ``hess``.  Like
-    ``f_decrease`` it is a performance hook: the verification harness
-    applies it to a base point's block of directions where forming a
-    dense H would cost more than the products, and the solver never
-    calls it.  ``verify.hess_symmetry_check`` compares it with ``hess``.
+    ``hess_apply(X, V)`` optionally evaluates, for dim x k blocks ``X``
+    of base points and ``V`` of directions, the dim x k block whose
+    column j is ``hess(X[:, j]) @ V[:, j]``, without forming any
+    ``hess``, with the same selection of the generalized derivative as
+    ``hess``.  Directions that share a base point pass it once per
+    column.  Like ``f_decrease`` it is a performance hook: the
+    verification harness applies it to blocks of directions that span
+    base points where forming a dense H per base would cost more than the
+    products, and the solver never calls it.
+    ``verify.hess_symmetry_check`` compares it with ``hess``.
 
     ``f_values(X)`` and ``f_grads(X)`` optionally evaluate f and f' at
     each column of a dim x k block ``X``, returning the k values and a
     dim x k block of gradients.  They are audit-only performance hooks
-    too: the verification harness evaluates a base point's sample of
-    points as one block through them, and ``verify.grad_check`` compares
-    them with ``f_value`` and ``f_grad``.  They need not round as the
+    too: the verification harness evaluates its sample points through
+    them in blocks, and ``verify.grad_check`` compares them with
+    ``f_value`` and ``f_grad``.  They need not round as the
     per-point calls do, so the solver and ``audit_trace``, which compares
     f' with the solver's own stored gradients bit for bit, never call
     them.

@@ -16,9 +16,12 @@ the diagonal ``diag((K o K)' chi)``; with a dense K it is ``Ka' Ka`` over
 the active rows ``Ka``, and H is dense.  A dense K with no rows is a
 plain quadratic (``quadratic``).
 
-A dense K also gets the ``hess_apply`` hook ``H V = Q V + c K' (chi o K V)``,
-which costs O(l n) per column where forming H costs O(l n^2) for l rows
-and n unknowns, and the block hooks ``f_values``/``f_grads``, which
+A dense K also gets the ``hess_apply`` hook, whose column j is
+``H(x_j) v_j = Q v_j + c K' (chi_j o K v_j)`` for a block of base points
+x_j and directions v_j: one product of K with the block [X V] gives every
+column's K x_j and K v_j, and one more applies K', so a block costs two
+passes over K whatever its bases, where forming H costs O(l n^2) per base
+for l rows and n unknowns.  The block hooks ``f_values``/``f_grads``
 evaluate f and f' at a block of points from one product of K with the
 block.  Each value's totals are still contiguous dot products, one per
 point, as in ``f_value``: a column-wise reduction over the block rounds
@@ -55,8 +58,9 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
 
         hess_apply = f_values = f_grads = None
     else:
-        if sp.issparse(Q):
-            Q = Q.toarray()
+        # f, f' and f_decrease take Q as given (the SVM's diagonal stays
+        # sparse); H is dense here, so hess and hess_apply densify it
+        Qd = Q.toarray() if sp.issparse(Q) else Q
 
         def penalty_grad(s):
             act = s > 0.0
@@ -64,14 +68,17 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
 
         def hess(x):
             Ka = K[(K @ x - r) >= 0.0]
-            return Q + c * (Ka.T @ Ka)
+            return Qd + c * (Ka.T @ Ka)
 
-        def hess_apply(x, V):
-            # in row form, (V'K' o chi') K, which BLAS runs faster on a
-            # block of a few columns than K'(chi o KV)
-            KV = V.T @ K.T
-            KV[:, ~((K @ x - r) >= 0.0)] = 0.0
-            return Q @ V + c * (KV @ K).T
+        def hess_apply(X, V):
+            # column j is H(X[:, j]) V[:, j]: one product [X V]'K' gives
+            # each column's K x and K v as rows, and in row form
+            # (V'K' o chi') K runs faster in BLAS than K'(chi o KV)
+            k = V.shape[1]
+            M = np.vstack([X.T, V.T]) @ K.T
+            KV = M[k:]
+            KV[~((M[:k] - r) >= 0.0)] = 0.0
+            return Qd @ V + c * (KV @ K).T
 
         # the block hooks work on the rows P = X' (one point per row), so
         # each point's penalty terms are a contiguous row of one k x l

@@ -7,14 +7,15 @@ natural Newton derivative is the active-sample Gauss-Newton matrix.
 The intercept is unregularised, matching the usual L2-SVM convention.
 
 This is :func:`.penalty.penalised_quadratic` over v = (w, b) with
-Q = diag(1, ..., 1, 0), q = 0, const = 0, the dense rows K = -diag(y) [X 1],
-r = -1 and c = 2 gamma; that builder holds f, f', H and f_decrease, and
-this module only the data.
+Q = diag(1, ..., 1, 0) as a sparse diagonal, q = 0, const = 0, the dense
+rows K = -diag(y) [X 1], r = -1 and c = 2 gamma; that builder holds f,
+f', H and f_decrease, and this module only the data.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..problem import Problem
 from .penalty import penalised_quadratic
@@ -52,7 +53,7 @@ def svm_problem(X: np.ndarray, y: np.ndarray, gamma: float) -> Problem:
     dim = n + 1
     K = np.hstack([X, np.ones((l, 1))])
     K *= -y[:, None]        # in place: the rows -y_i (x_i, 1), one copy
-    Q = np.diag(np.r_[np.ones(n), 0.0])
+    Q = sp.diags(np.r_[np.ones(n), 0.0])   # O(n) products in f and f'
 
     def near_kink(rng: SplitMix64) -> np.ndarray:
         v = rng.normals(dim) / np.sqrt(dim)

@@ -21,11 +21,15 @@ Three layers:
   satisfies (step length vs subgradient norm, and lambda-sensitivity) as
   (lhs, rhs) pairs for property tests.
 
-Each point is evaluated once, and a base point's sample as one block
-where the problem has the hooks: the partners of a base point share one
-application of H(x) to their block of directions (one ``hess_apply``
-call, else one formed ``hess(x)``), the base point and its partners get
-f' from one ``f_grads`` call (else one ``f_grad`` call each), and
+Each point is evaluated once.  Where the problem has the block hooks
+(``hess_apply``, ``f_values``, ``f_grads``), the model errors of
+``assumption2_sample`` and of ``audit_trace``'s iterate pairs are
+evaluated in blocks of at most ``GRAD_DIRECTIONS`` columns that span
+base points: one ``f_grads`` call per block of sample points and one
+``hess_apply`` call per block of directions, each column with its own
+base point.  Without the hooks each base point is its own block, so a
+large sparse problem holds one base point's sample at a time: H(x) is
+formed once per base point and f' is one ``f_grad`` call per point.
 ``grad_check`` evaluates a base point's shifted points x + step d and
 x - step d as two ``f_values`` blocks (else one ``f_value`` call each).
 ``audit_trace`` evaluates f' once per iterate, by ``f_grad``, for its
@@ -58,7 +62,7 @@ SLACK = 1e-8        # relative arithmetic slack on audited inequalities
 L_INFLATION = 1.05  # sampled model-error constants may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
-GRAD_DIRECTIONS = 50  # random directions beyond, and points per f_values block
+GRAD_DIRECTIONS = 50  # random directions beyond, and columns per hook block
 HOOK_WEIGHT = 1e4   # scale of a block hook's mismatch in grad_check
 BOX_RADIUS = 2.0    # half-width of the sampling box when none is declared
 SAMPLE_SEED = 0x5EEDB0C5
@@ -89,25 +93,30 @@ def sample_points(problem: Problem, count: int) -> list:
     return [lo + (hi - lo) * rng.uniforms(problem.dim) for _ in range(count)]
 
 
+def _blocks(cols):
+    """The vectors ``cols`` as dim x k blocks of at most
+    ``GRAD_DIRECTIONS`` columns."""
+    return (np.column_stack(cols[j:j + GRAD_DIRECTIONS])
+            for j in range(0, len(cols), GRAD_DIRECTIONS))
+
+
 def _values(problem: Problem, pts) -> list:
     """f at each point of ``pts``: one ``f_values`` call per block of at
     most ``GRAD_DIRECTIONS`` points when the problem has the hook, else
     one ``f_value`` call per point."""
     if problem.f_values is None:
         return [float(problem.f_value(p)) for p in pts]
-    blocks = (np.column_stack(pts[j:j + GRAD_DIRECTIONS])
-              for j in range(0, len(pts), GRAD_DIRECTIONS))
-    return [float(v) for X in blocks for v in problem.f_values(X)]
+    return [float(v) for X in _blocks(pts) for v in problem.f_values(X)]
 
 
 def _grads(problem: Problem, pts) -> list:
     """f' at each point of ``pts`` as contiguous vectors: one ``f_grads``
-    call over the block when the problem has the hook, else one
-    ``f_grad`` call per point."""
+    call per block of at most ``GRAD_DIRECTIONS`` points when the problem
+    has the hook, else one ``f_grad`` call per point."""
     if problem.f_grads is None:
         return [_grad(problem, p) for p in pts]
-    G = np.asarray(problem.f_grads(np.column_stack(pts)), dtype=float)
-    return [np.ascontiguousarray(G[:, j]) for j in range(len(pts))]
+    return [np.ascontiguousarray(g) for X in _blocks(pts)
+            for g in np.asarray(problem.f_grads(X), dtype=float).T]
 
 
 def _block_hook_error(problem: Problem, points, grads) -> float:
@@ -176,16 +185,18 @@ def grad_check(problem: Problem, points) -> float:
 def hess_symmetry_check(problem: Problem, points) -> float:
     """Max relative asymmetry |<Hu,v> - <Hv,u>| over random probe pairs.
 
-    When the problem has a ``hess_apply`` hook, its relative mismatch
-    ||hess_apply(x, U) - H U|| / max(1, ||H U||) on the block U of the
-    probes u is folded in, so a hook that disagrees with ``hess`` fails
-    the check."""
+    When the problem has a ``hess_apply`` hook, it is applied to one block
+    of every point's probes u, each column with its own base point, and
+    each point's relative mismatch ||hess_apply - H U|| / max(1, ||H U||)
+    on its block U of probes is folded in, so a hook that disagrees with
+    ``hess``, or applies one column's base point to another's, fails the
+    check."""
     rng = SplitMix64(SYMMETRY_SEED)
     worst = 0.0
+    probes = []     # (x, u, H(x) u) for the hook, point by point
     for x in points:
         x = np.asarray(x, dtype=float)
         H = problem.hess(x)
-        us, Hus = [], []
         for _ in range(SYMMETRY_PROBES):
             u = rng.normals(problem.dim)
             v = rng.normals(problem.dim)
@@ -193,46 +204,90 @@ def hess_symmetry_check(problem: Problem, points) -> float:
             a = float(Hu @ v)
             b = float((H @ v) @ u)
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-            us.append(u)
-            Hus.append(Hu)
-        if problem.hess_apply is not None:
-            HU = np.column_stack(Hus)
+            if problem.hess_apply is not None:
+                probes.append((x, u, Hu))
+    if probes:
+        bases, us, Hus = zip(*probes)
+        applied = _hess_products(problem, bases, us)
+        for j in range(0, len(probes), SYMMETRY_PROBES):
+            HU = np.column_stack(Hus[j:j + SYMMETRY_PROBES])
             gap = float(np.linalg.norm(
-                problem.hess_apply(x, np.column_stack(us)) - HU))
+                np.column_stack(applied[j:j + SYMMETRY_PROBES]) - HU))
             worst = max(worst, gap / max(1.0, float(np.linalg.norm(HU))))
     return worst
 
 
-def _hess_products(problem: Problem, x, dirs) -> list:
-    """H(x) d for each direction d, as contiguous vectors: one
-    ``hess_apply`` over the block of directions when the problem has the
-    hook, else ``hess(x)`` formed once and applied to each d."""
-    if not dirs:
-        return []
+def _hess_products(problem: Problem, bases, dirs) -> list:
+    """H(x) d for each base point x of ``bases`` and direction d of
+    ``dirs``, as contiguous vectors: one ``hess_apply`` call per block of
+    at most ``GRAD_DIRECTIONS`` pairs, whatever their base points, when
+    the problem has the hook, else ``hess(x)`` formed once per run of
+    pairs whose base is the same array object and applied to each d."""
     if problem.hess_apply is None:
-        H = problem.hess(x)
-        return [H @ d for d in dirs]
-    HD = problem.hess_apply(x, np.column_stack(dirs))
-    return [np.ascontiguousarray(HD[:, j]) for j in range(len(dirs))]
+        out, last = [], None
+        for x, d in zip(bases, dirs):
+            if x is not last:
+                H, last = problem.hess(x), x
+            out.append(H @ d)
+        return out
+    return [np.ascontiguousarray(h)
+            for X, D in zip(_blocks(bases), _blocks(dirs))
+            for h in np.asarray(problem.hess_apply(X, D)).T]
 
 
-def _model_error(problem: Problem, points, grads) -> float:
-    """Largest finite model-error ratio of ``points[0]`` against the rest,
-    or 0; ``grads`` holds f' at each point, H is evaluated at points[0]."""
-    x, g_x = points[0], grads[0]
-    pairs = []
-    for y, g_y in zip(points[1:], grads[1:]):
+def _model_error(problem: Problem, pairs) -> float:
+    """Largest finite model-error ratio
+    ``||f'(y) - f'(x) - H(x)(y - x)||_* / ||y - x||`` over one block of
+    ``pairs`` (x, y, f'(x), f'(y)), or 0.  Pairs that share a base point
+    pass the same x object, which lets ``_hess_products`` form H(x) once
+    for them."""
+    kept = []
+    for x, y, g_x, g_y in pairs:
         d = y - x
         nd = problem.metric.norm(d)
         if np.isfinite(nd) and nd > 1e-14:
-            pairs.append((d, nd, g_y))
+            kept.append((x, d, nd, g_y - g_x))
+    Hds = _hess_products(problem, [k[0] for k in kept], [k[1] for k in kept])
     best = 0.0
-    Hds = _hess_products(problem, x, [d for d, _, _ in pairs])
-    for (_, nd, g_y), Hd in zip(pairs, Hds):
-        r = problem.metric.dual_norm(g_y - g_x - Hd) / nd
+    for (_, _, nd, dg), Hd in zip(kept, Hds):
+        r = problem.metric.dual_norm(dg - Hd) / nd
         if np.isfinite(r):
             best = max(best, r)
     return best
+
+
+def _model_error_blocks(problem: Problem, items):
+    """The blocks ``_model_error`` takes ``items`` (a base point's sample,
+    or an iterate pair, each) in: all items as one block when the problem
+    has the block hooks, which evaluate it in blocks of at most
+    ``GRAD_DIRECTIONS`` columns that span base points; else one block per
+    item, so that a large sparse problem holds one item at a time."""
+    if problem.hess_apply is not None or problem.f_grads is not None:
+        return [list(items)]
+    return ([item] for item in items)
+
+
+def _sample_groups(problem: Problem):
+    """``assumption2_sample``'s points in SplitMix64 order, one list per
+    base point: the base point, then its partners."""
+    rng = SplitMix64(MODEL_ERROR_SEED)
+    lo, hi = _sample_bounds(problem)
+    span = hi - lo
+    for _ in range(MODEL_ERROR_BASES):
+        x = lo + span * rng.uniforms(problem.dim)
+        yield [x, lo + span * rng.uniforms(problem.dim),
+               x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)]
+
+    if problem.near_kink is not None:
+        for _ in range(max(4, MODEL_ERROR_BASES // 4)):
+            x = np.asarray(problem.near_kink(rng), dtype=float)
+            pts = [x, x + 1e-7 * rng.normals(problem.dim),
+                   x + 1e-2 * span * (rng.uniforms(problem.dim) - 0.5)]
+            for i in (rng.raw(4) % np.uint64(problem.dim)).astype(int):
+                y = x.copy()
+                y[i] -= 4e-9 * float(rng.signs(1)[0])
+                pts.append(y)
+            yield pts
 
 
 def assumption2_sample(problem: Problem) -> float:
@@ -244,26 +299,14 @@ def assumption2_sample(problem: Problem) -> float:
     that straddle it: dense short steps plus single-coordinate crossings,
     which realise the worst per-component curvature jumps.
     """
-    rng = SplitMix64(MODEL_ERROR_SEED)
-    lo, hi = _sample_bounds(problem)
-    span = hi - lo
     best = 0.0
-    for _ in range(MODEL_ERROR_BASES):
-        x = lo + span * rng.uniforms(problem.dim)
-        pts = [x, lo + span * rng.uniforms(problem.dim),
-               x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)]
-        best = max(best, _model_error(problem, pts, _grads(problem, pts)))
-
-    if problem.near_kink is not None:
-        for _ in range(max(4, MODEL_ERROR_BASES // 4)):
-            x = np.asarray(problem.near_kink(rng), dtype=float)
-            pts = [x, x + 1e-7 * rng.normals(problem.dim),
-                   x + 1e-2 * span * (rng.uniforms(problem.dim) - 0.5)]
-            for i in (rng.raw(4) % np.uint64(problem.dim)).astype(int):
-                y = x.copy()
-                y[i] -= 4e-9 * float(rng.signs(1)[0])
-                pts.append(y)
-            best = max(best, _model_error(problem, pts, _grads(problem, pts)))
+    for block in _model_error_blocks(problem, _sample_groups(problem)):
+        grads = iter(_grads(problem, [p for group in block for p in group]))
+        pairs = []
+        for x, *partners in block:
+            g_x = next(grads)
+            pairs += [(x, y, g_x, next(grads)) for y in partners]
+        best = max(best, _model_error(problem, pairs))
     return best
 
 
@@ -340,8 +383,9 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     xs = [trace.x0] + list(trace.iterates)
     fgrads = [_grad(problem, x) for x in xs]
     L_eff = float(L_hat)
-    for i in range(len(xs) - 1):
-        L_eff = max(L_eff, _model_error(problem, xs[i:i + 2], fgrads[i:i + 2]))
+    pairs = zip(xs, xs[1:], fgrads, fgrads[1:])
+    for block in _model_error_blocks(problem, pairs):
+        L_eff = max(L_eff, _model_error(problem, block))
     lam_bar = max(2.0 * m * L_INFLATION * L_eff, Lam0)
 
     # (a) monotone objective
@@ -515,7 +559,7 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
             out.append(0.0)
             continue
         e = x_plus - x_star
-        dH = _hess_products(problem, x_plus, [e])[0] - H_k.apply(e)
+        dH = _hess_products(problem, [x_plus], [e])[0] - H_k.apply(e)
         out.append(problem.metric.dual_norm(dH) / dn)
     return out
 

@@ -1,5 +1,7 @@
 """Unregularised Newton baselines: one-solve quadratics, honest failures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,31 @@ def test_backtracking_is_monotone_on_rosenbrock():
     Fs = [res.trace.F0] + [r.F for r in res.trace.records]
     assert all(b <= a + 1e-12 for a, b in zip(Fs, Fs[1:]))
     assert np.allclose(res.x, np.ones(2), atol=1e-6)
+
+
+def test_backtracking_evaluates_f_once_at_each_accepted_point():
+    # the line search's f at the trial it accepts is the record's F, so f
+    # is not evaluated at that point again
+    prob = rosenbrock(n=2)
+    seen = []
+
+    def f_value(x):
+        seen.append(x.copy())
+        return prob.f_value(x)
+
+    res = backtracking_newton(dataclasses.replace(prob, f_value=f_value),
+                              grad_tol=1e-8, max_outer=200)
+    assert res.status == "converged"
+    assert np.array_equal(seen[0], res.trace.x0)
+    where = []
+    for x, r in zip(res.trace.iterates, res.trace.records):
+        hits = [i for i, y in enumerate(seen) if np.array_equal(x, y)]
+        assert len(hits) == 1
+        where.append(hits[0])
+        assert r.F == prob.f_value(x)
+    # every other call is a rejected trial before an accepted one
+    assert where == sorted(where) and where[-1] == len(seen) - 1
+    assert len(seen) > 1 + len(where)     # some trials were rejected
 
 
 def test_plain_newton_fails_where_regularisation_succeeds():

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from leapssn import Metric, cli
@@ -18,7 +19,7 @@ from leapssn.suite.registry import DEFAULT_SEEDS
 
 SUMMARY_KEYS = {"problem", "solver", "seed", "status", "iterations",
                 "linear_solves", "final_F", "final_grad_dual_norm",
-                "wall_time_seconds", "exit_code"}
+                "wall_time_seconds", "exit_code", "environment"}
 
 
 def _run(*argv):
@@ -47,6 +48,27 @@ def test_run_writes_trace_and_summary(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == SUMMARY_KEYS
     assert summary["seed"] == DEFAULT_SEEDS["quadratic"]
+
+
+@pytest.mark.parametrize("command,name", [("run", "summary.json"),
+                                          ("verify", "report.json")])
+def test_outputs_record_the_environment(tmp_path, monkeypatch, command, name):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / command
+    assert _run(command, "--problem", "quadratic", "--out", str(out)) == 0
+    env = json.loads((out / name).read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert isinstance(env["blas"], str) and env["blas"]
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "3"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    assert set(env["blas_threads"]) == set(cli.BLAS_THREAD_VARS)
+
+
+def test_environment_without_a_blas_build_config(monkeypatch):
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": {})
+    assert cli.environment()["blas"] == "unknown"
 
 
 def test_run_rejects_unknown_problem_without_writing(tmp_path):
@@ -312,6 +334,26 @@ def test_verify_flags_broken_gradient(tmp_path):
     assert report["violations"]
     kinds = {v[1] for v in report["violations"]}
     assert "grad_check" in kinds
+
+
+def test_verify_flags_a_hess_apply_that_ignores_column_bases(tmp_path,
+                                                           monkeypatch):
+    # hess_symmetry_check applies the hook to one block spanning its
+    # sample points, each column with its own base point; a hook that
+    # takes column 0's base point for all of them must fail verify
+    build = cli.build_problem
+
+    def first_base(*args):
+        prob = build(*args)
+        hook = prob.hess_apply
+        return dataclasses.replace(prob, hess_apply=lambda X, V: hook(
+            np.repeat(X[:, :1], V.shape[1], axis=1), V))
+
+    monkeypatch.setattr(cli, "build_problem", first_base)
+    out = tmp_path / "v"
+    assert _run("verify", "--problem", "svm", "--out", str(out)) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert "hess_symmetry" in {v[1] for v in report["violations"]}
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -373,21 +373,28 @@ HOOKED = {
 }
 
 
-def _assert_applies(prob, x, H):
-    """hess_apply(x, V) equals H @ V to 1e-13 for 1- and 5-column blocks."""
+def _assert_applies(prob, bases, hessians=None):
+    """Column j of hess_apply(X, V) equals H(x_j) v_j to 1e-13, where X
+    stacks distinct base points x_j, for a 1-column block (the first base
+    point) and a block of all of them; H(x_j) is ``hessians[j]``, else
+    hess(x_j)."""
+    if hessians is None:
+        hessians = [prob.hess(x) for x in bases]
     rng = SplitMix64(17)
-    for k in (1, 5):
+    for k in (1, len(bases)):
         V = rng.normals(prob.dim * k).reshape(prob.dim, k)
-        HV = H @ V
-        assert (np.linalg.norm(prob.hess_apply(x, V) - HV)
-                <= 1e-13 * np.linalg.norm(HV))
+        HV = prob.hess_apply(np.column_stack(bases[:k]), V)
+        assert HV.shape == (prob.dim, k)
+        for j in range(k):
+            want = hessians[j] @ V[:, j]
+            assert (np.linalg.norm(HV[:, j] - want)
+                    <= 1e-13 * np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("build", list(HOOKED.values()), ids=list(HOOKED))
 def test_hess_apply_matches_hess(build):
     prob = build()
-    for x in _box_points(prob, 13, 4):
-        _assert_applies(prob, x, prob.hess(x))
+    _assert_applies(prob, _box_points(prob, 13, 5))
     composite = dataclasses.replace(prob, psi_value=lambda x: 0.0,
                                     prox=lambda v, t: v)
     assert composite.hess_apply is prob.hess_apply
@@ -395,7 +402,8 @@ def test_hess_apply_matches_hess(build):
 
 def test_hess_apply_counts_a_sample_on_the_hinge_as_active():
     # w = 0, b = 1 puts every y = +1 sample exactly on the hinge and every
-    # y = -1 sample inside it, so the whole of K is active
+    # y = -1 sample inside it, so the whole of K is active; the block puts
+    # four box points with other active sets after it
     X, y = svm_data(300, 20, 1)
     prob = svm_problem(X, y, 1e3)
     x = np.r_[np.zeros(20), 1.0]
@@ -403,14 +411,19 @@ def test_hess_apply_counts_a_sample_on_the_hinge_as_active():
     assert np.count_nonzero(K @ x + 1.0 == 0.0) == np.count_nonzero(y > 0) > 0
     H = np.diag(np.r_[np.ones(20), 0.0]) + 2e3 * (K.T @ K)
     np.testing.assert_allclose(prob.hess(x), H, rtol=1e-13, atol=0.0)
-    _assert_applies(prob, x, H)
+    others = _box_points(prob, 23, 4)
+    _assert_applies(prob, [x] + others, [H] + [prob.hess(z) for z in others])
 
     # partial_smooth_2d's one row x0 >= 0 sits on the hinge at x0 = 0
     prob = partial_smooth_2d()
     x = np.array([0.0, 0.7])
     H = np.diag([4.0, 2.0])
     np.testing.assert_array_equal(prob.hess(x), H)
-    _assert_applies(prob, x, H)
+    others = [np.array([-0.5, 0.3]), np.array([0.5, -1.0]),
+              np.array([-1e-300, 0.0]), np.array([1.5, 2.0])]
+    _assert_applies(prob, [x] + others,
+                    [H] + [np.diag([2.0 + 2.0 * (z[0] >= 0.0), 2.0])
+                           for z in others])
 
 
 @pytest.mark.parametrize("build", list(HOOKED.values()), ids=list(HOOKED))

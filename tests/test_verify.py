@@ -19,7 +19,7 @@ from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic,
                            rank_deficient_ls, rosenbrock, svm_data,
                            svm_problem)
 from leapssn.suite.registry import broken_gradient_problem
-from leapssn.verify import assumption2_sample
+from leapssn.verify import _sample_groups, assumption2_sample
 
 
 def test_grad_check_accepts_exact_gradients():
@@ -52,7 +52,22 @@ def test_hess_symmetry_flags_a_wrong_hess_apply(build):
     assert hess_symmetry_check(prob, pts) <= HESS_SYM_TOL
     hook = prob.hess_apply
     bad = dataclasses.replace(
-        prob, hess_apply=lambda x, V: (1.0 + 1e-6) * hook(x, V))
+        prob, hess_apply=lambda X, V: (1.0 + 1e-6) * hook(X, V))
+    assert hess_symmetry_check(bad, pts) > HESS_SYM_TOL
+
+
+def _first_base_hook(hook):
+    """A wrong hess_apply that takes column 0's base point for every
+    column of its block."""
+    return lambda X, V: hook(np.repeat(X[:, :1], V.shape[1], axis=1), V)
+
+
+def test_hess_symmetry_flags_a_hess_apply_that_ignores_column_bases():
+    # one hess_apply block spans the 4 points, whose active sets differ
+    prob = _svm()
+    pts = sample_points(prob, 4)
+    bad = dataclasses.replace(prob,
+                              hess_apply=_first_base_hook(prob.hess_apply))
     assert hess_symmetry_check(bad, pts) > HESS_SYM_TOL
 
 
@@ -127,8 +142,10 @@ HOOKS = ("f_value", "f_values", "f_grad", "f_grads", "hess", "hess_apply")
 
 def _counted(problem):
     """The problem with the callables named in HOOKS (when present)
-    wrapped to count their calls."""
+    wrapped to count their calls, and the blocks two block hooks were
+    given: the points X of f_grads, the pair (X, V) of hess_apply."""
     counts = dict.fromkeys(HOOKS, 0)
+    blocks = {"f_grads": [], "hess_apply": []}
 
     def counting(name):
         fn = getattr(problem, name)
@@ -137,28 +154,47 @@ def _counted(problem):
 
         def wrapped(*args):
             counts[name] += 1
+            if name in blocks:
+                blocks[name].append(args if len(args) > 1 else args[0])
             return fn(*args)
         return wrapped
 
-    return dataclasses.replace(problem, **{name: counting(name)
-                                           for name in counts}), counts
+    counted = dataclasses.replace(problem, **{name: counting(name)
+                                              for name in counts})
+    return counted, counts, blocks
 
 
 def test_each_point_is_evaluated_once():
-    # 40 box base points with 2 partners, 10 near-kink ones with 6; each
-    # base point's sample is one f_grads block and H(x) is evaluated once,
-    # by the hooks when the problem has them
+    # 40 box base points with 2 partners, 10 near-kink ones with 6: 190
+    # points and 140 directions.  With the hooks the points go through
+    # f_grads and the directions through hess_apply in blocks of at most
+    # 50 columns that span base points, each point and each direction in
+    # exactly one column; without them f' is one f_grad call per point
+    # and H(x) is formed once per base point
     plain = dataclasses.replace(partial_smooth_2d(), hess_apply=None,
                                 f_values=None, f_grads=None)
     for problem, tol in ((partial_smooth_2d(), 1e-10), (plain, 1e-10),
                          (_svm(), 1e-6)):
-        prob, counts = _counted(problem)
+        prob, counts, blocks = _counted(problem)
         assumption2_sample(prob)
         hooked = problem.f_grads is not None
-        assert counts["f_grads"] == (50 if hooked else 0)
-        assert counts["f_grad"] == (0 if hooked else 190)
-        assert counts["hess"] + counts["hess_apply"] == 50
-        assert counts["hess"] == (50 if problem.hess_apply is None else 0)
+        if hooked:
+            groups = list(_sample_groups(problem))
+            assert [X.shape[1] for X in blocks["f_grads"]] == [50, 50, 50, 40]
+            np.testing.assert_array_equal(
+                np.hstack(blocks["f_grads"]),
+                np.column_stack([p for g in groups for p in g]))
+            X, V = zip(*blocks["hess_apply"])
+            assert [b.shape[1] for b in V] == [50, 50, 40]
+            X, V = np.hstack(X), np.hstack(V)
+            np.testing.assert_array_equal(
+                X, np.column_stack([x for x, *ys in groups for _ in ys]))
+            np.testing.assert_array_equal(
+                V, np.column_stack([y - x for x, *ys in groups for y in ys]))
+            assert counts["f_grad"] == counts["hess"] == 0
+        else:
+            assert counts["f_grads"] == counts["hess_apply"] == 0
+            assert (counts["f_grad"], counts["hess"]) == (190, 50)
 
         # grad_check: x + step d and x - step d as two f_values blocks per
         # base point (dim <= 50 directions each), and one more block and
@@ -170,13 +206,25 @@ def test_each_point_is_evaluated_once():
         else:
             assert (counts["f_values"], counts["f_value"]) == (0, 16)
 
+        # audit_trace: f_grad once per iterate; H at the first iterate of
+        # each of its pairs, by hess_apply in blocks of at most 50 pairs
         res = leap_ssn(problem, grad_tol=tol)
         assert res.status == "converged"
+        pairs = len(res.trace.records)
         counts.update(dict.fromkeys(HOOKS, 0))
+        blocks["hess_apply"].clear()
         audit_trace(res.trace, prob)
-        assert counts["f_grad"] == len(res.trace.records) + 1
+        assert counts["f_grad"] == pairs + 1
         assert counts["f_grads"] == 0
-        assert counts["hess"] + counts["hess_apply"] == len(res.trace.records)
+        if hooked:
+            widths = [V.shape[1] for _, V in blocks["hess_apply"]]
+            assert sum(widths) == pairs and max(widths) <= 50
+            assert len(widths) == -(-pairs // 50) and counts["hess"] == 0
+            xs = np.column_stack([res.trace.x0] + res.trace.iterates[:-1])
+            np.testing.assert_array_equal(
+                np.hstack([X for X, _ in blocks["hess_apply"]]), xs)
+        else:
+            assert (counts["hess"], counts["hess_apply"]) == (pairs, 0)
 
 
 def test_hess_apply_leaves_the_model_error_constant():
