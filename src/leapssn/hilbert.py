@@ -20,8 +20,12 @@ operator singular to working precision at any scale, whichever side of zero
 rounding leaves that pivot, and a negative one shows it indefinite.  Every
 solve, dense or sparse, also keeps a check on the returned solution: its
 normwise backward error must be at most ``RESIDUAL_TOL`` (see
-:func:`_checked`).  An uncertifiable trial solve returns ``None`` so the
-caller can treat the step as non-computable.  One routine,
+:func:`_checked`).  The solve of a factor (a metric's, say, but not a
+shifted sparse rung's, see below) also takes a dim x k block of
+right-hand sides, which SuperLU and ``cho_solve`` solve in one call; the
+check then holds each column to that bound, and the block is certified
+only when every column is.  An uncertifiable trial solve returns ``None``
+so the caller can treat the step as non-computable.  One routine,
 :func:`_certified_factor`, factors and certifies every operator.
 
 Escalated rungs: the shifts ``H + lambda R`` of one sparse ``H``, of any
@@ -45,8 +49,9 @@ operators factor every rung, since Cholesky is cheap at their sizes.
 
 A problem's inner product ``<x, y>_R = <Rx, y>`` is carried by a
 :class:`Metric`, an operator that owns the Riesz solves ``R^{-1} g`` behind
-dual norms.  A broken metric raises :class:`NumericalError` (the metric is
-part of the problem contract and must be SPD).
+dual norms, one vector or a block of columns at a time.  A broken metric
+raises :class:`NumericalError` (the metric is part of the problem contract
+and must be SPD).
 """
 
 from __future__ import annotations
@@ -161,7 +166,8 @@ def _norm_floor(A):
 
 def _checked(A, anorm, x, rhs):
     """``x`` when it is finite and its normwise backward error as a solution
-    of ``A x = rhs`` is at most ``RESIDUAL_TOL``.
+    of ``A x = rhs`` is at most ``RESIDUAL_TOL``; for a dim x k block
+    ``rhs``, when every column of ``x`` passes as a solution for its column.
 
     The Rigal-Gaches backward error ``||A x - rhs|| / (||A|| ||x|| +
     ||rhs||)`` is the smallest relative perturbation of ``A`` and ``rhs``
@@ -170,9 +176,14 @@ def _checked(A, anorm, x, rhs):
     """
     if x is None or not np.all(np.isfinite(x)):
         return None
-    res = float(np.linalg.norm(A @ x - rhs))
-    scale = anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs))
-    return x if np.isfinite(res) and res <= RESIDUAL_TOL * scale else None
+    axis = 0 if x.ndim == 2 else None    # column norms of a block
+    r = A @ x
+    r -= rhs
+    res = np.linalg.norm(r, axis=axis)
+    scale = (anorm * np.linalg.norm(x, axis=axis)
+             + np.linalg.norm(rhs, axis=axis))
+    return (x if np.all(np.isfinite(res) & (res <= RESIDUAL_TOL * scale))
+            else None)
 
 
 def _rung_solver(A, H, lam, R):
@@ -335,7 +346,9 @@ class Metric(Operator):
         return float(np.sqrt(max(0.0, self.inner(x, x))))
 
     def solve(self, g):
-        """R^{-1} g with a cached factorization; raises on a broken metric."""
+        """R^{-1} g with a cached factorization, for a vector g or a dim x k
+        block of them; raises on a broken metric, or when any column's
+        solve fails certification."""
         solve = self.solver()
         x = None if solve is None else solve(g)
         if x is None:

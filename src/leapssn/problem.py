@@ -49,8 +49,10 @@ class Problem:
     ``hess``.  Directions that share a base point pass it once per
     column.  Like ``f_decrease`` it is a performance hook: the
     verification harness applies it to blocks of directions that span
-    base points where forming a dense H per base would cost more than the
-    products, and the solver never calls it.
+    base points, where forming H per base point (a dense H, or a sparse
+    one through scipy's sum and ``diags``) would cost more than the
+    products, and the solver never calls it.  Every penalised quadratic
+    has it, with dense or sparse rows.
     ``verify.hess_symmetry_check`` compares it with ``hess``.
 
     ``f_values(X)`` and ``f_grads(X)`` optionally evaluate f and f' at

@@ -16,20 +16,26 @@ the diagonal ``diag((K o K)' chi)``; with a dense K it is ``Ka' Ka`` over
 the active rows ``Ka``, and H is dense.  A dense K with no rows is a
 plain quadratic (``quadratic``).
 
-A dense K also gets the ``hess_apply`` hook, whose column j is
-``H(x_j) v_j = Q v_j + c K' (chi_j o K v_j)`` for a block of base points
-x_j and directions v_j: one product of K with the block [X V] gives every
-column's K x_j and K v_j, and one more applies K', so a block costs two
-passes over K whatever its bases, where forming H costs O(l n^2) per base
-for l rows and n unknowns.  The block hooks ``f_values``/``f_grads``
+Both forms get the ``hess_apply`` hook, whose column j is ``H(x_j) v_j``
+for a block of base points x_j and directions v_j, so that the
+verification harness forms no H per base point.  With a dense K it is
+``Q v_j + c K' (chi_j o K v_j)``: one product of K with the block [X V]
+gives every column's K x_j and K v_j, and one more applies K', so a block
+costs two passes over K whatever its bases, where forming H costs
+O(l n^2) per base for l rows and n unknowns.  With a sparse K it is
+``Q v_j + c ((K o K)' chi_j) o v_j``: three sparse products for the whole
+block, where ``hess`` pays a scipy sparse sum and ``diags`` for each base
+point, several times the cost of a column of the block.
+
+A dense K also gets the block hooks ``f_values``/``f_grads``, which
 evaluate f and f' at a block of points from one product of K with the
 block.  Each value's totals are still contiguous dot products, one per
 point, as in ``f_value``: a column-wise reduction over the block rounds
 worse, and the finite differences of ``verify.grad_check`` divide that
-rounding by their step.  A sparse K gets no hooks: its H is Q plus a
-diagonal, formed in O(nnz) and applied at the same cost as the hook would
-be, and its per-point products cost O(nnz) too, so a block would save
-little while its temporaries raised the peak memory of the large meshes.
+rounding by their step.  A sparse K does not: its per-point f and f'
+already cost O(nnz), and block versions of them saved at most 0.02 s per
+benchmark job while their temporaries raised the peak memory of the
+large meshes.
 """
 
 from __future__ import annotations
@@ -56,7 +62,22 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
             chi = ((K @ x - r) >= 0.0).astype(float)
             return (Q + c * sp.diags(KKt @ chi)).tocsr()
 
-        hess_apply = f_values = f_grads = None
+        r_col = np.reshape(r, (-1, 1))
+
+        def hess_apply(X, V):
+            # column j is Q v_j + c ((K o K)' chi_j) o v_j: three sparse
+            # products for the block, and no H formed; chi is made in
+            # place over K X - r, and the diagonal term over (K o K)' chi
+            chi = K @ X
+            chi -= r_col
+            np.greater_equal(chi, 0.0, out=chi)
+            D = KKt @ chi
+            D *= c
+            D *= V
+            D += Q @ V
+            return D
+
+        f_values = f_grads = None
     else:
         # f, f' and f_decrease take Q as given (the SVM's diagonal stays
         # sparse); H is dense here, so hess and hess_apply densify it

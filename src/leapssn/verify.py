@@ -21,15 +21,21 @@ Three layers:
   satisfies (step length vs subgradient norm, and lambda-sensitivity) as
   (lhs, rhs) pairs for property tests.
 
-Each point is evaluated once.  Where the problem has the block hooks
-(``hess_apply``, ``f_values``, ``f_grads``), the model errors of
+Each point is evaluated once.  The model errors of
 ``assumption2_sample`` and of ``audit_trace``'s iterate pairs are
-evaluated in blocks of at most ``GRAD_DIRECTIONS`` columns that span
-base points: one ``f_grads`` call per block of sample points and one
-``hess_apply`` call per block of directions, each column with its own
-base point.  Without the hooks each base point is its own block, so a
-large sparse problem holds one base point's sample at a time: H(x) is
-formed once per base point and f' is one ``f_grad`` call per point.
+evaluated in blocks that span base points.  Where the problem has all
+three block hooks (``hess_apply``, ``f_values``, ``f_grads``; dense
+rows), the blocks have at most ``GRAD_DIRECTIONS`` columns: one
+``f_grads`` call per block of sample points and one ``hess_apply`` call
+per block of directions, each column with its own base point.  Without
+``f_grads`` (sparse rows, and problems with no hooks) a block holds whole
+base points, or iterate pairs, and at most ``BLOCK_DIRECTIONS``
+directions, so a large sparse problem holds a bounded block at a time:
+f' is one ``f_grad`` call per point, and H(x) d goes through
+``hess_apply`` when the problem has it, else H(x) is formed once per base
+point.  Every dual norm ``||.||_*`` of a block, and those of
+``audit_trace``'s stored gradients, come from one ``Metric.solve`` per
+block of at most as many columns.
 ``grad_check`` evaluates a base point's shifted points x + step d and
 x - step d as two ``f_values`` blocks (else one ``f_value`` call each).
 ``audit_trace`` evaluates f' once per iterate, by ``f_grad``, for its
@@ -63,6 +69,7 @@ L_INFLATION = 1.05  # sampled model-error constants may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
 GRAD_DIRECTIONS = 50  # random directions beyond, and columns per hook block
+BLOCK_DIRECTIONS = 8  # directions per model-error block without f_grads
 HOOK_WEIGHT = 1e4   # scale of a block hook's mismatch in grad_check
 BOX_RADIUS = 2.0    # half-width of the sampling box when none is declared
 SAMPLE_SEED = 0x5EEDB0C5
@@ -93,11 +100,11 @@ def sample_points(problem: Problem, count: int) -> list:
     return [lo + (hi - lo) * rng.uniforms(problem.dim) for _ in range(count)]
 
 
-def _blocks(cols):
-    """The vectors ``cols`` as dim x k blocks of at most
-    ``GRAD_DIRECTIONS`` columns."""
-    return (np.column_stack(cols[j:j + GRAD_DIRECTIONS])
-            for j in range(0, len(cols), GRAD_DIRECTIONS))
+def _blocks(cols, width=GRAD_DIRECTIONS):
+    """The vectors ``cols`` as dim x k blocks of at most ``width``
+    columns."""
+    return (np.column_stack(cols[j:j + width])
+            for j in range(0, len(cols), width))
 
 
 def _values(problem: Problem, pts) -> list:
@@ -185,10 +192,11 @@ def grad_check(problem: Problem, points) -> float:
 def hess_symmetry_check(problem: Problem, points) -> float:
     """Max relative asymmetry |<Hu,v> - <Hv,u>| over random probe pairs.
 
-    When the problem has a ``hess_apply`` hook, it is applied to one block
-    of every point's probes u, each column with its own base point, and
-    each point's relative mismatch ||hess_apply - H U|| / max(1, ||H U||)
-    on its block U of probes is folded in, so a hook that disagrees with
+    When the problem has a ``hess_apply`` hook, it is applied to every
+    point's probes u in blocks that span the points (see
+    ``_hess_products``), each column with its own base point, and each
+    point's relative mismatch ||hess_apply - H U|| / max(1, ||H U||) on
+    its block U of probes is folded in, so a hook that disagrees with
     ``hess``, or applies one column's base point to another's, fails the
     check."""
     rng = SplitMix64(SYMMETRY_SEED)
@@ -217,12 +225,19 @@ def hess_symmetry_check(problem: Problem, points) -> float:
     return worst
 
 
+def _width(problem: Problem) -> int:
+    """Columns per block of hook calls and metric solves:
+    ``GRAD_DIRECTIONS`` with the ``f_grads`` hook (dense rows), else
+    ``BLOCK_DIRECTIONS``, which bounds what a large mesh holds."""
+    return GRAD_DIRECTIONS if problem.f_grads is not None else BLOCK_DIRECTIONS
+
+
 def _hess_products(problem: Problem, bases, dirs) -> list:
     """H(x) d for each base point x of ``bases`` and direction d of
     ``dirs``, as contiguous vectors: one ``hess_apply`` call per block of
-    at most ``GRAD_DIRECTIONS`` pairs, whatever their base points, when
-    the problem has the hook, else ``hess(x)`` formed once per run of
-    pairs whose base is the same array object and applied to each d."""
+    at most ``_width`` pairs, whatever their base points, when the
+    problem has the hook, else ``hess(x)`` formed once per run of pairs
+    whose base is the same array object and applied to each d."""
     if problem.hess_apply is None:
         out, last = [], None
         for x, d in zip(bases, dirs):
@@ -230,9 +245,20 @@ def _hess_products(problem: Problem, bases, dirs) -> list:
                 H, last = problem.hess(x), x
             out.append(H @ d)
         return out
+    width = _width(problem)
     return [np.ascontiguousarray(h)
-            for X, D in zip(_blocks(bases), _blocks(dirs))
+            for X, D in zip(_blocks(bases, width), _blocks(dirs, width))
             for h in np.asarray(problem.hess_apply(X, D)).T]
+
+
+def _squared_dual_norms(problem: Problem, vecs) -> list:
+    """``<g, R^{-1} g>`` for each vector g of ``vecs``: one ``Metric.solve``
+    per block of at most ``_width`` columns."""
+    out = []
+    for G in _blocks(vecs, _width(problem)):
+        S = problem.metric.solve(G)
+        out += [float(g @ s) for g, s in zip(G.T, S.T)]
+    return out
 
 
 def _model_error(problem: Problem, pairs) -> float:
@@ -248,23 +274,36 @@ def _model_error(problem: Problem, pairs) -> float:
         if np.isfinite(nd) and nd > 1e-14:
             kept.append((x, d, nd, g_y - g_x))
     Hds = _hess_products(problem, [k[0] for k in kept], [k[1] for k in kept])
+    errs = _squared_dual_norms(problem,
+                               [k[3] - Hd for k, Hd in zip(kept, Hds)])
     best = 0.0
-    for (_, _, nd, dg), Hd in zip(kept, Hds):
-        r = problem.metric.dual_norm(dg - Hd) / nd
+    for (_, _, nd, _), e2 in zip(kept, errs):
+        r = math.sqrt(max(0.0, e2)) / nd
         if np.isfinite(r):
             best = max(best, r)
     return best
 
 
-def _model_error_blocks(problem: Problem, items):
+def _model_error_blocks(problem: Problem, items, width=lambda item: 1):
     """The blocks ``_model_error`` takes ``items`` (a base point's sample,
-    or an iterate pair, each) in: all items as one block when the problem
-    has the block hooks, which evaluate it in blocks of at most
-    ``GRAD_DIRECTIONS`` columns that span base points; else one block per
-    item, so that a large sparse problem holds one item at a time."""
-    if problem.hess_apply is not None or problem.f_grads is not None:
-        return [list(items)]
-    return ([item] for item in items)
+    or an iterate pair, each ``width(item)`` directions) in.  With the
+    ``f_grads`` hook (dense rows) all items are one block, which the
+    hooks evaluate in blocks of at most ``GRAD_DIRECTIONS`` columns.
+    Without it each block holds whole items and at most
+    ``BLOCK_DIRECTIONS`` directions (or one item), so that a large sparse
+    problem holds a bounded block of points and gradients at a time."""
+    if problem.f_grads is not None:
+        yield list(items)
+        return
+    block, cols = [], 0
+    for item in items:
+        if block and cols + width(item) > BLOCK_DIRECTIONS:
+            yield block
+            block, cols = [], 0
+        block.append(item)
+        cols += width(item)
+    if block:
+        yield block
 
 
 def _sample_groups(problem: Problem):
@@ -300,7 +339,8 @@ def assumption2_sample(problem: Problem) -> float:
     which realise the worst per-component curvature jumps.
     """
     best = 0.0
-    for block in _model_error_blocks(problem, _sample_groups(problem)):
+    groups = _sample_groups(problem)
+    for block in _model_error_blocks(problem, groups, lambda g: len(g) - 1):
         grads = iter(_grads(problem, [p for group in block for p in group]))
         pairs = []
         for x, *partners in block:
@@ -411,15 +451,15 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
 
     # (g) acceptance inequalities re-evaluated from stored iterates
     F_vals = [trace.F0] + [r.F for r in recs]
+    gpn2s = _squared_dual_norms(problem, trace.grads[:len(recs)])
     rng = SplitMix64(0xACCE9700)
     lo, hi = _sample_bounds(problem)
     for i, r in enumerate(recs):
         x_prev, x_next = xs[i], xs[i + 1]
         g_next = trace.grads[i]
         d = x_next - x_prev
-        gpn2 = float(g_next @ problem.metric.solve(g_next))
         lhs1 = float(g_next @ (-d))
-        rhs1 = (alpha / r.lam) * gpn2
+        rhs1 = (alpha / r.lam) * gpn2s[i]
         if lhs1 < rhs1 - SLACK * max(1.0, abs(rhs1)):
             violations.append((r.k, "acceptance_gradient", lhs1, rhs1))
         dec = F_vals[i] - F_vals[i + 1]

@@ -202,6 +202,48 @@ def test_a_wrong_dense_solve_is_refused(monkeypatch):
     assert solve_posdef(A, b) is None
 
 
+@pytest.mark.parametrize("kind", ["identity", "dense", "sparse"])
+def test_a_block_metric_solve_matches_its_column_solves(kind):
+    n, k = 40, 5
+    metric = Metric(R_FORMS[kind](_banded_spd(n, 3.0)))
+    G = (np.random.default_rng(6).standard_normal((n, k))
+         * np.logspace(-3, 3, k))
+    X = metric.solve(G)
+    assert X.shape == (n, k)
+    for j in range(k):
+        x = metric.solve(G[:, j])
+        assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+    if kind != "identity":      # the identity metric has no solve to certify
+        for bad in (np.nan, np.inf):
+            B = G.copy()
+            B[7, 3] = bad
+            with pytest.raises(NumericalError):
+                metric.solve(B)
+
+
+def test_a_block_solve_is_certified_column_by_column(monkeypatch):
+    # a wrong small column hides in the block's Frobenius-norm residual,
+    # but not in its own backward error
+    R = _banded_spd(40, 3.0).toarray()
+    G = np.column_stack([1e8 * np.ones(40), np.ones(40)])
+    metric = Metric(R)
+    assert metric.solve(G).shape == G.shape
+    cho_solve = hilbert.sla.cho_solve
+
+    def wrong_last_column(*args, **kw):
+        x = np.array(cho_solve(*args, **kw))
+        x[:, -1] += 1e-3
+        return x
+    monkeypatch.setattr(hilbert.sla, "cho_solve", wrong_last_column)
+    X = cho_solve(hilbert.sla.cho_factor(R), G)
+    X[:, -1] += 1e-3
+    blockwise = (np.linalg.norm(R @ X - G) / (hilbert._norm_floor(R)
+                 * np.linalg.norm(X) + np.linalg.norm(G)))
+    assert blockwise <= hilbert.RESIDUAL_TOL
+    with pytest.raises(NumericalError):
+        metric.solve(G)
+
+
 def _jacobi(A):
     d = np.diag(A).copy()
     return lambda r: r / d

@@ -365,7 +365,8 @@ def test_quadratic_f_decrease_matches_the_exact_decrease():
             assert abs(prob.f_decrease(x, y) - exact) <= 8 * ulp
 
 
-# the problems whose penalty rows K are dense, and so carry hess_apply
+# the problems whose penalty rows K are dense, and so carry all three
+# block hooks (sparse rows carry hess_apply only)
 HOOKED = {
     "svm": lambda: svm_problem(*svm_data(300, 20, 1), 1e3),
     "partial_smooth_2d": partial_smooth_2d,
@@ -454,9 +455,14 @@ def test_block_hooks_match_pointwise(build):
     assert composite.f_grads is prob.f_grads
 
 
-def test_sparse_penalty_rows_have_no_block_hooks():
+def test_sparse_penalty_rows_have_hess_apply_and_no_f_hooks():
+    # five box points whose active sets differ, so each column of a block
+    # needs its own base point's diagonal term
     for prob in (membrane_problem(9, 1e4), plate_problem(9, 1e4), _small_tv()):
-        assert prob.hess_apply is None
+        bases = _box_points(prob, 13, 5)
+        hessians = [prob.hess(x) for x in bases]
+        assert len({H.diagonal().tobytes() for H in hessians}) == len(bases)
+        _assert_applies(prob, bases, hessians)
         assert prob.f_values is None and prob.f_grads is None
 
 

@@ -15,11 +15,12 @@ from leapssn import (audit_trace, dm_condition_sample, grad_check,
                      superlinear_check)
 from leapssn.driver import Record, Trace
 from leapssn.cli import GRAD_CHECK_TOL, HESS_SYM_TOL
-from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic,
-                           rank_deficient_ls, rosenbrock, svm_data,
+from leapssn.suite import (SplitMix64, partial_smooth_2d, plate_problem,
+                           quadratic, rank_deficient_ls, rosenbrock, svm_data,
                            svm_problem)
 from leapssn.suite.registry import broken_gradient_problem
-from leapssn.verify import _sample_groups, assumption2_sample
+from leapssn.verify import (BLOCK_DIRECTIONS, _sample_groups,
+                            assumption2_sample)
 
 
 def test_grad_check_accepts_exact_gradients():
@@ -44,8 +45,13 @@ def _svm():
     return svm_problem(*svm_data(300, 20, 0), 1e3)
 
 
-@pytest.mark.parametrize("build", [partial_smooth_2d, _svm],
-                         ids=["partial_smooth_2d", "svm"])
+def _plate():
+    # sparse penalty rows: hess_apply without f_values/f_grads
+    return plate_problem(9, 1e4)
+
+
+@pytest.mark.parametrize("build", [partial_smooth_2d, _svm, _plate],
+                         ids=["partial_smooth_2d", "svm", "plate"])
 def test_hess_symmetry_flags_a_wrong_hess_apply(build):
     prob = build()
     pts = sample_points(prob, 4)
@@ -63,12 +69,15 @@ def _first_base_hook(hook):
 
 
 def test_hess_symmetry_flags_a_hess_apply_that_ignores_column_bases():
-    # one hess_apply block spans the 4 points, whose active sets differ
-    prob = _svm()
-    pts = sample_points(prob, 4)
-    bad = dataclasses.replace(prob,
-                              hess_apply=_first_base_hook(prob.hess_apply))
-    assert hess_symmetry_check(bad, pts) > HESS_SYM_TOL
+    # the hess_apply blocks span the 4 points, whose active sets differ,
+    # on dense penalty rows (svm: one block) and on sparse ones (plate:
+    # blocks of BLOCK_DIRECTIONS probes, each spanning two or three)
+    for prob in (_svm(), _plate()):
+        pts = sample_points(prob, 4)
+        assert hess_symmetry_check(prob, pts) <= HESS_SYM_TOL
+        bad = dataclasses.replace(
+            prob, hess_apply=_first_base_hook(prob.hess_apply))
+        assert hess_symmetry_check(bad, pts) > HESS_SYM_TOL
 
 
 @pytest.mark.parametrize("hook", ["f_values", "f_grads"])
@@ -166,48 +175,66 @@ def _counted(problem):
 
 def test_each_point_is_evaluated_once():
     # 40 box base points with 2 partners, 10 near-kink ones with 6: 190
-    # points and 140 directions.  With the hooks the points go through
-    # f_grads and the directions through hess_apply in blocks of at most
-    # 50 columns that span base points, each point and each direction in
-    # exactly one column; without them f' is one f_grad call per point
-    # and H(x) is formed once per base point
+    # points and 140 directions.  With all three hooks (dense rows) the
+    # points go through f_grads and the directions through hess_apply in
+    # blocks of at most 50 columns that span base points.  With hess_apply
+    # alone (sparse rows) f' is one f_grad call per point and the
+    # directions go through hess_apply in blocks of whole base points of
+    # at most BLOCK_DIRECTIONS columns.  Either way each point and each
+    # direction sits in exactly one column, and no H is formed; without
+    # hooks f' is one f_grad call per point and H(x) is formed once per
+    # base point
     plain = dataclasses.replace(partial_smooth_2d(), hess_apply=None,
                                 f_values=None, f_grads=None)
     for problem, tol in ((partial_smooth_2d(), 1e-10), (plain, 1e-10),
-                         (_svm(), 1e-6)):
+                         (_svm(), 1e-6), (_plate(), 1e-8)):
         prob, counts, blocks = _counted(problem)
         assumption2_sample(prob)
         hooked = problem.f_grads is not None
+        applied = problem.hess_apply is not None
+        groups = list(_sample_groups(problem))
         if hooked:
-            groups = list(_sample_groups(problem))
             assert [X.shape[1] for X in blocks["f_grads"]] == [50, 50, 50, 40]
             np.testing.assert_array_equal(
                 np.hstack(blocks["f_grads"]),
                 np.column_stack([p for g in groups for p in g]))
+            assert counts["f_grad"] == 0
+        else:
+            assert counts["f_grads"] == 0 and counts["f_grad"] == 190
+        if applied:
             X, V = zip(*blocks["hess_apply"])
-            assert [b.shape[1] for b in V] == [50, 50, 40]
+            widths = [b.shape[1] for b in V]
+            if hooked:
+                assert widths == [50, 50, 40]
+            else:
+                # whole base points: 4 box points (8 directions) or one
+                # near-kink point (6) per block
+                assert widths == [8] * 10 + [6] * 10
+                assert max(widths) <= BLOCK_DIRECTIONS
             X, V = np.hstack(X), np.hstack(V)
             np.testing.assert_array_equal(
                 X, np.column_stack([x for x, *ys in groups for _ in ys]))
             np.testing.assert_array_equal(
                 V, np.column_stack([y - x for x, *ys in groups for y in ys]))
-            assert counts["f_grad"] == counts["hess"] == 0
+            assert counts["hess"] == 0
         else:
-            assert counts["f_grads"] == counts["hess_apply"] == 0
-            assert (counts["f_grad"], counts["hess"]) == (190, 50)
+            assert counts["hess_apply"] == 0 and counts["hess"] == 50
 
         # grad_check: x + step d and x - step d as two f_values blocks per
         # base point (dim <= 50 directions each), and one more block and
         # one f_value per point to check the hook; else f_value per point
+        # and coordinate direction
         counts.update(dict.fromkeys(HOOKS, 0))
         grad_check(prob, sample_points(prob, 4))
         if hooked:
             assert (counts["f_values"], counts["f_value"]) == (9, 4)
         else:
-            assert (counts["f_values"], counts["f_value"]) == (0, 16)
+            assert counts["f_values"] == 0
+            assert counts["f_value"] == 4 * 2 * problem.dim
 
         # audit_trace: f_grad once per iterate; H at the first iterate of
         # each of its pairs, by hess_apply in blocks of at most 50 pairs
+        # (BLOCK_DIRECTIONS without f_grads)
         res = leap_ssn(problem, grad_tol=tol)
         assert res.status == "converged"
         pairs = len(res.trace.records)
@@ -216,13 +243,17 @@ def test_each_point_is_evaluated_once():
         audit_trace(res.trace, prob)
         assert counts["f_grad"] == pairs + 1
         assert counts["f_grads"] == 0
-        if hooked:
+        if applied:
+            width = 50 if hooked else BLOCK_DIRECTIONS
             widths = [V.shape[1] for _, V in blocks["hess_apply"]]
-            assert sum(widths) == pairs and max(widths) <= 50
-            assert len(widths) == -(-pairs // 50) and counts["hess"] == 0
+            assert sum(widths) == pairs and max(widths) <= width
+            assert len(widths) == -(-pairs // width) and counts["hess"] == 0
             xs = np.column_stack([res.trace.x0] + res.trace.iterates[:-1])
             np.testing.assert_array_equal(
                 np.hstack([X for X, _ in blocks["hess_apply"]]), xs)
+            np.testing.assert_array_equal(
+                np.hstack([V for _, V in blocks["hess_apply"]]),
+                np.diff(np.column_stack([res.trace.x0] + res.trace.iterates)))
         else:
             assert (counts["hess"], counts["hess_apply"]) == (pairs, 0)
 
