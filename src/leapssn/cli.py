@@ -265,8 +265,10 @@ def cmd_compare(ns) -> int:
     sizes = [settings["n"]] if ns.n is None else ns.n
     if not sizes:
         raise ValueError("compare needs a nonempty --n list")
-    solvers = [s.strip() for s in (ns.solvers or "leapssn,plain").split(",")
-               if s.strip()]
+    listed = "leapssn,plain" if ns.solvers is None else ns.solvers
+    solvers = [s.strip() for s in listed.split(",") if s.strip()]
+    if not solvers:
+        raise ValueError("compare needs a nonempty --solvers list")
     _check_solvers(solvers)
     budget = settings["budget"] or 300
 

@@ -47,23 +47,23 @@ class Problem:
     column j is ``hess(X[:, j]) @ V[:, j]``, without forming any
     ``hess``, with the same selection of the generalized derivative as
     ``hess``.  Directions that share a base point pass it once per
-    column.  Like ``f_decrease`` it is a performance hook: the
-    verification harness applies it to blocks of directions that span
-    base points, where forming H per base point (a dense H, or a sparse
-    one through scipy's sum and ``diags``) would cost more than the
-    products, and the solver never calls it.  Every penalised quadratic
-    has it, with dense or sparse rows.
-    ``verify.hess_symmetry_check`` compares it with ``hess``.
+    column.  Like ``f_decrease`` it is a performance hook, which the
+    solver never calls: the verification harness applies it to each block
+    of directions, whatever their base points, where it would otherwise
+    form ``hess(x)`` for each direction.  Every penalised quadratic has
+    it, with dense or sparse rows.  ``verify.hess_symmetry_check``
+    compares it with ``hess``.
 
     ``f_values(X)`` and ``f_grads(X)`` optionally evaluate f and f' at
     each column of a dim x k block ``X``, returning the k values and a
     dim x k block of gradients.  They are audit-only performance hooks
     too: the verification harness evaluates its sample points through
-    them in blocks, and ``verify.grad_check`` compares them with
-    ``f_value`` and ``f_grad``.  They need not round as the
-    per-point calls do, so the solver and ``audit_trace``, which compares
-    f' with the solver's own stored gradients bit for bit, never call
-    them.
+    them, and ``verify.grad_check`` compares them with ``f_value`` and
+    ``f_grad``.  They need not round as the per-point calls do, so the
+    solver and ``audit_trace``, which compares f' with the solver's own
+    stored gradients bit for bit, never call them.  Every block the
+    harness evaluates has up to 50 columns on a problem with ``f_grads``,
+    else 8.
     """
 
     dim: int

@@ -21,23 +21,19 @@ Three layers:
   satisfies (step length vs subgradient norm, and lambda-sensitivity) as
   (lhs, rhs) pairs for property tests.
 
-Each point is evaluated once.  The model errors of
-``assumption2_sample`` and of ``audit_trace``'s iterate pairs are
-evaluated in blocks that span base points.  Where the problem has all
-three block hooks (``hess_apply``, ``f_values``, ``f_grads``; dense
-rows), the blocks have at most ``GRAD_DIRECTIONS`` columns: one
-``f_grads`` call per block of sample points and one ``hess_apply`` call
-per block of directions, each column with its own base point.  Without
-``f_grads`` (sparse rows, and problems with no hooks) a block holds whole
-base points, or iterate pairs, and at most ``BLOCK_DIRECTIONS``
-directions, so a large sparse problem holds a bounded block at a time:
-f' is one ``f_grad`` call per point, and H(x) d goes through
-``hess_apply`` when the problem has it, else H(x) is formed once per base
-point.  Every dual norm ``||.||_*`` of a block, and those of
-``audit_trace``'s stored gradients, come from one ``Metric.solve`` per
-block of at most as many columns.
-``grad_check`` evaluates a base point's shifted points x + step d and
-x - step d as two ``f_values`` blocks (else one ``f_value`` call each).
+Each point is evaluated once, and all evaluation takes one path
+(``_columns``): a list of columns goes through a block hook
+(``f_values``, ``f_grads``, ``hess_apply``, or ``Metric.solve`` for the
+dual norms ``||.||_*``) in dim x k blocks of at most ``_width`` columns,
+each column with its own base point, or, when the problem lacks the
+hook, through ``f_value``, ``f_grad`` or ``hess(x) @ d`` column by
+column.  ``_width`` is ``GRAD_DIRECTIONS`` with the ``f_grads`` hook
+(dense rows), else ``BLOCK_DIRECTIONS``, which bounds what a large mesh
+holds.  The model errors of ``assumption2_sample`` and of
+``audit_trace``'s iterate pairs come in blocks of whole base points (or
+iterate pairs) of at most ``_width`` directions, drawn as needed; each
+block's points, directions and dual norms are such lists, and so are
+``grad_check``'s shifted points x + step d and x - step d of a point.
 ``audit_trace`` evaluates f' once per iterate, by ``f_grad``, for its
 gradient checks and its iterate pairs, since its cache check compares
 with the solver's stored gradients bit for bit.  Sample sizes and seeds
@@ -68,8 +64,8 @@ SLACK = 1e-8        # relative arithmetic slack on audited inequalities
 L_INFLATION = 1.05  # sampled model-error constants may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
-GRAD_DIRECTIONS = 50  # random directions beyond, and columns per hook block
-BLOCK_DIRECTIONS = 8  # directions per model-error block without f_grads
+GRAD_DIRECTIONS = 50  # random directions beyond, and columns per block
+BLOCK_DIRECTIONS = 8  # columns per block without f_grads
 HOOK_WEIGHT = 1e4   # scale of a block hook's mismatch in grad_check
 BOX_RADIUS = 2.0    # half-width of the sampling box when none is declared
 SAMPLE_SEED = 0x5EEDB0C5
@@ -100,45 +96,65 @@ def sample_points(problem: Problem, count: int) -> list:
     return [lo + (hi - lo) * rng.uniforms(problem.dim) for _ in range(count)]
 
 
-def _blocks(cols, width=GRAD_DIRECTIONS):
-    """The vectors ``cols`` as dim x k blocks of at most ``width``
-    columns."""
-    return (np.column_stack(cols[j:j + width])
-            for j in range(0, len(cols), width))
+def _width(problem: Problem) -> int:
+    """Columns per block of the audit: ``GRAD_DIRECTIONS`` with the
+    ``f_grads`` hook (dense rows), else ``BLOCK_DIRECTIONS``, which bounds
+    what a large mesh holds."""
+    return GRAD_DIRECTIONS if problem.f_grads is not None else BLOCK_DIRECTIONS
+
+
+def _columns(problem: Problem, hook, per_column, *cols) -> list:
+    """``per_column(*c)`` for each column c of the equal-length vector
+    lists ``cols``: one ``hook`` call per dim x k block of at most
+    ``_width`` columns of each list, its result's columns as contiguous
+    vectors (or as scalars), when the problem has the hook, else one
+    ``per_column`` call per column."""
+    if hook is None:
+        return [per_column(*c) for c in zip(*cols)]
+    width = _width(problem)
+    return [r for j in range(0, len(cols[0]), width)
+            for r in np.asarray(hook(*(np.column_stack(c[j:j + width])
+                                       for c in cols)), dtype=float).T.copy()]
 
 
 def _values(problem: Problem, pts) -> list:
-    """f at each point of ``pts``: one ``f_values`` call per block of at
-    most ``GRAD_DIRECTIONS`` points when the problem has the hook, else
-    one ``f_value`` call per point."""
-    if problem.f_values is None:
-        return [float(problem.f_value(p)) for p in pts]
-    return [float(v) for X in _blocks(pts) for v in problem.f_values(X)]
+    """f at each point of ``pts``, through ``f_values``."""
+    return [float(v) for v in
+            _columns(problem, problem.f_values, problem.f_value, pts)]
 
 
 def _grads(problem: Problem, pts) -> list:
-    """f' at each point of ``pts`` as contiguous vectors: one ``f_grads``
-    call per block of at most ``GRAD_DIRECTIONS`` points when the problem
-    has the hook, else one ``f_grad`` call per point."""
-    if problem.f_grads is None:
-        return [_grad(problem, p) for p in pts]
-    return [np.ascontiguousarray(g) for X in _blocks(pts)
-            for g in np.asarray(problem.f_grads(X), dtype=float).T]
+    """f' at each point of ``pts``, through ``f_grads``."""
+    return _columns(problem, problem.f_grads, lambda x: _grad(problem, x), pts)
+
+
+def _hess_products(problem: Problem, bases, dirs) -> list:
+    """H(x) d for each base point x of ``bases`` and direction d of
+    ``dirs``, through ``hess_apply`` whatever the columns' base points,
+    else by forming ``hess(x)`` for each pair."""
+    return _columns(problem, problem.hess_apply,
+                    lambda x, d: problem.hess(x) @ d, bases, dirs)
+
+
+def _squared_dual_norms(problem: Problem, vecs) -> list:
+    """``<g, R^{-1} g>`` for each vector g of ``vecs``, through
+    ``Metric.solve``."""
+    solve = problem.metric.solve
+    return [float(g @ s)
+            for g, s in zip(vecs, _columns(problem, solve, solve, vecs))]
 
 
 def _block_hook_error(problem: Problem, points, grads) -> float:
-    """Largest relative mismatch of the ``f_values``/``f_grads`` hooks
-    against per-point ``f_value`` and the per-point ``grads`` at
-    ``points``, times ``HOOK_WEIGHT``; 0 when the problem has neither."""
+    """Largest relative mismatch of ``_values`` and ``_grads`` against
+    per-point ``f_value`` and the per-point ``grads`` at ``points``, times
+    ``HOOK_WEIGHT`` (0 without the ``f_values`` and ``f_grads`` hooks)."""
     worst = 0.0
-    if problem.f_values is not None:
-        for x, w in zip(points, _values(problem, points)):
-            v = float(problem.f_value(x))
-            worst = max(worst, abs(w - v) / max(1.0, abs(v)))
-    if problem.f_grads is not None:
-        for g, h in zip(grads, _grads(problem, points)):
-            gn = float(np.linalg.norm(g))
-            worst = max(worst, float(np.linalg.norm(h - g)) / max(1.0, gn))
+    for x, w in zip(points, _values(problem, points)):
+        v = float(problem.f_value(x))
+        worst = max(worst, abs(w - v) / max(1.0, abs(v)))
+    for g, h in zip(grads, _grads(problem, points)):
+        gn = float(np.linalg.norm(g))
+        worst = max(worst, float(np.linalg.norm(h - g)) / max(1.0, gn))
     return HOOK_WEIGHT * worst
 
 
@@ -192,16 +208,15 @@ def grad_check(problem: Problem, points) -> float:
 def hess_symmetry_check(problem: Problem, points) -> float:
     """Max relative asymmetry |<Hu,v> - <Hv,u>| over random probe pairs.
 
-    When the problem has a ``hess_apply`` hook, it is applied to every
-    point's probes u in blocks that span the points (see
-    ``_hess_products``), each column with its own base point, and each
-    point's relative mismatch ||hess_apply - H U|| / max(1, ||H U||) on
-    its block U of probes is folded in, so a hook that disagrees with
-    ``hess``, or applies one column's base point to another's, fails the
-    check."""
+    Every point's probes u also go through ``_hess_products``, in blocks
+    that span the points, each column with its own base point, and each
+    point's relative mismatch ||H U - H(x) U|| / max(1, ||H(x) U||) on its
+    block U of probes is folded in, so a ``hess_apply`` hook that
+    disagrees with ``hess``, or applies one column's base point to
+    another's, fails the check (without the hook the mismatch is 0)."""
     rng = SplitMix64(SYMMETRY_SEED)
     worst = 0.0
-    probes = []     # (x, u, H(x) u) for the hook, point by point
+    bases, us, Hus = [], [], []     # x, u and H(x) u of each probe
     for x in points:
         x = np.asarray(x, dtype=float)
         H = problem.hess(x)
@@ -212,61 +227,22 @@ def hess_symmetry_check(problem: Problem, points) -> float:
             a = float(Hu @ v)
             b = float((H @ v) @ u)
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-            if problem.hess_apply is not None:
-                probes.append((x, u, Hu))
-    if probes:
-        bases, us, Hus = zip(*probes)
-        applied = _hess_products(problem, bases, us)
-        for j in range(0, len(probes), SYMMETRY_PROBES):
-            HU = np.column_stack(Hus[j:j + SYMMETRY_PROBES])
-            gap = float(np.linalg.norm(
-                np.column_stack(applied[j:j + SYMMETRY_PROBES]) - HU))
-            worst = max(worst, gap / max(1.0, float(np.linalg.norm(HU))))
+            bases.append(x)
+            us.append(u)
+            Hus.append(Hu)
+    applied = _hess_products(problem, bases, us)
+    for j in range(0, len(Hus), SYMMETRY_PROBES):
+        HU = np.column_stack(Hus[j:j + SYMMETRY_PROBES])
+        gap = float(np.linalg.norm(
+            np.column_stack(applied[j:j + SYMMETRY_PROBES]) - HU))
+        worst = max(worst, gap / max(1.0, float(np.linalg.norm(HU))))
     return worst
-
-
-def _width(problem: Problem) -> int:
-    """Columns per block of hook calls and metric solves:
-    ``GRAD_DIRECTIONS`` with the ``f_grads`` hook (dense rows), else
-    ``BLOCK_DIRECTIONS``, which bounds what a large mesh holds."""
-    return GRAD_DIRECTIONS if problem.f_grads is not None else BLOCK_DIRECTIONS
-
-
-def _hess_products(problem: Problem, bases, dirs) -> list:
-    """H(x) d for each base point x of ``bases`` and direction d of
-    ``dirs``, as contiguous vectors: one ``hess_apply`` call per block of
-    at most ``_width`` pairs, whatever their base points, when the
-    problem has the hook, else ``hess(x)`` formed once per run of pairs
-    whose base is the same array object and applied to each d."""
-    if problem.hess_apply is None:
-        out, last = [], None
-        for x, d in zip(bases, dirs):
-            if x is not last:
-                H, last = problem.hess(x), x
-            out.append(H @ d)
-        return out
-    width = _width(problem)
-    return [np.ascontiguousarray(h)
-            for X, D in zip(_blocks(bases, width), _blocks(dirs, width))
-            for h in np.asarray(problem.hess_apply(X, D)).T]
-
-
-def _squared_dual_norms(problem: Problem, vecs) -> list:
-    """``<g, R^{-1} g>`` for each vector g of ``vecs``: one ``Metric.solve``
-    per block of at most ``_width`` columns."""
-    out = []
-    for G in _blocks(vecs, _width(problem)):
-        S = problem.metric.solve(G)
-        out += [float(g @ s) for g, s in zip(G.T, S.T)]
-    return out
 
 
 def _model_error(problem: Problem, pairs) -> float:
     """Largest finite model-error ratio
     ``||f'(y) - f'(x) - H(x)(y - x)||_* / ||y - x||`` over one block of
-    ``pairs`` (x, y, f'(x), f'(y)), or 0.  Pairs that share a base point
-    pass the same x object, which lets ``_hess_products`` form H(x) once
-    for them."""
+    ``pairs`` (x, y, f'(x), f'(y)), or 0."""
     kept = []
     for x, y, g_x, g_y in pairs:
         d = y - x
@@ -286,18 +262,14 @@ def _model_error(problem: Problem, pairs) -> float:
 
 def _model_error_blocks(problem: Problem, items, width=lambda item: 1):
     """The blocks ``_model_error`` takes ``items`` (a base point's sample,
-    or an iterate pair, each ``width(item)`` directions) in.  With the
-    ``f_grads`` hook (dense rows) all items are one block, which the
-    hooks evaluate in blocks of at most ``GRAD_DIRECTIONS`` columns.
-    Without it each block holds whole items and at most
-    ``BLOCK_DIRECTIONS`` directions (or one item), so that a large sparse
-    problem holds a bounded block of points and gradients at a time."""
-    if problem.f_grads is not None:
-        yield list(items)
-        return
+    or an iterate pair, each ``width(item)`` directions) in: whole items,
+    drawn as needed, and at most ``_width`` directions (or one item) per
+    block, so that a large problem holds a bounded block of points and
+    gradients at a time."""
+    limit = _width(problem)
     block, cols = [], 0
     for item in items:
-        if block and cols + width(item) > BLOCK_DIRECTIONS:
+        if block and cols + width(item) > limit:
             yield block
             block, cols = [], 0
         block.append(item)

@@ -231,7 +231,9 @@ def test_compare_table_and_csv(tmp_path):
 @pytest.mark.parametrize("flag,flags", [
     ("--gamma", ("--gamma", "")),
     ("--n", ("--gamma", "1e2", "--n", "")),
-], ids=["gamma", "n"])
+    ("--solvers", ("--gamma", "1e2", "--solvers", ",")),
+    ("--solvers", ("--gamma", "1e2", "--solvers", "")),
+], ids=["gamma", "n", "solvers", "solvers-blank"])
 def test_compare_empty_sweep_fails(tmp_path, capsys, flag, flags):
     out = tmp_path / "c"
     assert _run("compare", "--problem", "membrane", *flags,

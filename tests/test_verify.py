@@ -19,7 +19,7 @@ from leapssn.suite import (SplitMix64, partial_smooth_2d, plate_problem,
                            quadratic, rank_deficient_ls, rosenbrock, svm_data,
                            svm_problem)
 from leapssn.suite.registry import broken_gradient_problem
-from leapssn.verify import (BLOCK_DIRECTIONS, _sample_groups,
+from leapssn.verify import (BLOCK_DIRECTIONS, _sample_groups, _width,
                             assumption2_sample)
 
 
@@ -150,116 +150,131 @@ HOOKS = ("f_value", "f_values", "f_grad", "f_grads", "hess", "hess_apply")
 
 
 def _counted(problem):
-    """The problem with the callables named in HOOKS (when present)
-    wrapped to count their calls, and the blocks two block hooks were
-    given: the points X of f_grads, the pair (X, V) of hess_apply."""
-    counts = dict.fromkeys(HOOKS, 0)
-    blocks = {"f_grads": [], "hess_apply": []}
+    """The problem with the callables named in HOOKS (when present) and
+    its metric's ``solve`` wrapped to record each call's arguments: the
+    point (or block X) of an f hook and of hess, the pair (X, V) of
+    hess_apply, the block G of solve."""
+    calls = {name: [] for name in HOOKS + ("solve",)}
 
-    def counting(name):
-        fn = getattr(problem, name)
+    def recording(name, fn):
         if fn is None:
             return None
 
         def wrapped(*args):
-            counts[name] += 1
-            if name in blocks:
-                blocks[name].append(args if len(args) > 1 else args[0])
+            calls[name].append(args if len(args) > 1 else args[0])
             return fn(*args)
         return wrapped
 
-    counted = dataclasses.replace(problem, **{name: counting(name)
-                                              for name in counts})
-    return counted, counts, blocks
+    metric = copy.copy(problem.metric)
+    metric.solve = recording("solve", problem.metric.solve)
+    counted = dataclasses.replace(
+        problem, metric=metric,
+        **{name: recording(name, getattr(problem, name)) for name in HOOKS})
+    return counted, calls
+
+
+def _widths(blocks):
+    return [B.shape[1] for B in blocks]
 
 
 def test_each_point_is_evaluated_once():
     # 40 box base points with 2 partners, 10 near-kink ones with 6: 190
-    # points and 140 directions.  With all three hooks (dense rows) the
-    # points go through f_grads and the directions through hess_apply in
-    # blocks of at most 50 columns that span base points.  With hess_apply
-    # alone (sparse rows) f' is one f_grad call per point and the
-    # directions go through hess_apply in blocks of whole base points of
-    # at most BLOCK_DIRECTIONS columns.  Either way each point and each
-    # direction sits in exactly one column, and no H is formed; without
-    # hooks f' is one f_grad call per point and H(x) is formed once per
-    # base point
+    # points and 140 directions.  One rule for every problem: a block
+    # holds whole base points and at most _width directions (50 with
+    # f_grads on dense rows, else BLOCK_DIRECTIONS), in drawn order;
+    # hess_apply and Metric.solve are called once per block and f_grads
+    # once per 50 of its points.  Without the hooks f' is one f_grad call
+    # per point and H is formed once per direction.  Either way each
+    # point and each direction sits in exactly one column, in drawn order
     plain = dataclasses.replace(partial_smooth_2d(), hess_apply=None,
                                 f_values=None, f_grads=None)
     for problem, tol in ((partial_smooth_2d(), 1e-10), (plain, 1e-10),
                          (_svm(), 1e-6), (_plate(), 1e-8)):
-        prob, counts, blocks = _counted(problem)
+        prob, calls = _counted(problem)
         assumption2_sample(prob)
-        hooked = problem.f_grads is not None
-        applied = problem.hess_apply is not None
+        width = _width(problem)
         groups = list(_sample_groups(problem))
-        if hooked:
-            assert [X.shape[1] for X in blocks["f_grads"]] == [50, 50, 50, 40]
-            np.testing.assert_array_equal(
-                np.hstack(blocks["f_grads"]),
-                np.column_stack([p for g in groups for p in g]))
-            assert counts["f_grad"] == 0
+        points = [p for g in groups for p in g]
+        bases = [x for x, *ys in groups for _ in ys]
+        dirs = [y - x for x, *ys in groups for y in ys]
+
+        # blocks of whole groups (box points: 2 directions, near-kink: 6)
+        per_block = _widths(calls["solve"])
+        ends = set(np.cumsum([len(g) - 1 for g in groups]))
+        assert set(np.cumsum(per_block)) <= ends
+        assert max(per_block) <= width
+        if width == 50:
+            # 25 box points; 15 box and 3 near-kink; 7 near-kink
+            assert per_block == [50, 48, 42]
         else:
-            assert counts["f_grads"] == 0 and counts["f_grad"] == 190
-        if applied:
-            X, V = zip(*blocks["hess_apply"])
-            widths = [b.shape[1] for b in V]
-            if hooked:
-                assert widths == [50, 50, 40]
-            else:
-                # whole base points: 4 box points (8 directions) or one
-                # near-kink point (6) per block
-                assert widths == [8] * 10 + [6] * 10
-                assert max(widths) <= BLOCK_DIRECTIONS
-            X, V = np.hstack(X), np.hstack(V)
-            np.testing.assert_array_equal(
-                X, np.column_stack([x for x, *ys in groups for _ in ys]))
-            np.testing.assert_array_equal(
-                V, np.column_stack([y - x for x, *ys in groups for y in ys]))
-            assert counts["hess"] == 0
+            assert width == BLOCK_DIRECTIONS
+            assert per_block == [8] * 10 + [6] * 10
+
+        if problem.f_grads is not None:
+            # 75, 66 and 49 points in those blocks, 50 per f_grads call
+            assert _widths(calls["f_grads"]) == [50, 25, 50, 16, 49]
+            np.testing.assert_array_equal(np.hstack(calls["f_grads"]),
+                                          np.column_stack(points))
+            assert not calls["f_grad"]
         else:
-            assert counts["hess_apply"] == 0 and counts["hess"] == 50
+            assert not calls["f_grads"] and len(calls["f_grad"]) == 190
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(calls["f_grad"], points))
+        if problem.hess_apply is not None:
+            X, V = zip(*calls["hess_apply"])
+            assert _widths(V) == per_block
+            np.testing.assert_array_equal(np.hstack(X), np.column_stack(bases))
+            np.testing.assert_array_equal(np.hstack(V), np.column_stack(dirs))
+            assert not calls["hess"]
+        else:
+            assert not calls["hess_apply"] and len(calls["hess"]) == 140
+            assert all(np.array_equal(x, b)
+                       for x, b in zip(calls["hess"], bases))
 
         # grad_check: x + step d and x - step d as two f_values blocks per
         # base point (dim <= 50 directions each), and one more block and
-        # one f_value per point to check the hook; else f_value per point
-        # and coordinate direction
-        counts.update(dict.fromkeys(HOOKS, 0))
+        # one f_value per point to check the hook; without it f_value per
+        # point and coordinate direction, and twice per point for the
+        # hook check, which then compares f_value with itself
+        for log in calls.values():
+            log.clear()
         grad_check(prob, sample_points(prob, 4))
-        if hooked:
-            assert (counts["f_values"], counts["f_value"]) == (9, 4)
+        if problem.f_values is not None:
+            assert (len(calls["f_values"]), len(calls["f_value"])) == (9, 4)
         else:
-            assert counts["f_values"] == 0
-            assert counts["f_value"] == 4 * 2 * problem.dim
+            assert not calls["f_values"]
+            assert len(calls["f_value"]) == 4 * 2 * problem.dim + 8
 
         # audit_trace: f_grad once per iterate; H at the first iterate of
-        # each of its pairs, by hess_apply in blocks of at most 50 pairs
-        # (BLOCK_DIRECTIONS without f_grads)
+        # each of its pairs, by hess_apply in blocks of at most _width
+        # pairs, else formed once per pair
         res = leap_ssn(problem, grad_tol=tol)
         assert res.status == "converged"
         pairs = len(res.trace.records)
-        counts.update(dict.fromkeys(HOOKS, 0))
-        blocks["hess_apply"].clear()
+        for log in calls.values():
+            log.clear()
         audit_trace(res.trace, prob)
-        assert counts["f_grad"] == pairs + 1
-        assert counts["f_grads"] == 0
-        if applied:
-            width = 50 if hooked else BLOCK_DIRECTIONS
-            widths = [V.shape[1] for _, V in blocks["hess_apply"]]
-            assert sum(widths) == pairs and max(widths) <= width
-            assert len(widths) == -(-pairs // width) and counts["hess"] == 0
-            xs = np.column_stack([res.trace.x0] + res.trace.iterates[:-1])
-            np.testing.assert_array_equal(
-                np.hstack([X for X, _ in blocks["hess_apply"]]), xs)
-            np.testing.assert_array_equal(
-                np.hstack([V for _, V in blocks["hess_apply"]]),
-                np.diff(np.column_stack([res.trace.x0] + res.trace.iterates)))
+        assert len(calls["f_grad"]) == pairs + 1
+        assert not calls["f_grads"]
+        assert max(_widths(calls["solve"])) <= width
+        xs = [res.trace.x0] + res.trace.iterates
+        if problem.hess_apply is not None:
+            X, V = zip(*calls["hess_apply"])
+            assert _widths(V) == [min(width, pairs - j)
+                                  for j in range(0, pairs, width)]
+            np.testing.assert_array_equal(np.hstack(X),
+                                          np.column_stack(xs[:-1]))
+            np.testing.assert_array_equal(np.hstack(V),
+                                          np.diff(np.column_stack(xs)))
+            assert not calls["hess"]
         else:
-            assert (counts["hess"], counts["hess_apply"]) == (pairs, 0)
+            assert not calls["hess_apply"] and len(calls["hess"]) == pairs
 
 
-def test_hess_apply_leaves_the_model_error_constant():
-    prob = _svm()
+@pytest.mark.parametrize("build", [_svm, _plate], ids=["svm", "plate"])
+def test_hess_apply_leaves_the_model_error_constant(build):
+    # the hook against the per-column fallback, on dense and sparse rows
+    prob = build()
     plain = dataclasses.replace(prob, hess_apply=None)
     a, b = assumption2_sample(prob), assumption2_sample(plain)
     assert abs(a - b) <= 1e-12 * b
