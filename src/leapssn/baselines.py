@@ -7,9 +7,10 @@ condition holds.
 
 They run on smooth problems only and have no regularisation mechanism by
 design: a singular or indefinite clamped system is a failure, not a
-retry.  Results and traces share the adaptive driver's types so sweep
-tooling can tabulate everything side by side, with the same accounting
-(one counted solve per factorisation).
+retry.  A run opens, records and reports through the adaptive driver's
+``start_run``, ``Trace.accept`` and ``Trace.result``, so sweep tooling can
+tabulate everything side by side, with the same accounting (one counted
+solve per factorisation); a failed step reports the last recorded state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .driver import (CONVERGED, OUTER_BUDGET, SOLVE_BUDGET,
-                     SUBPROBLEM_FAILURE, Record, Result, Trace, check_start)
+                     SUBPROBLEM_FAILURE, Result, start_run)
 from .hilbert import solve_posdef
 from .problem import Problem
 
@@ -39,24 +40,13 @@ def _armijo_step(problem, x, d, F, slope):
     return None
 
 
-def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
-            armijo) -> Result:
-    """The baselines' Newton loop; ``armijo=False`` takes full steps."""
-    if not grad_tol > 0:
-        raise ValueError("grad_tol must be positive")
-    if max_outer < 1 or max_solves < 1:
-        raise ValueError("budgets must be at least 1")
+def _newton(problem, x0, solver, grad_tol, max_outer, max_solves) -> Result:
+    """The baselines' Newton loop; the ``"plain"`` solver takes full steps."""
     if not problem.smooth:
         raise ValueError("baselines handle smooth problems only")
-    x = problem.start_point(x0)
-    g = np.asarray(problem.f_grad(x), dtype=float)
-    F = float(problem.f_value(x))
-    check_start(F, g)
-    gpn = problem.metric.dual_norm(g)
-    config = {"problem": problem.name, "dim": problem.dim,
-              "solver": solver, "grad_tol": grad_tol,
-              "max_outer": max_outer, "max_solves": max_solves}
-    trace = Trace(x0=x.copy(), F0=F, g0_norm=gpn, config=config)
+    x, g, trace = start_run(problem, x0, grad_tol, max_outer, max_solves,
+                            solver=solver)
+    F, gpn = trace.F0, trace.g0_norm
     solves = 0
     status = OUTER_BUDGET
 
@@ -74,7 +64,7 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
             break
 
         t, F_next = 1.0, None
-        if armijo:
+        if solver == "backtracking":
             step = _armijo_step(problem, x, d, F, float(g @ d))
             if step is None:
                 status = SUBPROBLEM_FAILURE
@@ -87,26 +77,21 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves,
         if not np.isfinite(F) or not np.isfinite(gpn):
             status = SUBPROBLEM_FAILURE
             break
-        trace.records.append(Record(k=k, j=0, lam=0.0, Lam=0.0, F=F,
-                                    grad_dual_norm=gpn,
-                                    step_norm=problem.metric.norm(t * d),
-                                    cum_solves=solves))
-        trace.iterates.append(x.copy())
-        trace.grads.append(g.copy())
+        trace.accept(x, g, k=k, j=0, lam=0.0, Lam=0.0, F=F,
+                     grad_dual_norm=gpn, step_norm=problem.metric.norm(t * d),
+                     cum_solves=solves)
 
-    return Result(x=x, status=status, F=F, grad_dual_norm=gpn,
-                  iterations=len(trace.records), solves=solves, trace=trace)
+    return trace.result(status, solves)
 
 
 def plain_newton(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
                  max_solves=10000) -> Result:
     """Full-step (semismooth) Newton: solve ``H(x) d = -f'(x)``, take ``x + d``."""
-    return _newton(problem, x0, "plain", grad_tol, max_outer, max_solves,
-                   armijo=False)
+    return _newton(problem, x0, "plain", grad_tol, max_outer, max_solves)
 
 
 def backtracking_newton(problem: Problem, x0=None, *, grad_tol=1e-8,
                         max_outer=500, max_solves=10000) -> Result:
     """Newton with Armijo backtracking on the objective."""
     return _newton(problem, x0, "backtracking", grad_tol, max_outer,
-                   max_solves, armijo=True)
+                   max_solves)

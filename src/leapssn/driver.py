@@ -22,10 +22,15 @@ often equals ``H(x_k)`` exactly (same format, shape, indices and values);
 the iteration then keeps ``H(x_k)``'s Operator, whose cache carries the
 kept rung factor over, certified for the lower rungs by a factor of ``H``
 itself (see :mod:`leapssn.hilbert`).  The objective decrease in the second
-test is evaluated through
-``Problem.decrease`` which prefers a difference-form computation: near tight
-tolerances the subtraction of two O(1) objective values is pure rounding
-noise while the true decrease still dominates the threshold.
+test is ``Problem.decrease(x_k, x_plus)``, which takes psi's values from
+the problem and prefers a difference-form computation of f's part: near
+tight tolerances the subtraction of two O(1) objective values is pure
+rounding noise while the true decrease still dominates the threshold.
+
+Every run, this driver's and the Newton baselines', is opened by
+:func:`start_run`, records each accepted iterate by :meth:`Trace.accept`
+and reports its last recorded state (else its start) by
+:meth:`Trace.result`.
 """
 
 from __future__ import annotations
@@ -101,6 +106,22 @@ class Trace:
                       f"{repr(r.grad_dual_norm)},{repr(r.step_norm)},{r.cum_solves}\n")
         return out.getvalue()
 
+    def accept(self, x, grad, **record):
+        """Record an accepted iterate ``x`` with its certified gradient."""
+        self.records.append(Record(**record))
+        self.iterates.append(x.copy())
+        self.grads.append(grad.copy())
+
+    def result(self, status, solves) -> Result:
+        """The run's outcome: its last recorded state, else its start."""
+        if self.records:
+            last = self.records[-1]
+            x, F, gpn = self.iterates[-1], last.F, last.grad_dual_norm
+        else:
+            x, F, gpn = self.x0, self.F0, self.g0_norm
+        return Result(x=x.copy(), status=status, F=F, grad_dual_norm=gpn,
+                      iterations=len(self.records), solves=solves, trace=self)
+
 
 @dataclass
 class Result:
@@ -117,33 +138,42 @@ class Result:
         return self.status == CONVERGED
 
 
-def check_start(F, g):
-    """Raise ValueError unless ``F`` and ``f' = g`` at the start point are
-    finite; a solver started there could only fail."""
+def start_run(problem, x0, grad_tol, max_outer, max_solves, **config):
+    """Open a run of any solver on ``problem`` from ``x0``.
+
+    Returns the start point ``x``, ``f'(x)`` and an empty :class:`Trace`
+    whose config holds the problem, the solver's own ``config`` keys, the
+    tolerance and the budgets.  The trace's start stationarity is
+    ``||f'(x0)||_*`` on a smooth problem, else the unit-step prox-gradient
+    residual (a surrogate: convergence is only ever tested on certified
+    gradients at accepted iterates).  Raises ValueError unless
+    ``grad_tol > 0``, the budgets are at least 1 and F and f' are finite at
+    the start point, where a solver could only fail.
+    """
+    if not grad_tol > 0:
+        raise ValueError("grad_tol must be positive")
+    if max_outer < 1 or (max_solves is not None and max_solves < 1):
+        raise ValueError("budgets must be at least 1")
+    x = problem.start_point(x0)
+    F = problem.value(x)
+    g = np.asarray(problem.f_grad(x), dtype=float)
     if not (np.isfinite(F) and np.isfinite(g).all()):
         raise ValueError(f"F or f' is not finite at the start point "
                          f"(F = {F})")
-
-
-def _initial_stationarity(problem, x, g):
-    """Dual-norm stationarity measure at the start point.
-
-    For smooth problems this is ||f'(x0)||_*; for composite problems the
-    unit-step prox-gradient residual (a standard stationarity surrogate --
-    the certified quantity used for convergence tests lives on accepted
-    iterates, never on x0).
-    """
-    if problem.smooth:
-        return problem.metric.dual_norm(g)
-    return float(np.linalg.norm(x - problem.prox(x - g, 1.0)))
+    g0_norm = (problem.metric.dual_norm(g) if problem.smooth
+               else float(np.linalg.norm(x - problem.prox(x - g, 1.0))))
+    config = {"problem": problem.name, "dim": problem.dim, **config,
+              "grad_tol": grad_tol, "max_outer": max_outer,
+              "max_solves": max_solves}
+    return x, g, Trace(x0=x.copy(), F0=F, g0_norm=g0_norm, config=config)
 
 
 def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
              max_solves=None, alpha=None, beta=None, lambda0=None) -> Result:
     """Run the adaptive solver on ``problem`` from ``x0``.
 
-    Returns a :class:`Result`; ``result.trace`` always holds at least one
-    record unless a budget expires before the first acceptance.  Convergence
+    Returns a :class:`Result` of the last accepted iterate, or of the start
+    point when no trial was accepted before the run stopped.  Convergence
     is declared when the certified gradient at an *accepted* iterate has dual
     norm at most ``grad_tol`` (the start point is never tested, so a trace is
     never empty on the converged path).  ``alpha``, ``beta`` and
@@ -152,12 +182,8 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     least 1, the constants meet the conditions of the convergence theory
     and F and f' are finite at the start point.
     """
-    if not grad_tol > 0:
-        raise ValueError("grad_tol must be positive")
-    if max_outer < 1 or (max_solves is not None and max_solves < 1):
-        raise ValueError("budgets must be at least 1")
     if lambda0 is None:
-        lambda0 = problem.lambda0 or 1.0
+        lambda0 = problem.lambda0 if problem.lambda0 is not None else 1.0
     if alpha is None:
         alpha = problem.alpha if problem.alpha is not None else 0.5
     if beta is None:
@@ -168,25 +194,12 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
         raise ValueError(f"beta must lie in (0, (M-1)/(2M)] = (0, {(M-1)/(2*M)}], got {beta}")
     if not 0.0 < lambda0 < np.inf:
         raise ValueError(f"lambda0 must be positive and finite, got {lambda0}")
-    Lam = lambda0
 
-    x = problem.start_point(x0)
-    fx = float(problem.f_value(x))
-    psix = problem.psi(x)
-    F = fx + psix
-    g = np.asarray(problem.f_grad(x), dtype=float)
-    check_start(F, g)
-    g0_norm = _initial_stationarity(problem, x, g)
-
-    config = {
-        "problem": problem.name, "dim": problem.dim, "alpha": alpha,
-        "beta": beta, "m": M, "lambda0": Lam, "grad_tol": grad_tol,
-        "max_outer": max_outer, "max_solves": max_solves,
-    }
-    trace = Trace(x0=x.copy(), F0=F, g0_norm=g0_norm, config=config)
+    x, g, trace = start_run(problem, x0, grad_tol, max_outer, max_solves,
+                            alpha=alpha, beta=beta, m=M, lambda0=lambda0)
+    F, Lam = trace.F0, lambda0
     solves = 0
     status = OUTER_BUDGET
-    last_gpn = g0_norm
 
     H = None
     for k in range(max_outer):
@@ -214,11 +227,11 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             d = x_plus - x
 
             fg_plus = np.asarray(problem.f_grad(x_plus), dtype=float)
-            g_plus, psi_xp = fg_plus + sub.psi_grad, sub.psi_value
+            g_plus = fg_plus + sub.psi_grad
 
             gpn2 = float(g_plus @ problem.metric.solve(g_plus))
             gpn = float(np.sqrt(max(0.0, gpn2)))
-            dec = problem.decrease(x, x_plus, psi_x=psix, psi_xp=psi_xp)
+            dec = problem.decrease(x, x_plus)
             step2 = problem.metric.inner(d, d)
 
             cond1 = float(g_plus @ (-d)) >= (alpha / lam) * gpn2
@@ -233,20 +246,14 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
             status = INNER_BUDGET if computable_seen else SUBPROBLEM_FAILURE
             break
 
-        x, g = x_plus, fg_plus
-        F = F - dec
-        psix = psi_xp
-        last_gpn = gpn
-        trace.records.append(Record(k=k, j=j, lam=lam, Lam=Lam, F=F,
-                                    grad_dual_norm=gpn,
-                                    step_norm=float(np.sqrt(max(0.0, step2))),
-                                    cum_solves=solves))
-        trace.iterates.append(x.copy())
-        trace.grads.append(g_plus.copy())
+        x, g, F = x_plus, fg_plus, F - dec
+        trace.accept(x, g_plus, k=k, j=j, lam=lam, Lam=Lam, F=F,
+                     grad_dual_norm=gpn,
+                     step_norm=float(np.sqrt(max(0.0, step2))),
+                     cum_solves=solves)
         Lam = lam / 2.0
         if gpn <= grad_tol:
             status = CONVERGED
             break
 
-    return Result(x=x, status=status, F=F, grad_dual_norm=last_gpn,
-                  iterations=len(trace.records), solves=solves, trace=trace)
+    return trace.result(status, solves)

@@ -111,19 +111,15 @@ class Problem:
         """Full objective F(x) = f(x) + psi(x)."""
         return float(self.f_value(x)) + self.psi(x)
 
-    def decrease(self, x, x_plus, psi_x=None, psi_xp=None) -> float:
-        """F(x) - F(x_plus), in difference form when the problem supports it."""
+    def decrease(self, x, x_plus) -> float:
+        """F(x) - F(x_plus): ``f_decrease(x, x_plus)`` when the problem has
+        it, else ``f(x) - f(x_plus)``, plus ``psi(x) - psi(x_plus)`` when
+        the problem is composite."""
         if self.f_decrease is not None:
             df = float(self.f_decrease(x, x_plus))
         else:
             df = float(self.f_value(x)) - float(self.f_value(x_plus))
-        if self.psi_value is None:
-            return df
-        if psi_x is None:
-            psi_x = self.psi(x)
-        if psi_xp is None:
-            psi_xp = self.psi(x_plus)
-        return df + psi_x - psi_xp
+        return df if self.smooth else df + self.psi(x) - self.psi(x_plus)
 
     def start_point(self, x0=None) -> np.ndarray:
         if x0 is not None:

@@ -11,9 +11,8 @@ minimised by a monotone accelerated proximal-gradient loop.  That loop
 evaluates each point's model once, value and gradient from one product with
 ``H``, and returns the prox step whose fixed-point residual passed its test,
 so the prox fixed-point identity hands back an exact subgradient of ``psi``
-at the returned point.  Both steps return that subgradient and ``psi``'s
-value there (zeros and 0 on a smooth problem), so the driver scores every
-candidate the same way.
+at the returned point.  Both steps return that subgradient (zeros on a
+smooth problem), so the driver scores every candidate the same way.
 
 A step is *non-computable* when the system is not positive definite (the
 model has no minimiser for this lambda) or the inner iteration fails to
@@ -43,7 +42,6 @@ _EPS = np.finfo(float).eps
 class SubproblemResult:
     x_plus: Optional[np.ndarray]             # None when not computable
     psi_grad: Optional[np.ndarray] = None    # exact subgradient of psi at x_plus
-    psi_value: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -53,14 +51,14 @@ class SubproblemResult:
 
 def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """Minimise the model for a smooth problem: one certified SPD solve.
-    The subgradient of ``psi == 0`` is zero and its value 0."""
+    The subgradient of ``psi == 0`` is zero."""
     if not problem.smooth:
         raise ValueError("smooth_step requires psi == 0")
     H = Operator.of(H)
     d = solve_posdef(H.shift(lam, problem.metric), -grad)
     if d is None:
         return SubproblemResult(None)
-    return SubproblemResult(x + d, psi_grad=np.zeros_like(d), psi_value=0.0)
+    return SubproblemResult(x + d, psi_grad=np.zeros_like(d))
 
 
 def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
@@ -174,5 +172,5 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
 
     # the prox whose residual passed is the step: its fixed-point identity
     # hands back an exact subgradient of psi at the returned point
-    return SubproblemResult(p, psi_grad=(v - p) / t, psi_value=problem.psi(p),
+    return SubproblemResult(p, psi_grad=(v - p) / t,
                             diagnostics={"inner_iters": it + 1})

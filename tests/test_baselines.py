@@ -1,11 +1,12 @@
 """Unregularised Newton baselines: one-solve quadratics, honest failures."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from leapssn import backtracking_newton, leap_ssn, plain_newton
+from leapssn import Problem, backtracking_newton, leap_ssn, plain_newton
 from leapssn.suite import partial_smooth_2d, plate_problem, quadratic, rosenbrock
 
 
@@ -62,6 +63,22 @@ def test_plain_newton_fails_where_regularisation_succeeds():
 
     adaptive = leap_ssn(prob, grad_tol=1e-8, max_solves=300)
     assert adaptive.status == "converged"
+
+
+def test_a_failed_step_reports_only_recorded_state():
+    # f = (x - 20)^2 / 2 is +inf from x = 5 on, so the full Newton step
+    # from x0 = 1 lands on x = 20, where F is not finite
+    prob = Problem(dim=1,
+                   f_value=lambda x: 0.5 * (x[0] - 20.0) ** 2 if x[0] < 5.0
+                   else np.inf,
+                   f_grad=lambda x: x - 20.0, hess=lambda x: np.eye(1))
+    res = plain_newton(prob, x0=[1.0])
+    assert res.status == "subproblem_failure"
+    assert res.iterations == 0 and res.solves == 1
+    assert np.array_equal(res.x, res.trace.x0) and res.x is not res.trace.x0
+    assert res.F == res.trace.F0 == 180.5
+    assert res.grad_dual_norm == res.trace.g0_norm == 19.0
+    json.dumps(res.F, allow_nan=False)
 
 
 def test_baselines_reject_composite_problems():

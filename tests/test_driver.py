@@ -94,7 +94,8 @@ def test_parameter_validation():
                 {"max_solves": 0}):
         with pytest.raises(ValueError):
             leap_ssn(prob, **bad)
-    for declared in (np.nan, np.inf):
+    # a declared lambda0 is checked like a passed one, 0 included
+    for declared in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="lambda0"):
             leap_ssn(dataclasses.replace(prob, lambda0=declared))
     # boundary values are legal
@@ -140,6 +141,15 @@ def test_custom_lambda0_is_respected():
     res = leap_ssn(prob, x0=prob.solution + 2.0, lambda0=32.0)
     assert res.trace.records[0].Lam == 32.0
     assert res.trace.config["lambda0"] == 32.0
+
+
+def test_noncomputable_rungs_are_skipped():
+    # H(x0) has the eigenvalue -398, so H + lambda I is indefinite for the
+    # rungs lambda = 1, ..., 256 and the first computable rung is 512
+    res = leap_ssn(rosenbrock(n=2), x0=[0.0, 1.0])
+    first = res.trace.records[0]
+    assert first.j == 9 and first.lam == 512.0
+    assert first.cum_solves == 10
 
 
 def test_gradient_is_evaluated_once_per_computable_trial():

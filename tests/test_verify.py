@@ -19,8 +19,8 @@ from leapssn.suite import (SplitMix64, partial_smooth_2d, plate_problem,
                            quadratic, rank_deficient_ls, rosenbrock, svm_data,
                            svm_problem)
 from leapssn.suite.registry import broken_gradient_problem
-from leapssn.verify import (BLOCK_DIRECTIONS, _sample_groups, _width,
-                            assumption2_sample)
+from leapssn.verify import (BLOCK_DIRECTIONS, BOX_RADIUS, _sample_groups,
+                            _width, assumption2_sample)
 
 
 def test_grad_check_accepts_exact_gradients():
@@ -108,6 +108,13 @@ def test_sample_points_deterministic_and_boxed():
     lo, hi = prob.sample_box
     for x in a:
         assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
+
+
+def test_sample_points_default_to_the_radius_box():
+    prob = dataclasses.replace(quadratic(), sample_box=None)
+    pts = sample_points(prob, 5)
+    assert all(np.all(np.abs(x) <= BOX_RADIUS) for x in pts)
+    assert max(np.abs(x).max() for x in pts) > BOX_RADIUS / 2
 
 
 def test_curvature_ratio_estimates():
@@ -401,6 +408,17 @@ def test_dm_ratios_vanish_for_constant_hessian():
     ratios = dm_condition_sample(res.trace, prob)
     assert ratios is not None and len(ratios) > 0
     assert max(ratios) <= 1e-12
+
+
+def test_dm_ratios_project_the_final_iterate_without_a_solution():
+    # partial_smooth_2d's projection onto its solution set is the constant
+    # solution, so dropping the declared solution changes no ratio
+    prob = partial_smooth_2d()
+    res = leap_ssn(prob, grad_tol=1e-10)
+    ratios = dm_condition_sample(res.trace, prob)
+    assert ratios
+    projected = dataclasses.replace(prob, solution=None)
+    assert dm_condition_sample(res.trace, projected) == ratios
 
 
 def test_manifold_detection():
