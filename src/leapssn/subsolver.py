@@ -8,10 +8,11 @@ Each outer trial minimises the regularised local model
 For smooth problems (``psi == 0``) the minimiser solves the SPD system
 ``(H + lambda R) d = -f'(x)`` directly; for composite problems the model is
 minimised by a monotone accelerated proximal-gradient loop.  That loop
-evaluates each point's model once, value and gradient from one product with
-``H``, and returns the prox step whose fixed-point residual passed its test,
-so the prox fixed-point identity hands back an exact subgradient of ``psi``
-at the returned point.  Both steps return that subgradient (zeros on a
+evaluates each candidate's model once, value and gradient from one product
+with ``H``; the momentum point's gradient follows from two of those by
+linearity.  It returns the prox step whose fixed-point residual passed its
+test, so the prox fixed-point identity hands back an exact subgradient of
+``psi`` at the returned point.  Both steps return that subgradient (zeros on a
 smooth problem), so the driver scores every candidate the same way.
 
 A step is *non-computable* when the system is not positive definite (the
@@ -67,10 +68,17 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     Termination is by the prox fixed-point residual ``||y - p|| / t`` of
     ``p = prox(v, t)``, ``v = y - t * g(y)``; the returned point is that
     ``p``, so ``(v - p)/t`` is an exact element of ``partial psi(p)``.
-    Each point's model value and gradient come from one product with
+    Each candidate's model value and gradient come from one product with
     ``H``, and the loop carries ``y``'s gradient into the restart, the
-    residual and the certificate: an iteration pays one product for the
-    momentum point ``z`` and one for each candidate it evaluates.
+    residual and the certificate.  The model's smooth gradient
+    ``g(y) = f'(x) + H (y - x) + lambda (y - x)`` is affine in ``y``, so
+    the momentum point ``z = y+ + c (y+ - y)``, ``c = (theta - 1) /
+    theta+``, gets ``g(z) = (1 + c) g(y+) - c g(y)`` from the two
+    gradients the loop holds, and ``z = y+``, ``g(z) = g(y+)`` as they are
+    when ``c == 0`` (the first iteration and after every restart).  An
+    iteration therefore pays one product for each candidate it evaluates:
+    a step makes ``it + r + 1`` products over ``it`` iterations and ``r``
+    restarts.
     Counts as one trial solve in the driver's accounting.  Passing ``H``
     as an :class:`Operator` shares its cached step-size estimate across
     the rungs of one outer iteration.
@@ -84,18 +92,23 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     converge, where running on would only have ended the same way:
 
     * ``"stalled"``: the restart from the best point is rejected too, so
-      ``y`` and ``m_best`` stay put, ``z = y + 0 * (y - y)`` equals ``y``
-      (up to the sign of a zero, which no comparison sees) and ``theta``
-      restarts from 1 to the same value.  That state is a fixed point:
-      every later iteration repeats the same arithmetic on the same values,
-      is rejected the same way and gets the residual that has just failed.
-    * ``"nonfinite"``: ``y`` holds a NaN or an infinity.  Then so do ``z``,
-      the model gradient and the prox input at that entry; a prox that
-      keeps a NaN entry non-finite (soft-thresholding and the identity
-      do) makes every later candidate, and so every later residual,
-      non-finite, and ``res <= threshold`` never holds again.  ``y`` is
-      scanned only once the residual is not finite, so the usual path
-      pays nothing.
+      ``y``, ``g(y)`` and ``m_best`` stay put, ``theta`` restarts from 1 to
+      the same value, and ``c == 0`` makes ``z`` and ``g(z)`` exactly
+      ``y`` and ``g(y)``.  That state is a fixed point: the next
+      candidate ``prox(y - t g(y), t)`` is the restart candidate just
+      rejected, and every later iteration repeats the same arithmetic on
+      the same values, is rejected the same way and gets the residual
+      that has just failed.
+    * ``"nonfinite"``: ``y`` holds a NaN or an infinity.  Then so does
+      ``g(y)`` at that entry, since its ``lambda (y - x)`` term is not
+      finite and a sum with a non-finite term is not finite.  So do ``z``,
+      ``g(z)`` and the prox input: each is such a sum, with a nonzero
+      multiple of those entries, or is the entry itself when ``c == 0``.
+      A prox that keeps a NaN entry non-finite (soft-thresholding and the
+      identity do) makes every later candidate, and so every later
+      residual, non-finite, and ``res <= threshold`` never holds again.
+      ``y`` is scanned only once the residual is not finite, so the usual
+      path pays nothing.
     """
     prox = problem.prox if not problem.smooth else (lambda v, t: v)
     H = Operator.of(H)
@@ -117,13 +130,13 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     y = x.copy()
     z = x.copy()          # momentum point
     m_best, g_y = model(y)
+    g_z = g_y             # the model gradient is affine: z's is carried
     theta = 1.0
     res_scale = max(1.0, float(np.linalg.norm(x)))
     threshold = INNER_TOL * res_scale
     stop = None
     for it in range(INNER_MAXIT):
-        d = z - x           # z needs only the gradient, not the model value
-        cand = prox(z - t * (grad + H.apply(d) + lam * d), t)
+        cand = prox(z - t * g_z, t)
         m_cand, g_cand = model(cand)
         if it == 0:
             # near outer convergence the absolute threshold can exceed the
@@ -138,9 +151,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         tau = 16.0 * _EPS * max(1.0, abs(m_best))
         stalled = False
         if m_cand > m_best + tau:  # material increase: restart from best point
-            z = y.copy()
             theta = 1.0
-            cand = prox(z - t * g_y, t)
+            cand = prox(y - t * g_y, t)
             m_cand, g_cand = model(cand)
             if m_cand > m_best + tau:   # no progress even from the best point
                 cand, m_cand, g_cand = y, m_best, g_y
@@ -149,7 +161,12 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
             stop = "indefinite"
             break
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        z = cand + ((theta - 1.0) / theta_next) * (cand - y)
+        c = (theta - 1.0) / theta_next
+        if c == 0.0:        # theta == 1: no momentum, and no 0 * inf
+            z, g_z = cand, g_cand
+        else:
+            z = cand + c * (cand - y)
+            g_z = (1.0 + c) * g_cand - c * g_y
         y, g_y, m_best, theta = cand, g_cand, min(m_best, m_cand), theta_next
         # prox fixed-point residual at y decides termination
         v = y - t * g_y

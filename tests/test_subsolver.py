@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from leapssn import Operator, composite_step, driver, leap_ssn, smooth_step
+from leapssn import (Operator, composite_step, driver, leap_ssn, smooth_step,
+                     subsolver)
 from leapssn.subsolver import INNER_MAXIT
 from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic, rosenbrock,
                            svm_data, svm_problem)
@@ -95,8 +96,9 @@ def test_composite_step_matches_smooth_step_when_psi_is_absent():
                                   lambda: _l1_svm(300, 20, 1, 1.0)],
                          ids=["partial_smooth_2d", "l1_svm"])
 def test_composite_step_evaluates_each_point_once(make):
-    """One H product per model point: the start, each momentum point and
-    each candidate (r restarts add one candidate each).  The certified step
+    """One H product per model point: the start and each candidate (r
+    restarts add one candidate each); the momentum point's gradient is
+    carried by linearity and costs no product.  The certified step
     is the prox whose residual passed, so each iteration pays two prox
     steps and each restart one more.  psi is evaluated at the start and at
     each candidate, which counts r, and not again at the returned point:
@@ -121,7 +123,7 @@ def test_composite_step_evaluates_each_point_once(make):
     it = res.diagnostics["inner_iters"]
     restarts = counts["psi"] - it - 1
     assert restarts >= 1
-    assert counts["apply"] == 2 * it + restarts + 1
+    assert counts["apply"] == it + restarts + 1
     assert counts["prox"] == 2 * it + restarts
 
 
@@ -167,6 +169,17 @@ def _l1_svm(n_samples, n_features, seed, mu):
     return dataclasses.replace(base, psi_value=psi_value, prox=prox)
 
 
+def test_composite_step_stops_at_its_iteration_budget(monkeypatch):
+    # no other test reaches INNER_MAXIT: with a cap of 2 the l1 SVM's first
+    # rung runs out of iterations before its residual passes
+    monkeypatch.setattr(subsolver, "INNER_MAXIT", 2)
+    prob = _l1_svm(300, 20, 1, 1.0)
+    x = prob.start_point()
+    res = composite_step(prob, x, prob.f_grad(x), prob.hess(x), 1.0)
+    assert not res.computable
+    assert res.diagnostics == {"inner_iters": 2, "stop": "budget"}
+
+
 def _l1_svm_rungs():
     """Solve the l1 SVM at mu = 1 and summarise what its rungs did."""
     rungs = []
@@ -192,7 +205,7 @@ def _l1_svm_rungs():
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_composite_step_stops_at_the_safeguard_fixed_point(blas_threads):
     """On the l1 SVM one rung's safeguard rejects every candidate from its
-    31st iteration on; the loop must give up there, and no solve count,
+    37th iteration on; the loop must give up there, and no solve count,
     iteration count or objective may move.  Each thread count gets a fresh
     process, since BLAS reads it at load time."""
     code = ("import json, runpy; print(json.dumps("
@@ -204,7 +217,7 @@ def test_composite_step_stops_at_the_safeguard_fixed_point(blas_threads):
     run = json.loads(proc.stdout.splitlines()[-1])
     assert run["status"] == "converged"
     assert (run["solves"], run["iterations"]) == (15, 13)
-    assert run["F"] == 48.38345521954895
+    assert run["F"] == 48.38345521954896
     assert len(run["stalled"]) == 1 and run["stalled"][0] < 100
     assert run["inner_iters"] < INNER_MAXIT
 
