@@ -10,13 +10,15 @@ design: a singular or indefinite clamped system is a failure, not a
 retry.  A run opens, records and reports through the adaptive driver's
 ``start_run``, ``Trace.accept`` and ``Trace.result``, so sweep tooling can
 tabulate everything side by side, with the same accounting (one counted
-solve per factorisation); a failed step reports the last recorded state.
+solve per factorisation, so ``driver.MAX_OUTER`` caps a run at as many
+solves); a failed step reports the last recorded state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import driver
 from .driver import (CONVERGED, OUTER_BUDGET, SOLVE_BUDGET,
                      SUBPROBLEM_FAILURE, Result, start_run)
 from .hilbert import solve_posdef
@@ -40,21 +42,17 @@ def _armijo_step(problem, x, d, F, slope):
     return None
 
 
-def _newton(problem, x0, solver, grad_tol, max_outer, max_solves) -> Result:
+def _newton(problem, x0, solver, grad_tol, max_solves) -> Result:
     """The baselines' Newton loop; the ``"plain"`` solver takes full steps."""
     if not problem.smooth:
         raise ValueError("baselines handle smooth problems only")
-    x, g, trace = start_run(problem, x0, grad_tol, max_outer, max_solves,
-                            solver=solver)
-    F, gpn = trace.F0, trace.g0_norm
-    solves = 0
-    status = OUTER_BUDGET
+    x, g, trace = start_run(problem, x0, grad_tol, max_solves, solver=solver)
+    if trace.g0_norm <= grad_tol:
+        return trace.result(CONVERGED, 0)
+    F, solves, status = trace.F0, 0, OUTER_BUDGET
 
-    for k in range(max_outer):
-        if gpn <= grad_tol:
-            status = CONVERGED
-            break
-        if solves >= max_solves:
+    for k in range(driver.MAX_OUTER):
+        if max_solves is not None and solves >= max_solves:
             status = SOLVE_BUDGET
             break
         d = solve_posdef(problem.hess(x), -g)
@@ -80,18 +78,20 @@ def _newton(problem, x0, solver, grad_tol, max_outer, max_solves) -> Result:
         trace.accept(x, g, k=k, j=0, lam=0.0, Lam=0.0, F=F,
                      grad_dual_norm=gpn, step_norm=problem.metric.norm(t * d),
                      cum_solves=solves)
+        if gpn <= grad_tol:
+            status = CONVERGED
+            break
 
     return trace.result(status, solves)
 
 
-def plain_newton(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
-                 max_solves=10000) -> Result:
+def plain_newton(problem: Problem, x0=None, *, grad_tol=1e-8,
+                 max_solves=None) -> Result:
     """Full-step (semismooth) Newton: solve ``H(x) d = -f'(x)``, take ``x + d``."""
-    return _newton(problem, x0, "plain", grad_tol, max_outer, max_solves)
+    return _newton(problem, x0, "plain", grad_tol, max_solves)
 
 
 def backtracking_newton(problem: Problem, x0=None, *, grad_tol=1e-8,
-                        max_outer=500, max_solves=10000) -> Result:
+                        max_solves=None) -> Result:
     """Newton with Armijo backtracking on the objective."""
-    return _newton(problem, x0, "backtracking", grad_tol, max_outer,
-                   max_solves)
+    return _newton(problem, x0, "backtracking", grad_tol, max_solves)

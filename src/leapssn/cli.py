@@ -26,12 +26,13 @@ Configuration: flags may also be given in a ``--config`` file of plain
 overridden by the file, which is overridden by explicit flags.  The file
 may additionally set solver constants (alpha, beta, lambda0) that
 have no dedicated flag.  ``--tol`` must be positive.  ``--budget`` (max
-linear solves) must be at least 1; unset, leapssn is unbounded and the
-baselines stop at 10000 in ``run``, and every solver gets 300 in
-``compare`` and ``verify``.  Unset ``--gamma``, ``--n``, ``--seed`` and
-``--tol`` take the problem's defaults from ``suite.registry``, the same
-in every subcommand.  A ``--gamma`` or ``--n`` that is not a number (in
-``compare``, a comma list of numbers) is an argparse usage error (exit 1).
+linear solves) must be at least 1; unset, ``run`` sets no solve budget
+(every run stops at ``driver.MAX_OUTER`` = 500 iterations, for a
+baseline 500 solves), and every solver gets 300 in ``compare`` and
+``verify``.  Unset ``--gamma``, ``--n``, ``--seed`` and ``--tol`` take the
+problem's defaults from ``suite.registry``, the same in every subcommand.
+A ``--gamma`` or ``--n`` that is not a number (in ``compare``, a comma
+list of numbers) is an argparse usage error (exit 1).
 """
 
 from __future__ import annotations
@@ -182,17 +183,12 @@ def _resolve_x0(spec, problem):
     return x0
 
 
-def _constants(settings) -> dict:
-    # pass on only what was set; the driver holds the defaults
-    return {key: settings[key] for key in ("alpha", "beta", "lambda0")
-            if settings[key] is not None}
-
-
 def _run_solver(solver, problem, x0, budget, settings):
-    options = {} if budget is None else {"max_solves": budget}
-    if solver == "leapssn":
-        options.update(_constants(settings))
-    return SOLVERS[solver](problem, x0, grad_tol=settings["tol"], **options)
+    # leapssn gets only the set constants; the driver holds the defaults
+    keys = ("alpha", "beta", "lambda0") if solver == "leapssn" else ()
+    constants = {k: settings[k] for k in keys if settings[k] is not None}
+    return SOLVERS[solver](problem, x0, grad_tol=settings["tol"],
+                           max_solves=budget, **constants)
 
 
 def _check_solvers(solvers) -> None:

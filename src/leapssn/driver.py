@@ -59,6 +59,7 @@ EXIT_CODES = {
     SUBPROBLEM_FAILURE: 3,
 }
 
+MAX_OUTER = 500     # outer iterations of every run, of any solver
 MAX_TRIALS = 60     # ladder rungs per outer iteration
 
 # Trial factor of the convergence theory: a trial is certain to be accepted
@@ -138,22 +139,22 @@ class Result:
         return self.status == CONVERGED
 
 
-def start_run(problem, x0, grad_tol, max_outer, max_solves, **config):
+def start_run(problem, x0, grad_tol, max_solves, **config):
     """Open a run of any solver on ``problem`` from ``x0``.
 
     Returns the start point ``x``, ``f'(x)`` and an empty :class:`Trace`
     whose config holds the problem, the solver's own ``config`` keys, the
-    tolerance and the budgets.  The trace's start stationarity is
+    tolerance and the solve budget.  The trace's start stationarity is
     ``||f'(x0)||_*`` on a smooth problem, else the unit-step prox-gradient
     residual (a surrogate: convergence is only ever tested on certified
     gradients at accepted iterates).  Raises ValueError unless
-    ``grad_tol > 0``, the budgets are at least 1 and F and f' are finite at
-    the start point, where a solver could only fail.
+    ``grad_tol > 0``, ``max_solves`` is None or at least 1 and F and f' are
+    finite at the start point, where a solver could only fail.
     """
     if not grad_tol > 0:
         raise ValueError("grad_tol must be positive")
-    if max_outer < 1 or (max_solves is not None and max_solves < 1):
-        raise ValueError("budgets must be at least 1")
+    if max_solves is not None and max_solves < 1:
+        raise ValueError("max_solves must be at least 1")
     x = problem.start_point(x0)
     F = problem.value(x)
     g = np.asarray(problem.f_grad(x), dtype=float)
@@ -163,31 +164,29 @@ def start_run(problem, x0, grad_tol, max_outer, max_solves, **config):
     g0_norm = (problem.metric.dual_norm(g) if problem.smooth
                else float(np.linalg.norm(x - problem.prox(x - g, 1.0))))
     config = {"problem": problem.name, "dim": problem.dim, **config,
-              "grad_tol": grad_tol, "max_outer": max_outer,
-              "max_solves": max_solves}
+              "grad_tol": grad_tol, "max_solves": max_solves}
     return x, g, Trace(x0=x.copy(), F0=F, g0_norm=g0_norm, config=config)
 
 
-def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
-             max_solves=None, alpha=None, beta=None, lambda0=None) -> Result:
+def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_solves=None,
+             alpha=None, beta=0.25, lambda0=None) -> Result:
     """Run the adaptive solver on ``problem`` from ``x0``.
 
     Returns a :class:`Result` of the last accepted iterate, or of the start
     point when no trial was accepted before the run stopped.  Convergence
     is declared when the certified gradient at an *accepted* iterate has dual
     norm at most ``grad_tol`` (the start point is never tested, so a trace is
-    never empty on the converged path).  ``alpha``, ``beta`` and
-    ``lambda0`` default to the problem's declarations, else to 0.5, 0.25
-    and 1.  Raises ValueError unless ``grad_tol > 0``, the budgets are at
-    least 1, the constants meet the conditions of the convergence theory
-    and F and f' are finite at the start point.
+    never empty on the converged path).  The run stops after ``max_solves``
+    linear solves (None: no budget) or ``MAX_OUTER`` outer iterations.
+    ``alpha`` and ``lambda0`` default to the problem's declarations, else
+    to 0.5 and 1.  Raises ValueError unless ``grad_tol > 0``, the budget is
+    None or at least 1, the constants meet the conditions of the
+    convergence theory and F and f' are finite at the start point.
     """
     if lambda0 is None:
         lambda0 = problem.lambda0 if problem.lambda0 is not None else 1.0
     if alpha is None:
         alpha = problem.alpha if problem.alpha is not None else 0.5
-    if beta is None:
-        beta = problem.beta if problem.beta is not None else 0.25
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
     if not (0.0 < beta <= (M - 1.0) / (2.0 * M)):
@@ -195,14 +194,14 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_outer=500,
     if not 0.0 < lambda0 < np.inf:
         raise ValueError(f"lambda0 must be positive and finite, got {lambda0}")
 
-    x, g, trace = start_run(problem, x0, grad_tol, max_outer, max_solves,
+    x, g, trace = start_run(problem, x0, grad_tol, max_solves,
                             alpha=alpha, beta=beta, m=M, lambda0=lambda0)
     F, Lam = trace.F0, lambda0
     solves = 0
     status = OUTER_BUDGET
 
     H = None
-    for k in range(max_outer):
+    for k in range(MAX_OUTER):
         hess = problem.hess(x)
         if H is None or not H.stores(hess):
             H = None    # free the last H and its kept rung factor first

@@ -12,9 +12,9 @@ these problems (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002).
 K is either a scipy sparse matrix with at most one entry per row (a
 bound on single unknowns, as in contact and the flux box) or a dense
 ndarray (the SVM's sample rows).  With a sparse K, ``K' diag(chi) K`` is
-the diagonal ``diag((K o K)' chi)``; with a dense K it is ``Ka' Ka`` over
-the active rows ``Ka``, and H is dense.  A dense K with no rows is a
-plain quadratic (``quadratic``).
+the diagonal ``diag((K o K)' chi)`` and H is sparse (a dense Q is made
+CSR); with a dense K it is ``Ka' Ka`` over the active rows ``Ka``, and H
+is dense.  A dense K with no rows is a plain quadratic (``quadratic``).
 
 Both forms get the ``hess_apply`` hook, whose column j is ``H(x_j) v_j``
 for a block of base points x_j and directions v_j, so that the
@@ -50,6 +50,7 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
     """The Problem for f above; ``declarations`` go to :class:`Problem`."""
     if sp.issparse(K):
         K = K.tocsr()
+        Q = Q if sp.issparse(Q) else sp.csr_matrix(Q)
         if np.diff(K.indptr).max(initial=0) > 1:
             raise ValueError("a sparse K needs at most one entry per row")
         Kt = K.T.tocsr()

@@ -43,7 +43,7 @@ def _suite_instances():
          {"max_solves": 300}, False),
         ("plate", plate_problem(33, 1e3), 1e-8, {"max_solves": 300}, False),
         ("tv", tv_dual_problem(noisy.data, 1e3), 1e-8,
-         {"max_outer": 60, "max_solves": 80}, True),
+         {"max_solves": 80}, True),
     ]
 
 

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from leapssn import Problem, backtracking_newton, leap_ssn, plain_newton
+from leapssn import (Problem, backtracking_newton, driver, leap_ssn,
+                     plain_newton)
 from leapssn.suite import partial_smooth_2d, plate_problem, quadratic, rosenbrock
 
 
@@ -18,11 +19,15 @@ def test_all_kinds_converge_in_one_solve_on_a_quadratic():
         assert res.status == "converged", runner.__name__
         assert res.solves == 1, runner.__name__
         assert np.linalg.norm(res.x - prob.solution) <= 1e-8
+        # a start within tolerance is tested before any solve
+        start = runner(prob, x0=prob.solution)
+        assert (start.status, start.solves, start.iterations) == (
+            "converged", 0, 0), runner.__name__
 
 
 def test_backtracking_is_monotone_on_rosenbrock():
     prob = rosenbrock(n=2)
-    res = backtracking_newton(prob, grad_tol=1e-8, max_outer=200)
+    res = backtracking_newton(prob, grad_tol=1e-8)
     assert res.status == "converged"
     Fs = [res.trace.F0] + [r.F for r in res.trace.records]
     assert all(b <= a + 1e-12 for a, b in zip(Fs, Fs[1:]))
@@ -40,7 +45,7 @@ def test_backtracking_evaluates_f_once_at_each_accepted_point():
         return prob.f_value(x)
 
     res = backtracking_newton(dataclasses.replace(prob, f_value=f_value),
-                              grad_tol=1e-8, max_outer=200)
+                              grad_tol=1e-8)
     assert res.status == "converged"
     assert np.array_equal(seen[0], res.trace.x0)
     where = []
@@ -58,7 +63,7 @@ def test_plain_newton_fails_where_regularisation_succeeds():
     """Large penalty weight makes the active-set system numerically singular
     for the pure Newton step; the adaptive solver still gets through."""
     prob = plate_problem(n=33, gamma=1e6)
-    plain = plain_newton(prob, grad_tol=1e-8, max_outer=300)
+    plain = plain_newton(prob, grad_tol=1e-8)
     assert plain.status == "subproblem_failure"
 
     adaptive = leap_ssn(prob, grad_tol=1e-8, max_solves=300)
@@ -90,7 +95,7 @@ def test_config_validation():
     prob = quadratic()
     for runner in (plain_newton, backtracking_newton):
         for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-8},
-                    {"max_outer": 0}, {"max_solves": 0}):
+                    {"max_solves": 0}):
             with pytest.raises(ValueError):
                 runner(prob, **bad)
 
@@ -100,14 +105,43 @@ def test_records_and_config_shape():
     for runner, solver in ((plain_newton, "plain"),
                            (backtracking_newton, "backtracking")):
         res = runner(prob, x0=prob.solution + 1.0, grad_tol=1e-9,
-                     max_outer=7, max_solves=9)
+                     max_solves=9)
         assert res.trace.config == {"problem": prob.name, "dim": prob.dim,
                                     "solver": solver, "grad_tol": 1e-9,
-                                    "max_outer": 7, "max_solves": 9}
+                                    "max_solves": 9}
         assert res.trace.records
         for r in res.trace.records:
             assert r.j == 0 and r.lam == 0.0 and r.Lam == 0.0
             assert r.cum_solves == r.k + 1
+
+
+def test_the_last_iterate_within_the_outer_cap_is_tested(monkeypatch):
+    # one step solves the quadratic, so a one-iteration run has converged
+    monkeypatch.setattr(driver, "MAX_OUTER", 1)
+    for runner in (plain_newton, backtracking_newton):
+        res = runner(quadratic())
+        assert res.status == "converged", runner.__name__
+        assert res.iterations == res.solves == 1
+
+
+def test_no_solve_budget_is_accepted():
+    for runner in (plain_newton, backtracking_newton):
+        res = runner(quadratic(), max_solves=None)
+        assert res.status == "converged", runner.__name__
+        assert res.trace.config["max_solves"] is None
+
+
+def test_an_oscillating_newton_run_stops_at_the_outer_cap():
+    # f = |x|^(3/2): every full Newton step maps x to -x, so from x0 = 1 the
+    # run never converges and only the outer cap, one solve per iteration,
+    # stops it
+    prob = Problem(dim=1, f_value=lambda x: abs(x[0]) ** 1.5,
+                   f_grad=lambda x: 1.5 * np.sign(x) * np.sqrt(np.abs(x)),
+                   hess=lambda x: np.array([[0.75 / np.sqrt(abs(x[0]))]]))
+    res = plain_newton(prob, x0=[1.0])
+    assert res.status == "outer_budget"
+    assert res.iterations == res.solves == driver.MAX_OUTER == 500
+    assert abs(res.x[0]) == pytest.approx(1.0)
 
 
 def test_solve_budget_status():

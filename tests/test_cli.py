@@ -419,7 +419,8 @@ def test_tv_run_writes_images(tmp_path):
 
 
 def test_run_tv_uses_the_declared_constants(tmp_path, monkeypatch):
-    # tv_dual_problem declares alpha = beta = 1e-4; a set constant still wins
+    # tv_dual_problem declares alpha = 1e-4 and no beta, which keeps the
+    # driver's 1/4; a set constant still wins
     results = []
 
     def spy(*args, **kwargs):
@@ -435,8 +436,8 @@ def test_run_tv_uses_the_declared_constants(tmp_path, monkeypatch):
     assert _run(*args, "--config", str(config),
                 "--out", str(tmp_path / "set")) == 0
     declared, set_alpha = (r.trace.config for r in results)
-    assert (declared["alpha"], declared["beta"]) == (1e-4, 1e-4)
-    assert (set_alpha["alpha"], set_alpha["beta"]) == (0.25, 1e-4)
+    assert (declared["alpha"], declared["beta"]) == (1e-4, 0.25)
+    assert (set_alpha["alpha"], set_alpha["beta"]) == (0.25, 0.25)
 
 
 def test_usage_error_exits_one():

@@ -29,7 +29,7 @@ def test_quadratic_accepts_every_first_trial():
     assert res.solves == len(recs)
 
 
-def test_statuses_and_exit_codes():
+def test_statuses_and_exit_codes(monkeypatch):
     prob = quadratic()
     x0 = prob.solution + 2.0
 
@@ -37,7 +37,8 @@ def test_statuses_and_exit_codes():
     assert ok.status == "converged"
     assert EXIT_CODES[ok.status] == 0
 
-    capped = leap_ssn(prob, x0=x0, max_outer=2, grad_tol=1e-14)
+    monkeypatch.setattr(driver, "MAX_OUTER", 2)
+    capped = leap_ssn(prob, x0=x0, grad_tol=1e-14)
     assert capped.status == "outer_budget"
     assert capped.iterations == 2
     assert EXIT_CODES[capped.status] == 2
@@ -51,7 +52,7 @@ def test_statuses_and_exit_codes():
 def test_inconsistent_gradient_exhausts_inner_trials():
     # the objective never matches the reported slope, so no proposal is ever
     # accepted once the iterate reaches the spurious stationary point
-    res = leap_ssn(broken_gradient_problem(), max_outer=200)
+    res = leap_ssn(broken_gradient_problem())
     assert res.status == "inner_budget"
     assert EXIT_CODES[res.status] == 2
 
@@ -90,8 +91,7 @@ def test_parameter_validation():
         leap_ssn(prob, beta=0.3)   # beta must stay <= (M-1)/(2M)
     with pytest.raises(ValueError):
         leap_ssn(prob, lambda0=0.0)
-    for bad in ({"lambda0": np.nan}, {"lambda0": np.inf}, {"max_outer": 0},
-                {"max_solves": 0}):
+    for bad in ({"lambda0": np.nan}, {"lambda0": np.inf}, {"max_solves": 0}):
         with pytest.raises(ValueError):
             leap_ssn(prob, **bad)
     # a declared lambda0 is checked like a passed one, 0 included

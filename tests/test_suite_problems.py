@@ -473,6 +473,16 @@ def test_a_sparse_penalty_row_bounds_one_unknown():
                             K, np.zeros(2), 1.0)
 
 
+def test_a_dense_q_with_sparse_rows_gives_a_sparse_hessian():
+    # f = |x|^2 - sum(x) + 1/2 |max(0, x)|^2 is minimised at x = 1/3
+    prob = penalised_quadratic(2.0 * np.eye(3), -np.ones(3), 0.0,
+                               sp.identity(3, format="csr"), np.zeros(3), 1.0)
+    assert sp.issparse(prob.hess(np.ones(3)))
+    res = leap_ssn(prob, grad_tol=1e-10)
+    assert res.status == "converged"
+    assert np.allclose(res.x, 1.0 / 3.0, atol=1e-9)
+
+
 # ---------------------------------------------------------------- registry
 
 def test_registry_names_and_tols():
@@ -483,6 +493,25 @@ def test_registry_names_and_tols():
     assert default_tol("quadratic") == 1e-8
     with pytest.raises(KeyError):
         build_problem("no_such_problem")
+
+
+def test_every_declared_constant_changes_the_run():
+    # a constant a registry problem declares must move its trace.csv from
+    # the one the driver's default gives, else the declaration is dead;
+    # TV runs at a size where that shows in a few solves
+    defaults = {"alpha": 0.5, "beta": 0.25, "lambda0": 1.0}
+    sizes = {"tv": {"n": 16, "gamma": 1e2}}
+    checked = []
+    for name in PROBLEM_NAMES:
+        prob = build_problem(name, **sizes.get(name, {}))
+        declared = [k for k in defaults if getattr(prob, k, None) is not None]
+        if declared:
+            own = leap_ssn(prob, max_solves=60).trace.csv()
+        for key in declared:
+            run = leap_ssn(prob, max_solves=60, **{key: defaults[key]})
+            assert run.trace.csv() != own, (name, key)
+            checked.append((name, key))
+    assert {"tv", "svm"} <= {name for name, _ in checked}
 
 
 def test_registry_builds_with_overrides():
