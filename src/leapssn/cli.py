@@ -47,7 +47,7 @@ import numpy as np
 import scipy
 
 from .baselines import backtracking_newton, plain_newton
-from .driver import EXIT_CODES, leap_ssn
+from .driver import BLAS_THREAD_VARS, EXIT_CODES, blas_threads, leap_ssn
 from .hilbert import NumericalError
 from .suite.imaging import write_pgm
 from .suite.registry import (PROBLEM_NAMES, SVM_SAMPLES, build_problem,
@@ -62,8 +62,6 @@ SOLVERS = {"leapssn": leap_ssn, "plain": plain_newton,
 SOLVER_NAMES = tuple(SOLVERS)
 GRAD_CHECK_TOL = 1e-5
 HESS_SYM_TOL = 1e-9
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
 
 _CONFIG_KEYS = {
     "problem": str, "solver": str, "gamma": float, "n": int, "seed": int,
@@ -166,7 +164,7 @@ def environment() -> dict:
         blas = "unknown"
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas": blas,
-            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
+            "blas_threads": blas_threads()}
 
 
 def _resolve_x0(spec, problem):
@@ -310,9 +308,6 @@ def cmd_verify(ns) -> int:
     if hess_err > HESS_SYM_TOL:
         violations.append([0, "hess_symmetry", hess_err, HESS_SYM_TOL])
 
-    dm = dm_condition_sample(result.trace, problem)
-    manifold = None if problem.smooth else manifold_check(result.trace)
-
     doc = {
         "problem": name,
         "dim": problem.dim,
@@ -323,8 +318,9 @@ def cmd_verify(ns) -> int:
         "grad_check_max_rel_error": grad_err,
         "hess_symmetry_max_rel_error": hess_err,
         "audit": report.to_dict(),
-        "dm_ratios": dm,
-        "manifold_index": manifold,
+        "dm_ratios": dm_condition_sample(result.trace, problem),
+        "manifold_index": (None if problem.smooth
+                           else manifold_check(result.trace)),
         "violations": violations,
         "environment": environment(),
     }

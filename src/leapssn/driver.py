@@ -36,6 +36,7 @@ and reports its last recorded state (else its start) by
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,8 @@ EXIT_CODES = {
 
 MAX_OUTER = 500     # outer iterations of every run, of any solver
 MAX_TRIALS = 60     # ladder rungs per outer iteration
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 # Trial factor of the convergence theory: a trial is certain to be accepted
 # once lambda >= M * L (L the model-error constant), given
@@ -139,17 +142,22 @@ class Result:
         return self.status == CONVERGED
 
 
+def blas_threads() -> dict:
+    """The BLAS thread variables, None where unset."""
+    return {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
+
+
 def start_run(problem, x0, grad_tol, max_solves, **config):
     """Open a run of any solver on ``problem`` from ``x0``.
 
     Returns the start point ``x``, ``f'(x)`` and an empty :class:`Trace`
     whose config holds the problem, the solver's own ``config`` keys, the
-    tolerance and the solve budget.  The trace's start stationarity is
-    ``||f'(x0)||_*`` on a smooth problem, else the unit-step prox-gradient
-    residual (a surrogate: convergence is only ever tested on certified
-    gradients at accepted iterates).  Raises ValueError unless
-    ``grad_tol > 0``, ``max_solves`` is None or at least 1 and F and f' are
-    finite at the start point, where a solver could only fail.
+    tolerance, the solve budget and :func:`blas_threads`.  The trace's
+    start stationarity is ``||f'(x0)||_*`` on a smooth problem, else the
+    unit-step prox-gradient residual (a surrogate: convergence is only ever
+    tested on certified gradients at accepted iterates).  Raises ValueError
+    unless ``grad_tol > 0``, ``max_solves`` is None or at least 1 and F and
+    f' are finite at the start point, where a solver could only fail.
     """
     if not grad_tol > 0:
         raise ValueError("grad_tol must be positive")
@@ -164,7 +172,8 @@ def start_run(problem, x0, grad_tol, max_solves, **config):
     g0_norm = (problem.metric.dual_norm(g) if problem.smooth
                else float(np.linalg.norm(x - problem.prox(x - g, 1.0))))
     config = {"problem": problem.name, "dim": problem.dim, **config,
-              "grad_tol": grad_tol, "max_solves": max_solves}
+              "grad_tol": grad_tol, "max_solves": max_solves,
+              "blas_threads": blas_threads()}
     return x, g, Trace(x0=x.copy(), F0=F, g0_norm=g0_norm, config=config)
 
 

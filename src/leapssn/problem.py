@@ -6,9 +6,9 @@ given by its value and Euclidean proximal map, the SPD metric defining norms,
 optional performance hooks (a difference-form decrease, and block
 evaluations of H, f and f' that the verification harness runs its
 samples through, in blocks that span base points), and optional
-declarations (known minimum value, positive semidefinite curvature,
-strong-convexity modulus, sampling region) that the verification harness
-uses to decide which theory checks apply.
+declarations (known minimum value, solution set, positive semidefinite
+curvature, strong-convexity modulus, sampling region) that the
+verification harness uses to decide which theory checks apply.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class Problem:
     harness evaluates has up to 50 columns on a problem with ``f_grads``,
     else 8.  Without them the audit of the dense SVM benchmark jobs took
     1.27-1.42 s instead of 0.38-0.44 s.
+
+    ``project_solution(x)`` optionally declares the solution set: it
+    returns the set's point nearest to ``x`` (a constant map for a unique
+    minimiser).  ``verify.dm_condition_sample`` projects the final iterate.
     """
 
     dim: int
@@ -89,7 +93,6 @@ class Problem:
     f_star: Optional[float] = None
     hess_psd: bool = False          # every H(x) is positive semidefinite
     strong_convexity: Optional[float] = None    # PL / strong-convexity modulus
-    solution: Optional[np.ndarray] = None
     project_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sample_box: Optional[tuple] = None          # (lo, hi) arrays for sampling
     near_kink: Optional[Callable[[object], np.ndarray]] = None

@@ -1,8 +1,8 @@
 """Small hand-checkable problems used for auditing and unit tests.
 
 Each builder returns a fully-declared :class:`~leapssn.problem.Problem`:
-known minimisers and growth moduli are attached so the trace auditor can
-test every envelope it knows about.  ``partial_smooth_2d`` and
+solution-set projectors and growth moduli are attached so the trace
+auditor can test every envelope it knows about.  ``partial_smooth_2d`` and
 ``quadratic`` are penalised quadratics built by
 :func:`~leapssn.suite.penalty.penalised_quadratic` (``quadratic`` with no
 penalty rows); ``rank_deficient_ls`` and ``rosenbrock`` write their
@@ -49,7 +49,6 @@ def partial_smooth_2d() -> Problem:
         x0=np.array([1.0, 1.0]),
         f_star=0.0,
         strong_convexity=2.0,
-        solution=np.zeros(2),
         project_solution=lambda x: np.zeros(2),
         sample_box=(np.full(2, -2.0), np.full(2, 2.0)),
         near_kink=near_kink,
@@ -109,7 +108,6 @@ def rank_deficient_ls(n: int = 20, rank: int = 12, seed: int = 0) -> Problem:
         x0=np.zeros(n),
         f_star=0.0,
         strong_convexity=mu,
-        solution=project_solution(np.zeros(n)),
         project_solution=project_solution,
         sample_box=(xbar - 2.0, xbar + 2.0),
     )
@@ -156,7 +154,7 @@ def rosenbrock(n: int = 10) -> Problem:
         name="rosenbrock",
         x0=np.zeros(n),
         f_star=0.0,
-        solution=np.ones(n),
+        project_solution=lambda x: np.ones(n),
         sample_box=(np.full(n, -2.0), np.full(n, 2.0)),
     )
 
@@ -180,7 +178,6 @@ def quadratic(n: int = 8, seed: int = 3) -> Problem:
         x0=np.zeros(n),
         f_star=0.0,
         strong_convexity=mu,
-        solution=xstar,
         project_solution=lambda x: xstar,
         sample_box=(xstar - 2.0, xstar + 2.0),
     )

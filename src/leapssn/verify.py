@@ -547,15 +547,12 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
     regularised step x+(lambda_k/2, x_k) and returns
     ``||(H(x+) - H(x_k))(x+ - x*)||_* / ||x+ - x_k||`` — the quantity
     whose decay to zero drives superlinear convergence; one H(x_k) serves
-    both terms.  Requires a known solution (or a projector onto the
-    solution set, applied to the final iterate); else returns None.
+    both terms.  x* is ``project_solution`` of the final iterate; without
+    a projector or an accepted iterate, returns None.
     """
-    if problem.solution is not None:
-        x_star = np.asarray(problem.solution, dtype=float)
-    elif problem.project_solution is not None and trace.iterates:
-        x_star = np.asarray(problem.project_solution(trace.iterates[-1]), dtype=float)
-    else:
+    if problem.project_solution is None or not trace.iterates:
         return None
+    x_star = np.asarray(problem.project_solution(trace.iterates[-1]), dtype=float)
     xs = [trace.x0] + list(trace.iterates)
     recs = trace.records
     out = []
@@ -577,20 +574,17 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
 
 
 def manifold_check(trace: Trace) -> Optional[int]:
-    """First index from which the first coordinate stays exactly zero.
+    """First index from which the exact zero set is the final iterate's.
 
     The iterate sequence counts the start point as index 0.  Returns
-    None when the final iterate has not identified the manifold.
+    None when the final iterate has no exact zero.
     """
     xs = [trace.x0] + list(trace.iterates)
-    idx = None
-    for i, x in enumerate(xs):
-        if float(x[0]) == 0.0:
-            if idx is None:
-                idx = i
-        else:
-            idx = None
-    return idx
+    zeros = xs[-1] == 0.0
+    if not zeros.any():
+        return None
+    return max((i + 1 for i, x in enumerate(xs)
+                if not np.array_equal(x == 0.0, zeros)), default=0)
 
 
 def _psi_subgradient_at(problem: Problem, x):

@@ -13,14 +13,15 @@ from leapssn.suite import partial_smooth_2d, plate_problem, quadratic, rosenbroc
 
 def test_all_kinds_converge_in_one_solve_on_a_quadratic():
     prob = quadratic()
-    x0 = prob.solution + 3.0
+    xstar = prob.project_solution(prob.x0)
+    x0 = xstar + 3.0
     for runner in (plain_newton, backtracking_newton):
         res = runner(prob, x0=x0)
         assert res.status == "converged", runner.__name__
         assert res.solves == 1, runner.__name__
-        assert np.linalg.norm(res.x - prob.solution) <= 1e-8
+        assert np.linalg.norm(res.x - xstar) <= 1e-8
         # a start within tolerance is tested before any solve
-        start = runner(prob, x0=prob.solution)
+        start = runner(prob, x0=xstar)
         assert (start.status, start.solves, start.iterations) == (
             "converged", 0, 0), runner.__name__
 
@@ -104,11 +105,12 @@ def test_records_and_config_shape():
     prob = quadratic()
     for runner, solver in ((plain_newton, "plain"),
                            (backtracking_newton, "backtracking")):
-        res = runner(prob, x0=prob.solution + 1.0, grad_tol=1e-9,
-                     max_solves=9)
+        res = runner(prob, x0=prob.project_solution(prob.x0) + 1.0,
+                     grad_tol=1e-9, max_solves=9)
         assert res.trace.config == {"problem": prob.name, "dim": prob.dim,
                                     "solver": solver, "grad_tol": 1e-9,
-                                    "max_solves": 9}
+                                    "max_solves": 9,
+                                    "blas_threads": driver.blas_threads()}
         assert res.trace.records
         for r in res.trace.records:
             assert r.j == 0 and r.lam == 0.0 and r.Lam == 0.0
@@ -157,7 +159,7 @@ def test_solve_budget_status():
                                     backtracking_newton])
 def test_a_nonfinite_start_is_refused_before_any_solve(solver):
     prob = quadratic()
-    x0 = prob.solution.copy()
+    x0 = prob.project_solution(prob.x0).copy()
     x0[3] = np.nan
     with pytest.raises(ValueError, match="not finite at the start point"):
         solver(prob, x0=x0)

@@ -19,7 +19,7 @@ def test_quadratic_accepts_every_first_trial():
     """On an exact quadratic the model is the objective, so the very first
     trial of every iteration is accepted and the proposal keeps halving."""
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0)
     assert res.status == "converged"
     recs = res.trace.records
     assert all(r.j == 0 for r in recs)
@@ -31,7 +31,7 @@ def test_quadratic_accepts_every_first_trial():
 
 def test_statuses_and_exit_codes(monkeypatch):
     prob = quadratic()
-    x0 = prob.solution + 2.0
+    x0 = prob.project_solution(prob.x0) + 2.0
 
     ok = leap_ssn(prob, x0=x0)
     assert ok.status == "converged"
@@ -57,11 +57,20 @@ def test_inconsistent_gradient_exhausts_inner_trials():
     assert EXIT_CODES[res.status] == 2
 
 
+def test_trace_config_records_the_blas_thread_variables(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    threads = leap_ssn(quadratic()).trace.config["blas_threads"]
+    assert threads["OPENBLAS_NUM_THREADS"] == "3"
+    assert threads["MKL_NUM_THREADS"] is None
+    assert set(threads) == set(driver.BLAS_THREAD_VARS)
+
+
 def test_start_at_solution_certifies_with_one_step():
     # stationarity is only ever measured at accepted prox points, so even a
     # perfect start costs one (zero-length) certified step
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution.copy())
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0).copy())
     assert res.status == "converged"
     assert res.iterations == 1
     assert res.solves == 1
@@ -111,7 +120,7 @@ def test_nonpositive_grad_tol_is_refused(grad_tol):
 
 def test_trace_holds_each_accepted_iterate():
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution + 1.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 1.0)
     recs = res.trace.records
     assert [r.k for r in recs] == list(range(res.iterations))
     assert len(res.trace.iterates) == res.iterations
@@ -121,7 +130,7 @@ def test_trace_holds_each_accepted_iterate():
 
 def test_trace_csv_round_trip(tmp_path):
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0)
     path = tmp_path / "trace.csv"
     res.trace.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -138,7 +147,8 @@ def test_trace_csv_round_trip(tmp_path):
 
 def test_custom_lambda0_is_respected():
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution + 2.0, lambda0=32.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0,
+                   lambda0=32.0)
     assert res.trace.records[0].Lam == 32.0
     assert res.trace.config["lambda0"] == 32.0
 
@@ -164,7 +174,7 @@ def test_gradient_is_evaluated_once_per_computable_trial():
         return f_grad(x)
 
     prob.f_grad = counted
-    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0)
     assert res.status == "converged" and res.iterations > 1
     # every trial is computable on a convex quadratic, plus one call at x0
     assert calls == 1 + res.solves
@@ -217,7 +227,7 @@ def test_a_changed_h_gets_a_fresh_operator(monkeypatch):
     prob = quadratic()
     A = sp.csr_matrix(prob.hess(prob.x0))
     same = dataclasses.replace(prob, hess=lambda x: A.copy())
-    res = leap_ssn(same, x0=prob.solution + 2.0)
+    res = leap_ssn(same, x0=prob.project_solution(prob.x0) + 2.0)
     assert res.iterations > 2 and len(made) == 1
 
     calls = 0
@@ -231,7 +241,7 @@ def test_a_changed_h_gets_a_fresh_operator(monkeypatch):
 
     made.clear()
     res = leap_ssn(dataclasses.replace(prob, hess=nudged),
-                   x0=prob.solution + 2.0)
+                   x0=prob.project_solution(prob.x0) + 2.0)
     assert res.iterations > 2 and len(made) == calls == res.iterations
 
 

@@ -30,7 +30,7 @@ def test_smooth_step_solves_the_shifted_system():
 
 def test_smooth_step_fixed_point_at_stationarity():
     prob = quadratic()
-    xstar = prob.solution
+    xstar = prob.project_solution(prob.x0)
     g = prob.f_grad(xstar)
     res = smooth_step(prob, xstar, g, prob.hess(xstar), 1.0)
     assert np.linalg.norm(res.x_plus - xstar) <= 1e-10
@@ -76,7 +76,7 @@ def test_composite_step_matches_smooth_step_when_psi_is_absent():
     prob = quadratic()
     rng = SplitMix64(0x5EED)
     for _ in range(10):
-        x = prob.solution + rng.normals(prob.dim)
+        x = prob.project_solution(prob.x0) + rng.normals(prob.dim)
         g = prob.f_grad(x)
         H = prob.hess(x)
         lam = float(rng.uniforms(1)[0]) * 4.0 + 0.25

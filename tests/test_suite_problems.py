@@ -65,8 +65,9 @@ def test_quadratic_spectrum_and_solution():
     w = np.linalg.eigvalsh(H)
     assert w[0] == pytest.approx(1.0, rel=1e-10)
     assert w[-1] == pytest.approx(10.0, rel=1e-10)
-    assert np.linalg.norm(p.f_grad(p.solution)) <= 1e-12
-    assert p.f_value(p.solution) == pytest.approx(p.f_star, abs=1e-12)
+    xstar = p.project_solution(p.x0)
+    assert np.linalg.norm(p.f_grad(xstar)) <= 1e-12
+    assert p.f_value(xstar) == pytest.approx(p.f_star, abs=1e-12)
 
 
 def test_rank_deficient_geometry():
@@ -198,6 +199,22 @@ def test_plate_penetration_shrinks_with_gamma():
         viols.append(float(np.max(prob.obstacle - res.x)))
     assert viols[0] > viols[1]
     assert viols[1] <= 0.05
+
+
+@pytest.mark.parametrize("build", [membrane_problem, plate_problem],
+                         ids=["membrane", "plate"])
+@pytest.mark.parametrize("gamma", [1e2, 1e4])
+def test_outer_iterations_are_mesh_independent(build, gamma):
+    # the solver works in the metric of the function space, so refining
+    # the mesh barely moves the outer iteration count; n = 17 is still
+    # pre-asymptotic (membrane at gamma = 1e4 takes 12 iterations, 8 on
+    # finer meshes) and stays out of the bound
+    counts = []
+    for n in (33, 65):
+        res = leap_ssn(build(n, gamma), grad_tol=1e-8, max_solves=300)
+        assert res.status == "converged"
+        counts.append(res.iterations)
+    assert max(counts) / min(counts) <= 1.25, counts
 
 
 def test_one_metric_factorization_serves_a_gamma_sweep(counted):

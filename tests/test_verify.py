@@ -21,6 +21,7 @@ from leapssn.suite import (SplitMix64, partial_smooth_2d, plate_problem,
 from leapssn.suite.registry import broken_gradient_problem
 from leapssn.verify import (BLOCK_DIRECTIONS, BOX_RADIUS, _sample_groups,
                             _width, assumption2_sample)
+from test_subsolver import _l1_svm
 
 
 def test_grad_check_accepts_exact_gradients():
@@ -305,7 +306,7 @@ def test_audit_clean_run():
 
 def test_audit_flags_corrupted_objective():
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0)
     bad = copy.deepcopy(res.trace)
     bad.records[2].F = bad.records[1].F + 1.0       # objective went up
     rep = audit_trace(bad, prob)
@@ -317,7 +318,7 @@ def test_audit_flags_corrupted_objective():
 
 def test_audit_flags_tampered_lambda():
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0)
     bad = copy.deepcopy(res.trace)
     bad.records[1].lam = 1e9                        # impossible proposal
     rep = audit_trace(bad, prob)
@@ -329,7 +330,7 @@ def test_audit_flags_tampered_lambda():
 
 def test_audit_flags_tampered_gradient_cache():
     prob = quadratic()
-    res = leap_ssn(prob, x0=prob.solution + 2.0)
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0)
     assert audit_trace(res.trace, prob).ok
     bad = copy.deepcopy(res.trace)
     bad.grads[1] = bad.grads[1] + 1e-3
@@ -366,7 +367,7 @@ def test_convex_envelope(shift):
     # d0 is the diameter of the sublevel set {F <= F0} of a mu-strongly
     # convex objective: 2 sqrt(2 (F0 - f*) / mu)
     prob = quadratic()
-    x0 = None if shift is None else prob.solution + shift
+    x0 = None if shift is None else prob.project_solution(prob.x0) + shift
     trace = leap_ssn(prob, x0=x0).trace
     d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - prob.f_star) / prob.strong_convexity)
     rep = audit_trace(trace, prob, d0=d0)
@@ -411,14 +412,25 @@ def test_dm_ratios_vanish_for_constant_hessian():
 
 
 def test_dm_ratios_project_the_final_iterate_without_a_solution():
-    # partial_smooth_2d's projection onto its solution set is the constant
-    # solution, so dropping the declared solution changes no ratio
+    # x* is the projection of the final iterate, taken once; without a
+    # projector, or without an accepted iterate, there is no sample
     prob = partial_smooth_2d()
     res = leap_ssn(prob, grad_tol=1e-10)
-    ratios = dm_condition_sample(res.trace, prob)
-    assert ratios
-    projected = dataclasses.replace(prob, solution=None)
-    assert dm_condition_sample(res.trace, projected) == ratios
+    seen = []
+
+    def recorded(x):
+        seen.append(x.copy())
+        return prob.project_solution(x)
+
+    projected = dataclasses.replace(prob, project_solution=recorded)
+    ratios = dm_condition_sample(res.trace, projected)
+    assert ratios and ratios == dm_condition_sample(res.trace, prob)
+    assert len(seen) == 1 and np.array_equal(seen[0], res.trace.iterates[-1])
+    undeclared = dataclasses.replace(prob, project_solution=None)
+    assert dm_condition_sample(res.trace, undeclared) is None
+    start = Trace(x0=res.trace.x0, F0=res.trace.F0,
+                  g0_norm=res.trace.g0_norm, config=res.trace.config)
+    assert dm_condition_sample(start, prob) is None
 
 
 def test_manifold_detection():
@@ -428,6 +440,18 @@ def test_manifold_detection():
 
     smooth = leap_ssn(quadratic())
     assert manifold_check(smooth.trace) is None
+
+
+@pytest.mark.parametrize("mu, index", [(100.0, 2), (200.0, 5)])
+def test_manifold_check_reads_every_coordinate(mu, index):
+    # l1 on the SVM weights zeroes some of them exactly.  At mu = 100 the
+    # first weight is never zero; at mu = 200 it is zero from iterate 2 on,
+    # while the zero set grows over iterates 2-5 (10, 11, 13, 14 zeros)
+    res = leap_ssn(_l1_svm(300, 20, 1, mu))
+    zeros = [int((x == 0.0).sum())
+             for x in [res.trace.x0] + res.trace.iterates]
+    assert zeros[index] == zeros[-1] > zeros[index - 1]
+    assert manifold_check(res.trace) == index
 
 
 def test_step_length_bound_sampled():
