@@ -3,7 +3,7 @@
 A :class:`Problem` bundles the smooth part ``f`` (value, gradient, and a
 symmetric curvature operator ``H(x)``), an optional nonsmooth part ``psi``
 given by its value and Euclidean proximal map, the SPD metric defining norms,
-optional performance hooks (a difference-form decrease, and block
+optional performance hooks (difference-form decreases of f and psi, and block
 evaluations of H, f and f' that the verification harness runs its
 samples through, in blocks that span base points), and optional
 declarations (known minimum value, solution set, positive semidefinite
@@ -41,6 +41,12 @@ class Problem:
     O(1) objective values floors at ulp(F) while true decreases sit orders
     of magnitude lower; problems whose structure allows exact cancellation
     (quadratics plus clipped penalties) should supply this.
+
+    ``psi_decrease(x, x_plus)`` optionally evaluates ``psi(x) -
+    psi(x_plus)`` in difference form, for the same reason: a separable
+    ``psi`` such as ``mu ||w||_1`` can sum its termwise differences, where
+    the subtraction of two O(psi) values floors at ulp(psi).  Without it
+    the decrease subtracts the two values.
 
     ``hess_apply(X, V)`` optionally evaluates, for dim x k blocks ``X``
     of base points and ``V`` of directions, the dim x k block whose
@@ -82,6 +88,7 @@ class Problem:
 
     # optional structure/performance hooks
     f_decrease: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    psi_decrease: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     f_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_grads: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -116,13 +123,18 @@ class Problem:
 
     def decrease(self, x, x_plus) -> float:
         """F(x) - F(x_plus): ``f_decrease(x, x_plus)`` when the problem has
-        it, else ``f(x) - f(x_plus)``, plus ``psi(x) - psi(x_plus)`` when
-        the problem is composite."""
+        it, else ``f(x) - f(x_plus)``, plus, when the problem is
+        composite, ``psi_decrease(x, x_plus)`` when it has that, else
+        ``psi(x) - psi(x_plus)``."""
         if self.f_decrease is not None:
             df = float(self.f_decrease(x, x_plus))
         else:
             df = float(self.f_value(x)) - float(self.f_value(x_plus))
-        return df if self.smooth else df + self.psi(x) - self.psi(x_plus)
+        if self.smooth:
+            return df
+        if self.psi_decrease is not None:
+            return df + float(self.psi_decrease(x, x_plus))
+        return df + self.psi(x) - self.psi(x_plus)
 
     def start_point(self, x0=None) -> np.ndarray:
         if x0 is not None:

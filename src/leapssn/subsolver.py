@@ -7,13 +7,14 @@ Each outer trial minimises the regularised local model
 
 For smooth problems (``psi == 0``) the minimiser solves the SPD system
 ``(H + lambda R) d = -f'(x)`` directly; for composite problems the model is
-minimised by a monotone accelerated proximal-gradient loop.  That loop
-evaluates each candidate's model once, value and gradient from one product
-with ``H``; the momentum point's gradient follows from two of those by
-linearity.  It returns the prox step whose fixed-point residual passed its
-test, so the prox fixed-point identity hands back an exact subgradient of
-``psi`` at the returned point.  Both steps return that subgradient (zeros on a
-smooth problem), so the driver scores every candidate the same way.
+minimised by a monotone accelerated proximal-gradient loop with adaptive
+restart.  That loop evaluates each candidate's model once, value and
+gradient from one product with ``H``; the momentum point's gradient follows
+from two of those by linearity.  It returns the prox step whose fixed-point
+residual passed its test, so the prox fixed-point identity hands back an
+exact subgradient of ``psi`` at the returned point.  Both steps return that
+subgradient (zeros on a smooth problem), so the driver scores every
+candidate the same way.
 
 A step is *non-computable* when the system is not positive definite (the
 model has no minimiser for this lambda) or the inner iteration fails to
@@ -78,7 +79,18 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     when ``c == 0`` (the first iteration and after every restart).  An
     iteration therefore pays one product for each candidate it evaluates:
     a step makes ``it + r + 1`` products over ``it`` iterations and ``r``
-    restarts.
+    function-value restarts.
+
+    The momentum restarts in two ways (O'Donoghue and Candes, *Adaptive
+    restart for accelerated gradient schemes*, Found. Comput. Math. 2015).
+    A candidate whose model value rises by more than rounding noise is
+    replaced by the prox step from the best point, ``y``, which costs one
+    prox and one product.  Otherwise, a gradient restart resets ``theta``
+    to 1 when the step just taken points against the prox-gradient
+    mapping at the momentum point, ``(z - y+) . (y+ - y) > 0``: one dot
+    product, and no prox, psi or ``H`` evaluation.  It is tested only
+    when ``theta > 1`` and so never after a function-value restart; on
+    the l1 SVM it halves the inner iterations.
     Counts as one trial solve in the driver's accounting.  Passing ``H``
     as an :class:`Operator` shares its cached step-size estimate across
     the rungs of one outer iteration.
@@ -98,12 +110,15 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
       candidate ``prox(y - t g(y), t)`` is the restart candidate just
       rejected, and every later iteration repeats the same arithmetic on
       the same values, is rejected the same way and gets the residual
-      that has just failed.
+      that has just failed.  The gradient restart does not disturb this:
+      it needs ``theta > 1``, and a stalled iteration has just set
+      ``theta = 1``.
     * ``"nonfinite"``: ``y`` holds a NaN or an infinity.  Then so does
       ``g(y)`` at that entry, since its ``lambda (y - x)`` term is not
       finite and a sum with a non-finite term is not finite.  So do ``z``,
       ``g(z)`` and the prox input: each is such a sum, with a nonzero
-      multiple of those entries, or is the entry itself when ``c == 0``.
+      multiple of those entries, or is the entry itself when ``c == 0``
+      (after a gradient restart too: a NaN dot product never resets).
       A prox that keeps a NaN entry non-finite (soft-thresholding and the
       identity do) makes every later candidate, and so every later
       residual, non-finite, and ``res <= threshold`` never holds again.
@@ -157,6 +172,11 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
             if m_cand > m_best + tau:   # no progress even from the best point
                 cand, m_cand, g_cand = y, m_best, g_y
                 stalled = True
+        # gradient restart: drop the momentum when the step just taken
+        # points against the prox-gradient mapping at z (a function-value
+        # restart, stalled or not, has set theta = 1 already)
+        if theta > 1.0 and float((z - cand) @ (cand - y)) > 0.0:
+            theta = 1.0
         if indefinite:
             stop = "indefinite"
             break

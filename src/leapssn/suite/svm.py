@@ -1,10 +1,12 @@
-"""L2-regularised squared-hinge SVM as a smooth composite problem.
+"""L2-regularised squared-hinge SVM, smooth and with an l1 term.
 
 f(w, b) = 0.5 ||w||^2 + gamma * sum_i max(0, 1 - y_i (w.x_i + b))^2
 
 The squared hinge is C^1 with a piecewise-linear gradient, so the
 natural Newton derivative is the active-sample Gauss-Newton matrix.
 The intercept is unregularised, matching the usual L2-SVM convention.
+:func:`l1_svm_problem` adds psi(w, b) = mu ||w||_1, the paper's
+machine-learning class, with the intercept again left free.
 
 This is :func:`.penalty.penalised_quadratic` over v = (w, b) with
 Q = diag(1, ..., 1, 0) as a sparse diagonal, q = 0, const = 0, the dense
@@ -13,6 +15,8 @@ f', H and f_decrease, and this module only the data.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,6 +73,38 @@ def svm_problem(X: np.ndarray, y: np.ndarray, gamma: float) -> Problem:
         sample_box=(np.full(dim, -2.0), np.full(dim, 2.0)),
         near_kink=near_kink,
     )
+
+
+def l1_svm_problem(n_samples: int, n_features: int, seed: int,
+                   mu: float) -> Problem:
+    """The squared-hinge SVM at gamma = 1 on ``svm_data(n_samples,
+    n_features, seed)`` plus psi(w, b) = mu ||w||_1.
+
+    The prox soft-thresholds the weights and leaves the intercept free.
+    ``psi_decrease`` sums mu (|x_i| - |y_i|) term by term: the
+    subtraction psi(x) - psi(y) of two O(mu ||w||_1) values floors at
+    their ulp, far above the decreases the acceptance test compares near
+    convergence.
+    """
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
+    base = svm_problem(*svm_data(n_samples, n_features, seed), 1.0)
+    n = n_features
+
+    def psi_value(v):
+        return mu * float(np.abs(v[:n]).sum())
+
+    def psi_decrease(x, y):
+        return mu * float((np.abs(x[:n]) - np.abs(y[:n])).sum())
+
+    def prox(v, t):
+        out = v.copy()
+        out[:n] = np.sign(v[:n]) * np.maximum(0.0, np.abs(v[:n]) - t * mu)
+        return out
+
+    return dataclasses.replace(base, psi_value=psi_value, prox=prox,
+                               psi_decrease=psi_decrease,
+                               name=f"l1svm_mu{mu:g}")
 
 
 def write_svm_data(path, X, y) -> None:

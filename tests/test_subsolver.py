@@ -12,8 +12,8 @@ import pytest
 from leapssn import (Operator, composite_step, driver, leap_ssn, smooth_step,
                      subsolver)
 from leapssn.subsolver import INNER_MAXIT
-from leapssn.suite import (SplitMix64, partial_smooth_2d, quadratic, rosenbrock,
-                           svm_data, svm_problem)
+from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
+                           quadratic, rosenbrock)
 
 
 def test_smooth_step_solves_the_shifted_system():
@@ -92,19 +92,11 @@ def test_composite_step_matches_smooth_step_when_psi_is_absent():
             assert prob.psi(res.x_plus) == 0.0
 
 
-@pytest.mark.parametrize("make", [partial_smooth_2d,
-                                  lambda: _l1_svm(300, 20, 1, 1.0)],
-                         ids=["partial_smooth_2d", "l1_svm"])
-def test_composite_step_evaluates_each_point_once(make):
-    """One H product per model point: the start and each candidate (r
-    restarts add one candidate each); the momentum point's gradient is
-    carried by linearity and costs no product.  The certified step
-    is the prox whose residual passed, so each iteration pays two prox
-    steps and each restart one more.  psi is evaluated at the start and at
-    each candidate, which counts r, and not again at the returned point:
-    the driver takes psi's values from the problem."""
-    base = make()
+def _counted_step(base, x, lam):
+    """Run ``composite_step`` from ``x`` at ``lam`` with its H products,
+    prox calls (and their inputs) and psi evaluations counted."""
     counts = {"apply": 0, "prox": 0, "psi": 0}
+    prox_inputs = []
 
     def counted(name, fn):
         def call(*args):
@@ -112,19 +104,62 @@ def test_composite_step_evaluates_each_point_once(make):
             return fn(*args)
         return call
 
-    prob = dataclasses.replace(base, prox=counted("prox", base.prox),
+    def prox(v, t):
+        prox_inputs.append(v.copy())
+        return base.prox(v, t)
+
+    prob = dataclasses.replace(base, prox=counted("prox", prox),
                                psi_value=counted("psi", base.psi_value))
-    x = prob.start_point()
     H = Operator(prob.hess(x))
     H.norm_estimate()
     H.apply = counted("apply", H.apply)
-    res = composite_step(prob, x, prob.f_grad(x), H, 1.0)
+    res = composite_step(prob, x, prob.f_grad(x), H, lam)
     assert res.computable
-    it = res.diagnostics["inner_iters"]
+    return res.diagnostics["inner_iters"], counts, prox_inputs
+
+
+@pytest.mark.parametrize("make, lam", [
+    (partial_smooth_2d, 0.5),
+    (lambda: l1_svm_problem(300, 20, 1, 1.0), 1.0),
+], ids=["partial_smooth_2d", "l1_svm"])
+def test_composite_step_evaluates_each_point_once(make, lam):
+    """One H product per model point: the start and each candidate (r
+    function-value restarts add one candidate each); the momentum point's
+    gradient is carried by linearity and costs no product.  The certified
+    step is the prox whose residual passed, so each iteration pays two prox
+    steps and each restart one more.  psi is evaluated at the start and at
+    each candidate, which counts r, and not again at the returned point:
+    the driver takes psi's values from the problem."""
+    prob = make()
+    it, counts, _ = _counted_step(prob, prob.start_point(), lam)
     restarts = counts["psi"] - it - 1
     assert restarts >= 1
     assert counts["apply"] == it + restarts + 1
     assert counts["prox"] == 2 * it + restarts
+
+
+def test_a_gradient_restart_costs_no_evaluation_and_cuts_iterations():
+    """On partial_smooth_2d at lambda = 1 the momentum overshoots: without
+    the gradient restart the loop takes 23 iterations and two
+    function-value restarts.  With it, no function-value restart is
+    needed (psi is evaluated at the start and once per iteration), the
+    loop takes 14 iterations, and each reset costs nothing: one H product
+    per candidate and two prox steps per iteration, as without momentum.
+    An iteration after a reset starts from the momentum-free point z = y,
+    so its candidate's prox input is the residual test's input from the
+    iteration before, bit for bit; past iteration 1 (counting from 0),
+    which follows the start's theta = 1, that shows each reset: one every
+    third iteration."""
+    prob = partial_smooth_2d()
+    it, counts, inputs = _counted_step(prob, prob.start_point(), 1.0)
+    assert it == 14
+    assert counts["psi"] == it + 1
+    assert counts["apply"] == it + 1
+    assert counts["prox"] == 2 * it
+    # inputs alternate candidate, residual test: 2 i and 2 i - 1
+    after_reset = [i for i in range(2, it)
+                   if np.array_equal(inputs[2 * i], inputs[2 * i - 1])]
+    assert after_reset == [4, 7, 10, 13]
 
 
 def test_composite_step_gives_up_on_indefinite_model():
@@ -153,27 +188,11 @@ def test_composite_step_gives_up_on_a_nonfinite_iterate():
     assert res.diagnostics == {"inner_iters": 1, "stop": "nonfinite"}
 
 
-def _l1_svm(n_samples, n_features, seed, mu):
-    """Squared-hinge SVM plus mu * ||w||_1 on the weights (not the intercept)."""
-    base = svm_problem(*svm_data(n_samples, n_features, seed), 1.0)
-
-    def psi_value(v):
-        return mu * float(np.abs(v[:n_features]).sum())
-
-    def prox(v, t):
-        out = v.copy()
-        w = v[:n_features]
-        out[:n_features] = np.sign(w) * np.maximum(0.0, np.abs(w) - t * mu)
-        return out
-
-    return dataclasses.replace(base, psi_value=psi_value, prox=prox)
-
-
 def test_composite_step_stops_at_its_iteration_budget(monkeypatch):
     # no other test reaches INNER_MAXIT: with a cap of 2 the l1 SVM's first
     # rung runs out of iterations before its residual passes
     monkeypatch.setattr(subsolver, "INNER_MAXIT", 2)
-    prob = _l1_svm(300, 20, 1, 1.0)
+    prob = l1_svm_problem(300, 20, 1, 1.0)
     x = prob.start_point()
     res = composite_step(prob, x, prob.f_grad(x), prob.hess(x), 1.0)
     assert not res.computable
@@ -181,7 +200,8 @@ def test_composite_step_stops_at_its_iteration_budget(monkeypatch):
 
 
 def _l1_svm_rungs():
-    """Solve the l1 SVM at mu = 1 and summarise what its rungs did."""
+    """Solve the l1 SVM at mu = 1 on data seed 2 and summarise what its
+    rungs did."""
     rungs = []
     step = driver.composite_step
 
@@ -192,7 +212,7 @@ def _l1_svm_rungs():
 
     driver.composite_step = recorded
     try:
-        res = leap_ssn(_l1_svm(300, 20, 1, 1.0), grad_tol=1e-6)
+        res = leap_ssn(l1_svm_problem(300, 20, 2, 1.0), grad_tol=1e-6)
     finally:
         driver.composite_step = step
     return {"status": res.status, "solves": res.solves,
@@ -204,10 +224,11 @@ def _l1_svm_rungs():
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_composite_step_stops_at_the_safeguard_fixed_point(blas_threads):
-    """On the l1 SVM one rung's safeguard rejects every candidate from its
-    37th iteration on; the loop must give up there, and no solve count,
-    iteration count or objective may move.  Each thread count gets a fresh
-    process, since BLAS reads it at load time."""
+    """On the l1 SVM one rung's safeguard rejects the restart from the best
+    point in its 21st iteration, which leaves the loop at a fixed point; the
+    loop must give up there, and no solve count, iteration count or
+    objective may move.  Each thread count gets a fresh process, since BLAS
+    reads it at load time."""
     code = ("import json, runpy; print(json.dumps("
             f"runpy.run_path({__file__!r})['_l1_svm_rungs']()))")
     proc = subprocess.run(
@@ -216,9 +237,9 @@ def test_composite_step_stops_at_the_safeguard_fixed_point(blas_threads):
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout.splitlines()[-1])
     assert run["status"] == "converged"
-    assert (run["solves"], run["iterations"]) == (15, 13)
-    assert run["F"] == 48.38345521954896
-    assert len(run["stalled"]) == 1 and run["stalled"][0] < 100
+    assert (run["solves"], run["iterations"]) == (14, 12)
+    assert run["F"] == 53.92190333671796
+    assert run["stalled"] == [21]
     assert run["inner_iters"] < INNER_MAXIT
 
 

@@ -14,9 +14,9 @@ import scipy.sparse.linalg as spla
 import leapssn
 import leapssn.suite
 from leapssn import leap_ssn
-from leapssn.suite import (GridImage, add_noise, laplacian_2d,
-                           membrane_problem, obstacle, partial_smooth_2d,
-                           penalised_quadratic, phantom,
+from leapssn.suite import (GridImage, add_noise, l1_svm_problem,
+                           laplacian_2d, membrane_problem, obstacle,
+                           partial_smooth_2d, penalised_quadratic, phantom,
                            plate_bending_operator, plate_problem, psnr,
                            punch_obstacle, quadratic, rank_deficient_ls,
                            read_pgm, read_svm_data, rosenbrock, svm_data,
@@ -110,6 +110,51 @@ def test_svm_proposal_scale_tracks_data():
     gamma = 10.0
     p = svm_problem(X, y, gamma)
     assert p.lambda0 == pytest.approx(3.0 * gamma * np.sqrt(np.sum(X * X)))
+
+
+def test_l1_svm_prox_thresholds_the_weights_only():
+    prob = l1_svm_problem(40, 3, 2, 10.0)
+    v = np.array([0.5, -2.0, 0.05, 7.0])        # (w, b)
+    assert prob.psi(v) == pytest.approx(25.5)
+    # t * mu = 1: weights shrink by 1 towards zero, the intercept is free
+    assert np.array_equal(prob.prox(v, 0.1), [0.0, -1.0, 0.0, 7.0])
+    with pytest.raises(ValueError):
+        l1_svm_problem(40, 3, 2, 0.0)
+
+
+def test_l1_svm_psi_decrease_matches_the_difference_of_values():
+    """The termwise decrease agrees with psi(x) - psi(y) to a few ulp of
+    psi, and with the exact decrease of the float data to a few ulp of its
+    own terms, where that subtraction is off by up to ulp(psi)."""
+    mu = 10.0
+    prob = l1_svm_problem(40, 3, 2, mu)
+    lo, hi = prob.sample_box
+    rng = SplitMix64(11)
+    for x in _box_points(prob, 7, 10):
+        for scale in (1.0, 1e-3, 1e-8):
+            y = x + scale * (hi - lo) * (rng.uniforms(prob.dim) - 0.5)
+            px, py = prob.psi(x), prob.psi(y)
+            dec = prob.psi_decrease(x, y)
+            assert abs(dec - (px - py)) <= 4 * np.spacing(max(px, py))
+            terms = [Fraction(abs(a)) - Fraction(abs(b))
+                     for a, b in zip(x[:3].tolist(), y[:3].tolist())]
+            exact = Fraction(mu) * sum(terms)
+            size = mu * float(sum(abs(d) for d in terms))
+            assert abs(dec - float(exact)) <= 8 * np.finfo(float).eps * size
+        assert prob.psi_decrease(x, x) == 0.0
+
+
+@pytest.mark.parametrize("mu, seed", [(10.0, 21), (10.0, 25), (10.0, 30),
+                                      (300.0, 1), (500.0, 1)])
+def test_l1_svm_converges_with_the_termwise_psi_decrease(mu, seed):
+    """psi(x) - psi(x_plus) by subtraction floors at ulp(psi), about 3e-14
+    at psi = 140, while the acceptance test compares decreases near
+    beta lambda ||d||^2, about 5e-19, so rounding decided rungs of these
+    runs: with the subtraction each ends inner_budget, without the prox
+    loop's gradient restart (mu = 10 at seed 25, mu = 300 and 500) or with
+    it (mu = 10 at seeds 21 and 30)."""
+    res = leap_ssn(l1_svm_problem(2000, 200, seed, mu), grad_tol=1e-6)
+    assert res.status == "converged"
 
 
 def test_svm_data_round_trip(tmp_path):

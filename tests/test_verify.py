@@ -15,13 +15,12 @@ from leapssn import (audit_trace, dm_condition_sample, grad_check,
                      superlinear_check)
 from leapssn.driver import Record, Trace
 from leapssn.cli import GRAD_CHECK_TOL, HESS_SYM_TOL
-from leapssn.suite import (SplitMix64, partial_smooth_2d, plate_problem,
-                           quadratic, rank_deficient_ls, rosenbrock, svm_data,
-                           svm_problem)
+from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
+                           plate_problem, quadratic, rank_deficient_ls,
+                           rosenbrock, svm_data, svm_problem)
 from leapssn.suite.registry import broken_gradient_problem
 from leapssn.verify import (BLOCK_DIRECTIONS, BOX_RADIUS, _sample_groups,
                             _width, assumption2_sample)
-from test_subsolver import _l1_svm
 
 
 def test_grad_check_accepts_exact_gradients():
@@ -447,7 +446,7 @@ def test_manifold_check_reads_every_coordinate(mu, index):
     # l1 on the SVM weights zeroes some of them exactly.  At mu = 100 the
     # first weight is never zero; at mu = 200 it is zero from iterate 2 on,
     # while the zero set grows over iterates 2-5 (10, 11, 13, 14 zeros)
-    res = leap_ssn(_l1_svm(300, 20, 1, mu))
+    res = leap_ssn(l1_svm_problem(300, 20, 1, mu))
     zeros = [int((x == 0.0).sum())
              for x in [res.trace.x0] + res.trace.iterates]
     assert zeros[index] == zeros[-1] > zeros[index - 1]
