@@ -6,9 +6,8 @@ given by its value and Euclidean proximal map, the SPD metric defining norms,
 optional performance hooks (difference-form decreases of f and psi, and block
 evaluations of H, f and f' that the verification harness runs its
 samples through, in blocks that span base points), and optional
-declarations (known minimum value, solution set, positive semidefinite
-curvature, strong-convexity modulus, sampling region) that the
-verification harness uses to decide which theory checks apply.
+declarations (solution set, positive semidefinite curvature, strong-
+convexity modulus, sampling region) that select the harness's checks.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class Problem:
 
     ``project_solution(x)`` optionally declares the solution set: it
     returns the set's point nearest to ``x`` (a constant map for a unique
-    minimiser).  ``verify.dm_condition_sample`` projects the final iterate.
+    minimiser).  The audit's x* projects the final iterate; F* is F(x*).
     """
 
     dim: int
@@ -97,7 +96,6 @@ class Problem:
     alpha: Optional[float] = None     # when the caller sets none
 
     # optional declarations consumed by the verification harness
-    f_star: Optional[float] = None
     hess_psd: bool = False          # every H(x) is positive semidefinite
     strong_convexity: Optional[float] = None    # PL / strong-convexity modulus
     project_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None

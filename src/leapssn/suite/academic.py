@@ -47,7 +47,6 @@ def partial_smooth_2d() -> Problem:
         prox=prox,
         name="partial_smooth_2d",
         x0=np.array([1.0, 1.0]),
-        f_star=0.0,
         strong_convexity=2.0,
         project_solution=lambda x: np.zeros(2),
         sample_box=(np.full(2, -2.0), np.full(2, 2.0)),
@@ -106,7 +105,6 @@ def rank_deficient_ls(n: int = 20, rank: int = 12, seed: int = 0) -> Problem:
         hess_psd=True,
         name="rank_deficient_ls",
         x0=np.zeros(n),
-        f_star=0.0,
         strong_convexity=mu,
         project_solution=project_solution,
         sample_box=(xbar - 2.0, xbar + 2.0),
@@ -153,7 +151,6 @@ def rosenbrock(n: int = 10) -> Problem:
         hess=hess,
         name="rosenbrock",
         x0=np.zeros(n),
-        f_star=0.0,
         project_solution=lambda x: np.ones(n),
         sample_box=(np.full(n, -2.0), np.full(n, 2.0)),
     )
@@ -176,7 +173,6 @@ def quadratic(n: int = 8, seed: int = 3) -> Problem:
         A, -b, 0.5 * float(xstar @ b), np.zeros((0, n)), np.zeros(0), 0.0,
         name="quadratic",
         x0=np.zeros(n),
-        f_star=0.0,
         strong_convexity=mu,
         project_solution=lambda x: xstar,
         sample_box=(xstar - 2.0, xstar + 2.0),

@@ -10,8 +10,9 @@ Three layers:
 
 * trace audits — ``audit_trace`` re-derives every promise the adaptive
   driver makes (monotone objective, both acceptance inequalities, the
-  regulariser ceiling, the backtracking-count identity, and the global
-  rate envelopes that apply given the problem's declared constants),
+  recorded decreases against F itself, the regulariser ceiling, the
+  backtracking-count identity, and the global rate envelopes that apply
+  given the problem's declared constants),
   ``superlinear_check`` and ``dm_condition_sample`` detect the fast
   local regime, ``manifold_check`` the finite identification of the
   nonsmooth manifold;
@@ -36,7 +37,8 @@ block's points, directions and dual norms are such lists, and so are
 ``grad_check``'s shifted points x + step d and x - step d of a point.
 ``audit_trace`` evaluates f' once per iterate, by ``f_grad``, for its
 gradient checks and its iterate pairs, since its cache check compares
-with the solver's stored gradients bit for bit.  Sample sizes and seeds
+with the solver's stored gradients bit for bit, and f once per iterate,
+through ``_values``, for its objective check.  Sample sizes and seeds
 are fixed module constants, so an audit of a given trace always repeats.
 
 Every envelope check is one-sided: the harness asserts trace <= bound,
@@ -327,7 +329,7 @@ def assumption2_sample(problem: Problem) -> float:
 _VERDICT_CHECKS = {
     "monotone_ok": ("monotone_F",),
     "acceptance_ok": ("acceptance_gradient", "acceptance_decrease",
-                      "gradient_cache", "psi_subgradient"),
+                      "objective_cache", "gradient_cache", "psi_subgradient"),
     "lambda_bound_ok": ("lambda_bound",),
     "step_count_ok": ("step_count",),
     "step_length_ok": ("step_length",),
@@ -342,7 +344,7 @@ class RateReport:
     """Outcome of a full trace audit.
 
     Booleans are per-check verdicts; ``None`` marks a check whose
-    required declarations (known minimum value, PL modulus, sublevel-set
+    required declarations (solution-set projector, PL modulus, sublevel-set
     diameter) the problem does not supply — not-applicable is reported,
     never silently passed.  ``violations`` holds one (k, name, lhs, rhs)
     tuple per failed inequality; it is empty exactly when every
@@ -372,6 +374,13 @@ class RateReport:
         return out
 
 
+def _solution_point(trace: Trace, problem: Problem) -> Optional[np.ndarray]:
+    """x*: ``project_solution`` of the final iterate, else None."""
+    if problem.project_solution is None or not trace.iterates:
+        return None
+    return np.asarray(problem.project_solution(trace.iterates[-1]), dtype=float)
+
+
 def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
                 d0: Optional[float] = None) -> RateReport:
     """Re-derive every audited inequality of a finished run.
@@ -382,7 +391,10 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     bounds must hold along the segments the run actually visited.  ``d0``
     optionally declares the sublevel-set diameter for the convex envelope.
     The fresh f' at each iterate (x0 included) is checked against the
-    stored ``trace.grads``, never replaced by them.
+    stored ``trace.grads``, never replaced by them, and each recorded
+    decrease F_i - F_{i+1} against F(x_i) - F(x_{i+1}) (``objective_cache``).
+    The envelopes take F* = F(x*) at x* = ``project_solution`` of the final
+    iterate; without a projector they are None.
     """
     cfg = trace.config
     alpha = cfg["alpha"]
@@ -423,6 +435,8 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
 
     # (g) acceptance inequalities re-evaluated from stored iterates
     F_vals = [trace.F0] + [r.F for r in recs]
+    psis = [problem.psi(x) for x in xs]
+    F_xs = [f + p for f, p in zip(_values(problem, xs), psis)]
     gpn2s = _squared_dual_norms(problem, trace.grads[:len(recs)])
     rng = SplitMix64(0xACCE9700)
     lo, hi = _sample_bounds(problem)
@@ -438,13 +452,17 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
         rhs2 = beta * r.lam * float(problem.metric.inner(d, d))
         if dec < rhs2 - SLACK * max(1.0, abs(rhs2)):
             violations.append((r.k, "acceptance_decrease", dec, rhs2))
+        # the recorded decrease against F itself
+        dec_F = F_xs[i] - F_xs[i + 1]
+        if abs(dec - dec_F) > SLACK * max(1.0, abs(F_xs[i])):
+            violations.append((r.k, "objective_cache", dec, dec_F))
         # certified-gradient consistency
         if problem.smooth:
             if not np.array_equal(g_next, fgrads[i + 1]):
                 violations.append((r.k, "gradient_cache", 0.0, 0.0))
         else:
             psi_sub = g_next - fgrads[i + 1]
-            psi_x = problem.psi(x_next)
+            psi_x = psis[i + 1]
             for _ in range(3):
                 y = lo + (hi - lo) * rng.uniforms(problem.dim)
                 gap = problem.psi(y) - psi_x - float(psi_sub @ (y - x_next))
@@ -460,8 +478,10 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
             if lhs > rhs * (1.0 + SLACK):
                 violations.append((recs[i].k, "step_length", lhs, rhs))
 
-    # (d)-(f) the envelopes that the declared constants make applicable
-    known_gap = problem.f_star is not None and bool(recs)
+    # (d)-(f) the envelopes the declared constants make applicable; F* = F(x*)
+    x_star = _solution_point(trace, problem)
+    f_star = None if x_star is None else problem.value(x_star)
+    known_gap = f_star is not None
     applies = {
         "sublinear_envelope_ok": known_gap,
         "pl_linear_envelope_ok": known_gap and problem.strong_convexity is not None,
@@ -470,7 +490,7 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
 
     # (d) sublinear envelope for the minimal gradient norm
     if applies["sublinear_envelope_ok"]:
-        gap0 = trace.F0 - problem.f_star
+        gap0 = trace.F0 - f_star
         running = math.inf
         for i, r in enumerate(recs):
             running = min(running, r.grad_dual_norm)
@@ -482,11 +502,11 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
     # (e) linear envelope under the declared PL modulus
     if applies["pl_linear_envelope_ok"]:
         mu = problem.strong_convexity
-        gap0 = trace.F0 - problem.f_star
+        gap0 = trace.F0 - f_star
         rate = 2.0 * beta * alpha * alpha * mu / (2.0 * beta * alpha * alpha * mu + lam_bar)
         for i, r in enumerate(recs):
             env = math.exp(-rate * (i + 1)) * gap0
-            lhs = r.F - problem.f_star
+            lhs = r.F - f_star
             if lhs > env * (1.0 + SLACK) + 1e-15 * max(1.0, abs(gap0)):
                 violations.append((r.k, "pl_envelope", lhs, env))
 
@@ -496,7 +516,7 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
         for i, r in enumerate(recs):
             k = i + 1
             env = g0 * d0 * math.exp(-k / 4.0) + 2.0 * d0 * d0 * lam_bar / (alpha * k)
-            lhs = r.F - problem.f_star
+            lhs = r.F - f_star
             if lhs > env * (1.0 + SLACK):
                 violations.append((r.k, "convex_envelope", lhs, env))
 
@@ -550,9 +570,9 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
     both terms.  x* is ``project_solution`` of the final iterate; without
     a projector or an accepted iterate, returns None.
     """
-    if problem.project_solution is None or not trace.iterates:
+    x_star = _solution_point(trace, problem)
+    if x_star is None:
         return None
-    x_star = np.asarray(problem.project_solution(trace.iterates[-1]), dtype=float)
     xs = [trace.x0] + list(trace.iterates)
     recs = trace.records
     out = []

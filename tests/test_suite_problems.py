@@ -44,7 +44,7 @@ def test_partial_smooth_hand_values():
     assert np.allclose(p.hess(np.array([-1.0, 2.0])), np.diag([2.0, 2.0]))
     assert np.allclose(p.hess(np.array([0.5, 0.0])), np.diag([4.0, 2.0]))
     assert p.value(np.array([1.0, 0.0])) == pytest.approx(3.0)
-    assert p.f_star == 0.0
+    assert p.value(p.project_solution(np.array([1.0, 2.0]))) == 0.0
     assert p.strong_convexity == pytest.approx(2.0)
 
 
@@ -54,7 +54,7 @@ def test_rosenbrock_hand_values():
     assert np.allclose(p.f_grad(origin), [-2.0, 0.0])
     assert np.allclose(p.hess(origin), [[2.0, 0.0], [0.0, 200.0]])
     assert p.f_value(np.ones(2)) == pytest.approx(0.0)
-    assert p.f_star == 0.0
+    assert p.value(p.project_solution(origin)) == 0.0
     with pytest.raises(ValueError):
         rosenbrock(n=3)      # valleys are built from coordinate pairs
 
@@ -67,7 +67,7 @@ def test_quadratic_spectrum_and_solution():
     assert w[-1] == pytest.approx(10.0, rel=1e-10)
     xstar = p.project_solution(p.x0)
     assert np.linalg.norm(p.f_grad(xstar)) <= 1e-12
-    assert p.f_value(xstar) == pytest.approx(p.f_star, abs=1e-12)
+    assert p.value(xstar) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rank_deficient_geometry():

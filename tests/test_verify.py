@@ -129,7 +129,7 @@ def test_curvature_ratio_estimates():
 VERDICT_NAMES = {
     "monotone_ok": {"monotone_F"},
     "acceptance_ok": {"acceptance_gradient", "acceptance_decrease",
-                      "gradient_cache", "psi_subgradient"},
+                      "objective_cache", "gradient_cache", "psi_subgradient"},
     "lambda_bound_ok": {"lambda_bound"},
     "step_count_ok": {"step_count"},
     "step_length_ok": {"step_length"},
@@ -252,9 +252,12 @@ def test_each_point_is_evaluated_once():
             assert not calls["f_values"]
             assert len(calls["f_value"]) == 4 * 2 * problem.dim + 8
 
-        # audit_trace: f_grad once per iterate; H at the first iterate of
-        # each of its pairs, by hess_apply in blocks of at most _width
-        # pairs, else formed once per pair
+        # audit_trace: f_grad once per iterate; f once per iterate, by
+        # f_values in blocks of at most _width iterates, else by f_value,
+        # plus one f_value at the projected final iterate where there is a
+        # projector; H at the first iterate of each of its pairs, by
+        # hess_apply in blocks of at most _width pairs, else formed once
+        # per pair
         res = leap_ssn(problem, grad_tol=tol)
         assert res.status == "converged"
         pairs = len(res.trace.records)
@@ -263,6 +266,14 @@ def test_each_point_is_evaluated_once():
         audit_trace(res.trace, prob)
         assert len(calls["f_grad"]) == pairs + 1
         assert not calls["f_grads"]
+        projections = int(problem.project_solution is not None)
+        if problem.f_values is not None:
+            assert _widths(calls["f_values"]) == [
+                min(width, pairs + 1 - j) for j in range(0, pairs + 1, width)]
+            assert len(calls["f_value"]) == projections
+        else:
+            assert not calls["f_values"]
+            assert len(calls["f_value"]) == pairs + 1 + projections
         assert max(_widths(calls["solve"])) <= width
         xs = [res.trace.x0] + res.trace.iterates
         if problem.hess_apply is not None:
@@ -297,7 +308,7 @@ def test_audit_clean_run():
     rep = audit_trace(res.trace, prob)
     assert rep.ok, rep.violations
     assert rep.monotone_ok and rep.acceptance_ok and rep.lambda_bound_ok
-    assert rep.pl_linear_envelope_ok is True        # f_star + curvature known
+    assert rep.pl_linear_envelope_ok is True        # projector + curvature known
     assert rep.sublinear_envelope_ok is True
     d = rep.to_dict()
     assert d["violations"] == []
@@ -361,6 +372,57 @@ def test_audit_flags_tampered_psi_subgradient():
     assert not rep.acceptance_ok
 
 
+def test_audit_flags_a_wrong_objective_decrease():
+    # a psi_decrease hook that doubles psi's decrease passes every check
+    # that reads the trace's own F, but the trace then ends at F = 43.91
+    # where F(x_K) = 48.38
+    prob = l1_svm_problem(300, 20, 1, 1.0)
+    assert audit_trace(leap_ssn(prob).trace, prob).ok
+    bad = dataclasses.replace(
+        prob, psi_decrease=lambda x, y: 2.0 * prob.psi_decrease(x, y))
+    trace = leap_ssn(bad).trace
+    rep = audit_trace(trace, bad)
+    _assert_verdicts(rep)
+    assert not rep.acceptance_ok
+    flagged = {v[0] for v in rep.violations if v[1] == "objective_cache"}
+    assert len(flagged) >= len(trace.records) - 1
+
+
+def test_audit_takes_f_star_at_the_projected_final_iterate():
+    # F shifted by 1e6: the optimal value moves with it, and the audit
+    # finds it as F at the projection of the final iterate, taken once
+    prob = quadratic()
+    shifted = dataclasses.replace(
+        prob, f_value=lambda x: prob.f_value(x) + 1e6,
+        f_values=lambda X: prob.f_values(X) + 1e6)
+    trace = leap_ssn(shifted).trace
+    seen = []
+
+    def recorded(x):
+        seen.append(x.copy())
+        return prob.project_solution(x)
+
+    projected = dataclasses.replace(shifted, project_solution=recorded)
+    f_star = shifted.value(prob.project_solution(trace.iterates[-1]))
+    assert f_star == 1e6
+    d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - f_star) / prob.strong_convexity)
+    rep = audit_trace(trace, projected, d0=d0)
+    _assert_verdicts(rep)
+    assert rep.ok, rep.violations[:3]
+    assert (rep.sublinear_envelope_ok, rep.pl_linear_envelope_ok,
+            rep.convex_envelope_ok) == (True, True, True)
+    assert len(seen) == 1 and np.array_equal(seen[0], trace.iterates[-1])
+
+    # without a projector, or without an accepted iterate, no envelope
+    undeclared = dataclasses.replace(shifted, project_solution=None)
+    start = Trace(x0=trace.x0, F0=trace.F0, g0_norm=trace.g0_norm,
+                  config=trace.config)
+    for t, p in ((trace, undeclared), (start, shifted)):
+        rep = audit_trace(t, p, d0=d0)
+        assert (rep.sublinear_envelope_ok, rep.pl_linear_envelope_ok,
+                rep.convex_envelope_ok) == (None, None, None)
+
+
 @pytest.mark.parametrize("shift", [None, 2.0])
 def test_convex_envelope(shift):
     # d0 is the diameter of the sublevel set {F <= F0} of a mu-strongly
@@ -368,7 +430,8 @@ def test_convex_envelope(shift):
     prob = quadratic()
     x0 = None if shift is None else prob.project_solution(prob.x0) + shift
     trace = leap_ssn(prob, x0=x0).trace
-    d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - prob.f_star) / prob.strong_convexity)
+    f_star = prob.value(prob.project_solution(trace.iterates[-1]))
+    d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - f_star) / prob.strong_convexity)
     rep = audit_trace(trace, prob, d0=d0)
     _assert_verdicts(rep)
     assert rep.ok and rep.convex_envelope_ok is True
