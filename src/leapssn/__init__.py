@@ -17,8 +17,7 @@ from .problem import Problem
 from .subsolver import SubproblemResult, composite_step, smooth_step
 from .verify import (RateReport, assumption2_sample, audit_trace,
                      dm_condition_sample, grad_check, hess_symmetry_check,
-                     manifold_check, sample_points, step_length_bound,
-                     step_shift_bound, superlinear_check)
+                     manifold_check, sample_points, superlinear_check)
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "Trace", "Record", "SubproblemResult", "composite_step", "smooth_step",
     "RateReport", "assumption2_sample", "audit_trace", "dm_condition_sample",
     "grad_check", "hess_symmetry_check", "manifold_check", "sample_points",
-    "step_length_bound", "step_shift_bound", "superlinear_check",
+    "superlinear_check",
     "CONVERGED", "OUTER_BUDGET", "INNER_BUDGET", "SOLVE_BUDGET",
     "SUBPROBLEM_FAILURE", "EXIT_CODES", "TRACE_HEADER", "__version__",
 ]

@@ -6,8 +6,8 @@ given by its value and Euclidean proximal map, the SPD metric defining norms,
 optional performance hooks (difference-form decreases of f and psi, and block
 evaluations of H, f and f' that the verification harness runs its
 samples through, in blocks that span base points), and optional
-declarations (solution set, positive semidefinite curvature, strong-
-convexity modulus, sampling region) that select the harness's checks.
+declarations (solution set, positive semidefinite curvature, PL modulus,
+sampling region) that select the harness's checks.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class Problem:
 
     # optional declarations consumed by the verification harness
     hess_psd: bool = False          # every H(x) is positive semidefinite
-    strong_convexity: Optional[float] = None    # PL / strong-convexity modulus
+    # PL modulus μ in ½‖F′‖²_* ≥ μ(F − F*)
+    strong_convexity: Optional[float] = None
     project_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sample_box: Optional[tuple] = None          # (lo, hi) arrays for sampling
     near_kink: Optional[Callable[[object], np.ndarray]] = None

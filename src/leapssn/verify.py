@@ -1,6 +1,6 @@
 """Theory-audit harness for solver traces and problem definitions.
 
-Three layers:
+Two layers:
 
 * derivative/structure oracles — ``grad_check`` (finite differences),
   ``hess_symmetry_check``, and ``assumption2_sample`` which estimates the
@@ -15,12 +15,7 @@ Three layers:
   given the problem's declared constants),
   ``superlinear_check`` and ``dm_condition_sample`` detect the fast
   local regime, ``manifold_check`` the finite identification of the
-  nonsmooth manifold;
-
-* step-map bounds — ``step_length_bound`` and ``step_shift_bound``
-  evaluate two a-priori inequalities the regularised proximal step
-  satisfies (step length vs subgradient norm, and lambda-sensitivity) as
-  (lhs, rhs) pairs for property tests.
+  nonsmooth manifold.
 
 Each point is evaluated once, and all evaluation takes one path
 (``_columns``): a list of columns goes through a block hook
@@ -335,7 +330,6 @@ _VERDICT_CHECKS = {
     "step_length_ok": ("step_length",),
     "sublinear_envelope_ok": ("sublinear_envelope",),
     "pl_linear_envelope_ok": ("pl_envelope",),
-    "convex_envelope_ok": ("convex_envelope",),
 }
 
 
@@ -344,20 +338,19 @@ class RateReport:
     """Outcome of a full trace audit.
 
     Booleans are per-check verdicts; ``None`` marks a check whose
-    required declarations (solution-set projector, PL modulus, sublevel-set
-    diameter) the problem does not supply — not-applicable is reported,
-    never silently passed.  ``violations`` holds one (k, name, lhs, rhs)
-    tuple per failed inequality; it is empty exactly when every
+    required declarations (positive semidefinite H, solution-set
+    projector, PL modulus) the problem does not supply — not-applicable is
+    reported, never silently passed.  ``violations`` holds one (k, name,
+    lhs, rhs) tuple per failed inequality; it is empty exactly when every
     applicable check passed.
     """
     monotone_ok: bool
     acceptance_ok: bool
     lambda_bound_ok: bool
     step_count_ok: bool
-    step_length_ok: bool
+    step_length_ok: Optional[bool]
     sublinear_envelope_ok: Optional[bool]
     pl_linear_envelope_ok: Optional[bool]
-    convex_envelope_ok: Optional[bool]
     superlinear_detected: bool
     lambda_to_zero: bool
     L_hat: float
@@ -381,15 +374,13 @@ def _solution_point(trace: Trace, problem: Problem) -> Optional[np.ndarray]:
     return np.asarray(problem.project_solution(trace.iterates[-1]), dtype=float)
 
 
-def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
-                d0: Optional[float] = None) -> RateReport:
+def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0) -> RateReport:
     """Re-derive every audited inequality of a finished run.
 
     The solver constants come from ``trace.config``.  ``L_hat`` is the
     sampled model-error constant (see ``assumption2_sample``); the
     trace's own consecutive-iterate pairs are folded in, since the theory
-    bounds must hold along the segments the run actually visited.  ``d0``
-    optionally declares the sublevel-set diameter for the convex envelope.
+    bounds must hold along the segments the run actually visited.
     The fresh f' at each iterate (x0 included) is checked against the
     stored ``trace.grads``, never replaced by them, and each recorded
     decrease F_i - F_{i+1} against F(x_i) - F(x_{i+1}) (``objective_cache``).
@@ -433,7 +424,7 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
         if n_steps > bound + SLACK * max(1.0, abs(bound)):
             violations.append((r.k, "step_count", float(n_steps), bound))
 
-    # (g) acceptance inequalities re-evaluated from stored iterates
+    # (f) acceptance inequalities re-evaluated from stored iterates
     F_vals = [trace.F0] + [r.F for r in recs]
     psis = [problem.psi(x) for x in xs]
     F_xs = [f + p for f, p in zip(_values(problem, xs), psis)]
@@ -469,24 +460,24 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
                 if gap < -1e-9:
                     violations.append((r.k, "psi_subgradient", gap, 0.0))
 
+    # the checks the declarations make applicable; F* = F(x*)
+    x_star = _solution_point(trace, problem)
+    f_star = None if x_star is None else problem.value(x_star)
+    known_gap = f_star is not None
+    applies = {
+        "step_length_ok": problem.hess_psd,
+        "sublinear_envelope_ok": known_gap,
+        "pl_linear_envelope_ok": known_gap and problem.strong_convexity is not None,
+    }
+
     # step-length bound at accepted steps (needs a certified subgradient
     # at the step's base point, available from the previous record)
-    if problem.hess_psd:
+    if applies["step_length_ok"]:
         for i in range(1, len(recs)):
             lhs = recs[i].step_norm
             rhs = recs[i - 1].grad_dual_norm / recs[i].lam
             if lhs > rhs * (1.0 + SLACK):
                 violations.append((recs[i].k, "step_length", lhs, rhs))
-
-    # (d)-(f) the envelopes the declared constants make applicable; F* = F(x*)
-    x_star = _solution_point(trace, problem)
-    f_star = None if x_star is None else problem.value(x_star)
-    known_gap = f_star is not None
-    applies = {
-        "sublinear_envelope_ok": known_gap,
-        "pl_linear_envelope_ok": known_gap and problem.strong_convexity is not None,
-        "convex_envelope_ok": known_gap and d0 is not None,
-    }
 
     # (d) sublinear envelope for the minimal gradient norm
     if applies["sublinear_envelope_ok"]:
@@ -509,16 +500,6 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0,
             lhs = r.F - f_star
             if lhs > env * (1.0 + SLACK) + 1e-15 * max(1.0, abs(gap0)):
                 violations.append((r.k, "pl_envelope", lhs, env))
-
-    # (f) convex envelope, only with a declared sublevel-set diameter
-    if applies["convex_envelope_ok"]:
-        g0 = trace.g0_norm
-        for i, r in enumerate(recs):
-            k = i + 1
-            env = g0 * d0 * math.exp(-k / 4.0) + 2.0 * d0 * d0 * lam_bar / (alpha * k)
-            lhs = r.F - f_star
-            if lhs > env * (1.0 + SLACK):
-                violations.append((r.k, "convex_envelope", lhs, env))
 
     failed = {name for _, name, _, _ in violations}
     verdicts = {flag: failed.isdisjoint(names) if applies.get(flag, True) else None
@@ -554,12 +535,6 @@ def superlinear_check(trace: Trace):
     return lam_zero, superlinear
 
 
-def _step(problem: Problem, x, g, H, lam):
-    """The driver's trial step at ``x`` for ``lam``, given f'(x) and H(x)."""
-    step = smooth_step if problem.smooth else composite_step
-    return step(problem, x, g, H, lam)
-
-
 def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
     """Curvature-compatibility ratios along the trace tail.
 
@@ -575,11 +550,12 @@ def dm_condition_sample(trace: Trace, problem: Problem) -> Optional[list]:
         return None
     xs = [trace.x0] + list(trace.iterates)
     recs = trace.records
+    step = smooth_step if problem.smooth else composite_step
     out = []
     for i in range(max(0, len(recs) - DM_COUNT), len(recs)):
         x_k = xs[i]
         H_k = Operator(problem.hess(x_k))
-        sub = _step(problem, x_k, _grad(problem, x_k), H_k, recs[i].lam / 2.0)
+        sub = step(problem, x_k, _grad(problem, x_k), H_k, recs[i].lam / 2.0)
         if not sub.computable:
             continue
         x_plus = sub.x_plus
@@ -606,48 +582,3 @@ def manifold_check(trace: Trace) -> Optional[int]:
     return max((i + 1 for i, x in enumerate(xs)
                 if not np.array_equal(x == 0.0, zeros)), default=0)
 
-
-def _psi_subgradient_at(problem: Problem, x):
-    """A member of the subdifferential of psi at x via a tiny prox step."""
-    if problem.smooth:
-        return np.zeros_like(x)
-    t = 1e-12 * (1.0 + float(np.linalg.norm(x)))
-    p = problem.prox(x, t)
-    return (x - p) / t
-
-
-def step_length_bound(problem: Problem, x, lam: float, mu: float = 0.0):
-    """(lhs, rhs) for: step length <= subgradient dual norm / (lam + mu).
-
-    ``mu`` is a lower curvature bound for the model (H >= mu R); pass 0
-    when only positive semidefiniteness is known.  Returns None when the
-    step is not computable.
-    """
-    x = np.asarray(x, dtype=float)
-    g = _grad(problem, x)
-    sub = _step(problem, x, g, problem.hess(x), lam)
-    if not sub.computable:
-        return None
-    lhs = problem.metric.norm(sub.x_plus - x)
-    rhs = problem.metric.dual_norm(g + _psi_subgradient_at(problem, x)) / (lam + mu)
-    return lhs, rhs
-
-
-def step_shift_bound(problem: Problem, x, lam: float, lam2: float):
-    """(lhs, rhs) for the step's sensitivity in the regulariser.
-
-    For lam <= lam2: ||x+(lam) - x+(lam2)|| <= (lam2-lam)/lam2 * ||x - x+(lam)||.
-    Returns None when either step is not computable.
-    """
-    if not lam <= lam2:
-        raise ValueError("need lam <= lam2")
-    x = np.asarray(x, dtype=float)
-    g = _grad(problem, x)
-    # one H per lambda: a shared sparse H would send lam2's rung to PCG
-    s1 = _step(problem, x, g, problem.hess(x), lam)
-    s2 = _step(problem, x, g, problem.hess(x), lam2)
-    if not (s1.computable and s2.computable):
-        return None
-    lhs = problem.metric.norm(s1.x_plus - s2.x_plus)
-    rhs = (lam2 - lam) / lam2 * problem.metric.norm(x - s1.x_plus)
-    return lhs, rhs

@@ -13,13 +13,13 @@ import pytest
 from leapssn import (audit_trace, composite_step, dm_condition_sample,
                      grad_check, hess_symmetry_check, leap_ssn,
                      manifold_check, plain_newton, sample_points,
-                     smooth_step, step_length_bound, step_shift_bound,
-                     superlinear_check)
+                     smooth_step, superlinear_check)
 from leapssn import Metric, Problem
 from leapssn.suite import (SplitMix64, add_noise, membrane_problem,
                            partial_smooth_2d, phantom, plate_problem, psnr,
                            quadratic, rank_deficient_ls, rosenbrock,
                            svm_data, svm_problem, tv_dual_problem)
+from stepmaps import step_length_bound, step_shift_bound
 
 ALPHA, BETA, M = 0.5, 0.25, 2.0
 

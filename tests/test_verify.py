@@ -4,15 +4,13 @@ ones -- a checker that never fires is worthless."""
 
 import copy
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from leapssn import (audit_trace, dm_condition_sample, grad_check,
                      hess_symmetry_check, leap_ssn, manifold_check,
-                     sample_points, step_length_bound, step_shift_bound,
-                     superlinear_check)
+                     sample_points, superlinear_check)
 from leapssn.driver import Record, Trace
 from leapssn.cli import GRAD_CHECK_TOL, HESS_SYM_TOL
 from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
@@ -21,6 +19,7 @@ from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
 from leapssn.suite.registry import broken_gradient_problem
 from leapssn.verify import (BLOCK_DIRECTIONS, BOX_RADIUS, _sample_groups,
                             _width, assumption2_sample)
+from stepmaps import step_length_bound, step_shift_bound
 
 
 def test_grad_check_accepts_exact_gradients():
@@ -135,7 +134,6 @@ VERDICT_NAMES = {
     "step_length_ok": {"step_length"},
     "sublinear_envelope_ok": {"sublinear_envelope"},
     "pl_linear_envelope_ok": {"pl_envelope"},
-    "convex_envelope_ok": {"convex_envelope"},
 }
 
 
@@ -405,12 +403,10 @@ def test_audit_takes_f_star_at_the_projected_final_iterate():
     projected = dataclasses.replace(shifted, project_solution=recorded)
     f_star = shifted.value(prob.project_solution(trace.iterates[-1]))
     assert f_star == 1e6
-    d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - f_star) / prob.strong_convexity)
-    rep = audit_trace(trace, projected, d0=d0)
+    rep = audit_trace(trace, projected)
     _assert_verdicts(rep)
     assert rep.ok, rep.violations[:3]
-    assert (rep.sublinear_envelope_ok, rep.pl_linear_envelope_ok,
-            rep.convex_envelope_ok) == (True, True, True)
+    assert (rep.sublinear_envelope_ok, rep.pl_linear_envelope_ok) == (True, True)
     assert len(seen) == 1 and np.array_equal(seen[0], trace.iterates[-1])
 
     # without a projector, or without an accepted iterate, no envelope
@@ -418,27 +414,18 @@ def test_audit_takes_f_star_at_the_projected_final_iterate():
     start = Trace(x0=trace.x0, F0=trace.F0, g0_norm=trace.g0_norm,
                   config=trace.config)
     for t, p in ((trace, undeclared), (start, shifted)):
-        rep = audit_trace(t, p, d0=d0)
-        assert (rep.sublinear_envelope_ok, rep.pl_linear_envelope_ok,
-                rep.convex_envelope_ok) == (None, None, None)
+        rep = audit_trace(t, p)
+        assert (rep.sublinear_envelope_ok, rep.pl_linear_envelope_ok) == (None, None)
 
 
-@pytest.mark.parametrize("shift", [None, 2.0])
-def test_convex_envelope(shift):
-    # d0 is the diameter of the sublevel set {F <= F0} of a mu-strongly
-    # convex objective: 2 sqrt(2 (F0 - f*) / mu)
-    prob = quadratic()
-    x0 = None if shift is None else prob.project_solution(prob.x0) + shift
-    trace = leap_ssn(prob, x0=x0).trace
-    f_star = prob.value(prob.project_solution(trace.iterates[-1]))
-    d0 = 2.0 * math.sqrt(2.0 * (trace.F0 - f_star) / prob.strong_convexity)
-    rep = audit_trace(trace, prob, d0=d0)
-    _assert_verdicts(rep)
-    assert rep.ok and rep.convex_envelope_ok is True
-    rep = audit_trace(trace, prob, d0=1e-6)
-    _assert_verdicts(rep)
-    assert rep.convex_envelope_ok is False
-    assert any(v[1] == "convex_envelope" for v in rep.violations)
+def test_step_length_is_not_applicable_without_a_psd_hessian():
+    # rosenbrock declares no hess_psd, so the step-length bound never runs
+    # and its verdict is None, not a pass; quadratic's runs and passes
+    for prob, verdict in ((rosenbrock(), None), (quadratic(), True)):
+        rep = audit_trace(leap_ssn(prob).trace, prob)
+        _assert_verdicts(rep)
+        assert rep.ok, rep.violations[:3]
+        assert rep.step_length_ok is verdict
 
 
 def test_superlinear_check_positive_and_negative():
