@@ -327,7 +327,8 @@ def cmd_verify(ns) -> int:
     _write(settings["out"], {"report.json": json.dumps(doc, indent=2) + "\n"})
     status = "clean" if not violations else f"{len(violations)} violation(s)"
     print(f"{name}: {status}; solver {result.status} after "
-          f"{result.solves} solves; L_hat = {report.L_hat:.4g}")
+          f"{result.solves} solves; L_hat = {report.L_hat:.4g} "
+          f"({report.L_source})")
     return 0 if not violations else 3
 
 

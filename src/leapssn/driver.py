@@ -68,7 +68,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # Trial factor of the convergence theory: a trial is certain to be accepted
 # once lambda >= M * L (L the model-error constant), given
 # beta <= (M - 1) / (2M) = 1/4.  It bounds beta and the audit's ceiling
-# lambda_bar = 2 M L_hat; the ladder itself always doubles.
+# lambda_bar = 2 M 1.05 L, with L the problem's certified model_error_bound
+# (every penalised quadratic) or else a sampled estimate (see verify); the
+# ladder itself always doubles.
 M = 2.0
 
 TRACE_HEADER = "k,j_k,lambda_k,Lambda_k,F,grad_dual_norm,step_norm,cum_linear_solves"

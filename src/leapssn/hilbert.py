@@ -48,14 +48,26 @@ recorded and each rung below ``lambda0`` is factored as before.  Dense
 operators factor every rung: Cholesky is cheap at their sizes, and PCG
 on a kept dense factor took 1142 solves, not 1138, on the SVM benchmark.
 
+Eigenvalue certificates use the same rule.  By Sylvester's law of
+inertia ``A - s I`` is positive definite, so ``lambda_min(A) > s``, when
+its LDL^T factor has positive pivots, and a factor that clears the pivot
+floor certifies it at working precision (:func:`certifies_eigenvalue_bound`;
+``s I - A`` likewise gives ``lambda_max(A) < s``).
+:func:`certified_eigenvalue_bound` returns the power of two next to the
+eigenvalue that such a factor certifies, so the value carries neither the
+rounding of the estimate it starts from nor BLAS's.
+
 A problem's inner product ``<x, y>_R = <Rx, y>`` is carried by a
 :class:`Metric`, an operator that owns the Riesz solves ``R^{-1} g`` behind
-dual norms, one vector or a block of columns at a time.  A broken metric
-raises :class:`NumericalError` (the metric is part of the problem contract
-and must be SPD).
+dual norms, one vector or a block of columns at a time, and a cached
+certified lower bound on ``lambda_min(R)``.  A broken metric raises
+:class:`NumericalError` (the metric is part of the problem contract and
+must be SPD).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -158,6 +170,26 @@ def _certified_factor(A, lasting=False):
         with np.errstate(all="ignore"):
             return lu.solve(rhs)
     return solve
+
+
+def _power_estimate(apply, dim):
+    """``||M v||`` after ``POWER_ITERS`` steps of the power iteration of the
+    linear map ``apply`` (M) from a fixed start, so never above ``||M||_2``;
+    0 when an iterate is mapped to zero or ``apply`` returns ``None``."""
+    v = np.ones(dim) / np.sqrt(dim)
+    # break symmetry for checkerboard-null operators
+    v[0] += 0.5 / np.sqrt(dim)
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(POWER_ITERS):
+        w = apply(v)
+        if w is None:
+            return 0.0
+        est = float(np.linalg.norm(w))
+        if est == 0.0:
+            break
+        v = w / est
+    return est
 
 
 def _norm_floor(A):
@@ -308,19 +340,57 @@ class Operator:
     def norm_estimate(self):
         """Deterministic power-iteration estimate of ``||A||_2`` (cached)."""
         if "norm" not in self._cache:
-            v = np.ones(self.dim) / np.sqrt(self.dim)
-            # break symmetry for checkerboard-null operators
-            v[0] += 0.5 / np.sqrt(self.dim)
-            v /= np.linalg.norm(v)
-            est = 0.0
-            for _ in range(POWER_ITERS):
-                w = self.apply(v)
-                est = float(np.linalg.norm(w))
-                if est == 0.0:
-                    break
-                v = w / est
-            self._cache["norm"] = est
+            self._cache["norm"] = _power_estimate(self.apply, self.dim)
         return self._cache["norm"]
+
+
+def power_of_two_at_least(x):
+    """The smallest power of two at least ``x > 0``."""
+    mant, exp = math.frexp(x)
+    return math.ldexp(1.0, exp - (mant == 0.5))
+
+
+def certifies_eigenvalue_bound(A, s, largest=False):
+    """True when a factor of ``A - s I`` clears the pivot floor, which
+    certifies ``lambda_min(A) > s``; when ``largest``, of ``s I - A``, which
+    certifies ``lambda_max(A) < s``.  ``A`` is a dense or sparse symmetric
+    operator (an Operator or anything one accepts); the factor is dropped
+    once its pivots have been read."""
+    A = Operator.of(A)
+    eye = (sp.identity(A.dim, format="csr") if A.kind == "sparse"
+           else np.eye(A.dim))
+    shifted = A.A - s * eye
+    return _certified_factor(-shifted if largest else shifted) is not None
+
+
+def certified_eigenvalue_bound(A, largest=False):
+    """The largest power of two ``mu`` that :func:`certifies_eigenvalue_bound`
+    puts below ``lambda_min(A)``, or, when ``largest``, the smallest ``t``
+    it puts above ``lambda_max(A)`` (``A`` positive semidefinite); ``None``
+    when ``A`` has no certified solve (``lambda_min``) or no power of two
+    is certified.
+
+    The search starts at the power of two next to a one-sided estimate:
+    inverse iteration with A's certified solve for ``lambda_min``, whose
+    estimate never falls below it, and ``norm_estimate`` for
+    ``lambda_max``, which never exceeds it.  It steps away from the
+    eigenvalue by factors of two until a factor clears the floor, so each
+    power it refuses lies within rounding of the eigenvalue or beyond it.
+    """
+    A = Operator.of(A)
+    if largest:
+        p, step = power_of_two_at_least(A.norm_estimate()), 2.0
+    else:
+        solve = A.solver()
+        inverse = 0.0 if solve is None else _power_estimate(solve, A.dim)
+        if inverse == 0.0:
+            return None
+        p, step = math.ldexp(1.0, math.frexp(1.0 / inverse)[1] - 1), 0.5
+    while 0.0 < p < math.inf:
+        if certifies_eigenvalue_bound(A, p, largest):
+            return p
+        p *= step
+    return None
 
 
 def solve_posdef(M, rhs):
@@ -359,6 +429,19 @@ class Metric(Operator):
             raise NumericalError("metric is not positive definite "
                                  "or its solve failed certification")
         return x
+
+    def lambda_min_bound(self):
+        """A power of two at most ``lambda_min(R)``, certified by
+        :func:`certified_eigenvalue_bound` (1 for the identity); cached, so
+        a metric shared by several problems pays for it once.  Raises on a
+        broken metric."""
+        if "lambda_min" not in self._cache:
+            mu = 1.0 if self.kind == "identity" else certified_eigenvalue_bound(self)
+            if mu is None:
+                raise NumericalError("metric is not positive definite "
+                                     "or its solve failed certification")
+            self._cache["lambda_min"] = mu
+        return self._cache["lambda_min"]
 
     def dual_norm(self, g):
         """``sqrt(<g, R^{-1} g>)`` -- the norm in which tolerances are stated."""

@@ -7,7 +7,7 @@ optional performance hooks (difference-form decreases of f and psi, and block
 evaluations of H, f and f' that the verification harness runs its
 samples through, in blocks that span base points), and optional
 declarations (solution set, positive semidefinite curvature, PL modulus,
-sampling region) that select the harness's checks.
+model-error bound, sampling region) that select the harness's checks.
 """
 
 from __future__ import annotations
@@ -74,6 +74,16 @@ class Problem:
     ``project_solution(x)`` optionally declares the solution set: it
     returns the set's point nearest to ``x`` (a constant map for a unique
     minimiser).  The audit's x* projects the final iterate; F* is F(x*).
+
+    ``model_error_bound(metric)`` optionally declares the model-error
+    constant L of the convergence theory: a certified bound on
+    ``||f'(y) - f'(x) - H(x)(y - x)||_* / ||y - x||`` over all x and y in
+    the norms of ``metric`` (the problem's own).  Every penalised quadratic
+    has it (``suite.penalty``), computed on first call and cached.  The
+    audit takes L from it and checks every iterate pair of the run
+    against it; a problem without it gets L from
+    ``verify.assumption2_sample``'s random sample, which can only
+    undershoot the supremum.
     """
 
     dim: int
@@ -101,7 +111,7 @@ class Problem:
     strong_convexity: Optional[float] = None
     project_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sample_box: Optional[tuple] = None          # (lo, hi) arrays for sampling
-    near_kink: Optional[Callable[[object], np.ndarray]] = None
+    model_error_bound: Optional[Callable[[Metric], float]] = None
 
     def __post_init__(self):
         if self.psi_value is not None and self.prox is None:

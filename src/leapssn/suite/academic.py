@@ -36,10 +36,6 @@ def partial_smooth_2d() -> Problem:
         out[0] = np.sign(v[0]) * max(0.0, abs(v[0]) - t)
         return out
 
-    def near_kink(rng: SplitMix64) -> np.ndarray:
-        z = rng.normals(2)
-        return np.array([1e-9 * z[0], z[1]])
-
     return penalised_quadratic(
         2.0 * np.eye(2), np.zeros(2), 0.0, np.array([[1.0, 0.0]]),
         np.zeros(1), 2.0,
@@ -50,7 +46,6 @@ def partial_smooth_2d() -> Problem:
         strong_convexity=2.0,
         project_solution=lambda x: np.zeros(2),
         sample_box=(np.full(2, -2.0), np.full(2, 2.0)),
-        near_kink=near_kink,
     )
 
 

@@ -38,7 +38,6 @@ import scipy.sparse as sp
 from ..hilbert import Metric
 from ..problem import Problem
 from .penalty import penalised_quadratic
-from .rng import SplitMix64
 
 
 # one Metric per (family, n), shared by every live problem on that mesh: R
@@ -57,17 +56,12 @@ def _shared_metric(family, n, build):
 def _contact_problem(A, b, c, phi, name, metric, **extra):
     """The Problem for f = 0.5<Au,u> - <b,u> + c/2 ||max(0, phi - u)||^2."""
     dim = phi.size
-
-    def near_kink(rng: SplitMix64) -> np.ndarray:
-        return phi + 1e-9 * rng.normals(dim)
-
     prob = penalised_quadratic(
         A, -b, 0.0, -sp.identity(dim, format="csr"), -phi, c,
         metric=metric,
         name=name,
         x0=np.zeros(dim),
         sample_box=(phi - 0.5, phi + 0.5),
-        near_kink=near_kink,
         **extra,
     )
     prob.obstacle = phi       # contact diagnostics: violation = max(0, phi - u)

@@ -36,13 +36,30 @@ rounding by their step.  A sparse K does not: its per-point f and f'
 already cost O(nnz), and block versions of them saved at most 0.02 s per
 benchmark job while their temporaries raised the peak memory of the
 large meshes.  Without them the harness's blocks hold 8 columns, not 50.
+
+Every penalised quadratic gets ``model_error_bound(metric)``, a certified
+model-error constant.  At s = Kx - r and d = y - x the model error
+``f'(y) - f'(x) - H(x) d`` is ``c K' w`` with ``w_i = max(0, s_i + (Kd)_i)
+- max(0, s_i) - chi_i (Kd)_i``, and ``|w_i| <= |(Kd)_i|``, since max(0, .)
+is 1-Lipschitz and chi_i is one of its slopes at s_i.  In the metric R
+that gives ``||c K' w||_* <= c lambda_max(K'K) / lambda_min(R) ||d||_R``,
+so L <= c t / mu for a power of two t >= lambda_max(K'K) and the metric's
+certified power of two mu <= lambda_min(R) (``Metric.lambda_min_bound``).
+With a sparse K, K'K is the diagonal ``(K o K)' 1`` and t is the power of
+two at or above its largest entry; with a dense K, t is certified by a
+factor of ``t I - K'K`` (``hilbert.certified_eigenvalue_bound``).  Both
+are computed on the bound's first call, not when the problem is built,
+and t is kept with the problem; with c = 0 or no rows the bound is 0.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
+from ..hilbert import certified_eigenvalue_bound, power_of_two_at_least
 from ..problem import Problem
 
 
@@ -123,6 +140,20 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
             P, M = penalty_rows(X)
             return (P @ Q + q + c * (M @ K)).T
 
+    @functools.cache
+    def penalty_scale():
+        """c t (see the module docstring), computed on the first call."""
+        if c == 0.0 or K.shape[0] == 0:
+            return 0.0
+        if sp.issparse(K):
+            top = float((KKt @ np.ones(K.shape[0])).max())
+            return c * power_of_two_at_least(top) if top else 0.0
+        return c * certified_eigenvalue_bound(K.T @ K, largest=True)
+
+    def model_error_bound(metric):
+        ct = penalty_scale()
+        return ct / metric.lambda_min_bound() if ct else 0.0
+
     def f_value(x):
         m = np.maximum(0.0, K @ x - r)
         return (0.5 * float(x @ (Q @ x)) + float(q @ x) + const
@@ -144,4 +175,5 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
     return Problem(dim=Q.shape[0], f_value=f_value, f_grad=f_grad, hess=hess,
                    f_decrease=f_decrease, hess_apply=hess_apply,
                    f_values=f_values, f_grads=f_grads,
+                   model_error_bound=model_error_bound,
                    hess_psd=True, **declarations)

@@ -59,19 +59,12 @@ def svm_problem(X: np.ndarray, y: np.ndarray, gamma: float) -> Problem:
     K *= -y[:, None]        # in place: the rows -y_i (x_i, 1), one copy
     Q = sp.diags(np.r_[np.ones(n), 0.0])   # O(n) products in f and f'
 
-    def near_kink(rng: SplitMix64) -> np.ndarray:
-        v = rng.normals(dim) / np.sqrt(dim)
-        m0 = 1.0 + K[0] @ v
-        v[n] += (m0 - 1e-9) * y[0]  # place sample 0 on the hinge edge
-        return v
-
     return penalised_quadratic(
         Q, np.zeros(dim), 0.0, K, np.full(l, -1.0), 2.0 * gamma,
         name="svm",
         x0=np.full(dim, 0.5),
         lambda0=3.0 * gamma * float(np.sqrt((X * X).sum())),
         sample_box=(np.full(dim, -2.0), np.full(dim, 2.0)),
-        near_kink=near_kink,
     )
 
 

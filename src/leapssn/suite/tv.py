@@ -47,7 +47,6 @@ from ..hilbert import Metric
 from ..problem import Problem
 from .imaging import GridImage
 from .penalty import penalised_quadratic
-from .rng import SplitMix64
 
 C0 = 1e-8          # SPD safeguard on the metric (flux constants are G-null)
 DIV_SCALE = 200.0  # flux-to-image coupling of the divergence (see module docstring)
@@ -109,10 +108,6 @@ def tv_dual_problem(omega, gamma: float) -> Problem:
     R = (DtD + eps * GtG + C0 * sp.identity(dim)).tocsr()
     const = 0.5 * h * h * float(w @ w)
 
-    def near_kink(rng: SplitMix64) -> np.ndarray:
-        q = delta * rng.signs(dim)
-        return q + 1e-9 * rng.normals(dim)
-
     eye = sp.identity(dim, format="csr")
     prob = penalised_quadratic(
         M, Dtw, const, sp.vstack([eye, -eye]).tocsr(), np.full(2 * dim, delta),
@@ -127,7 +122,6 @@ def tv_dual_problem(omega, gamma: float) -> Problem:
         lambda0=64.0,
         alpha=1e-4,
         sample_box=(np.full(dim, -4.0 * delta), np.full(dim, 4.0 * delta)),
-        near_kink=near_kink,
     )
     prob.reconstruct = lambda q: GridImage((w + c * (B @ q)).reshape(n, n))
     return prob

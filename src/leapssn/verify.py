@@ -3,16 +3,19 @@
 Two layers:
 
 * derivative/structure oracles — ``grad_check`` (finite differences),
-  ``hess_symmetry_check``, and ``assumption2_sample`` which estimates the
-  model-error constant L of the regularised Newton model as the largest
-  ``||f'(y) - f'(x) - H(x)(y-x)||_* / ||y-x||`` over sampled base points
-  x and their random, short-range and near-kink partners y;
+  ``hess_symmetry_check``, and ``assumption2_sample``, which gives the
+  model-error constant L of the regularised Newton model, the supremum of
+  ``||f'(y) - f'(x) - H(x)(y-x)||_* / ||y-x||``: the problem's certified
+  ``model_error_bound`` when it declares one (every penalised quadratic
+  does), else the largest ratio over sampled base points x and their
+  random and short-range partners y;
 
 * trace audits — ``audit_trace`` re-derives every promise the adaptive
   driver makes (monotone objective, both acceptance inequalities, the
   recorded decreases against F itself, the regulariser ceiling, the
-  backtracking-count identity, and the global rate envelopes that apply
-  given the problem's declared constants),
+  backtracking-count identity, the model error of every iterate pair
+  against a certified L, and the global rate envelopes that apply given
+  the problem's declared constants),
   ``superlinear_check`` and ``dm_condition_sample`` detect the fast
   local regime, ``manifold_check`` the finite identification of the
   nonsmooth manifold.
@@ -37,10 +40,10 @@ through ``_values``, for its objective check.  Sample sizes and seeds
 are fixed module constants, so an audit of a given trace always repeats.
 
 Every envelope check is one-sided: the harness asserts trace <= bound,
-never tightness.  Sampled constants may undershoot the truth, so all
-theory bounds inflate the constant by 5% and carry a 1e-8 relative
-arithmetic slack; checks whose required constants are missing are
-reported as not-applicable (None), never silently passed.
+never tightness.  A sampled L may undershoot the truth (a certified one
+never does), so all theory bounds inflate L by 5% and carry a 1e-8
+relative arithmetic slack; checks whose required constants are missing
+are reported as not-applicable (None), never silently passed.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .subsolver import composite_step, smooth_step
 from .suite.rng import SplitMix64
 
 SLACK = 1e-8        # relative arithmetic slack on audited inequalities
-L_INFLATION = 1.05  # sampled model-error constants may undershoot the truth
+L_INFLATION = 1.05  # a sampled model-error constant may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
 GRAD_DIRECTIONS = 50  # random directions beyond, and columns per block
@@ -236,29 +239,62 @@ def hess_symmetry_check(problem: Problem, points) -> float:
     return worst
 
 
-def _model_error(problem: Problem, pairs) -> float:
-    """Largest finite model-error ratio
-    ``||f'(y) - f'(x) - H(x)(y - x)||_* / ||y - x||`` over one block of
-    ``pairs`` (x, y, f'(x), f'(y)), or 0."""
+def _model_errors(problem: Problem, pairs, rounding=False) -> list:
+    """The model-error ratio ``||f'(y) - f'(x) - H(x)(y - x)||_* /
+    ||y - x||`` of each of one block of ``pairs`` (x, y, f'(x), f'(y)), as
+    ``(ratio, allowance)``, or None where the step or the ratio is not
+    finite or the step is below 1e-14.  ``allowance`` is 0 unless
+    ``rounding``; then it is the rounding allowance of the ratio.
+
+    The allowance sizes the rounding of f' and H(x) d, which a ratio
+    divides by the step.  On a penalised quadratic (the problems with a
+    certified L) f'(z) = H(z) z + b with b constant on z's piece, so
+    evaluating f'(z) sums vectors of size up to ``||H z|| + ||b|| <= 2 ||H
+    z|| + ||f'(z)||``, however small f'(z) itself is near a solution; on
+    ``quadratic``, whose model error is 0, the rounding of f' alone gave
+    converged-tail ratios up to 1.4e-7.  The allowance is ``dim * eps``
+    times the sum of those sizes at x and y and of ``||H(x) d||`` (2-norms,
+    with H(x) standing in for H(y) and ``H(x) y = H(x) x + H(x) d``),
+    which is the rounding of sums of up to dim terms of these sizes, taken
+    to the dual norm by ``1 / sqrt(mu)`` for the metric's certified ``mu <=
+    lambda_min(R)``, and over ``||y - x||``.  The products H(x) x go
+    through the block's ``_hess_products`` call with the H(x) d.
+    """
     kept = []
-    for x, y, g_x, g_y in pairs:
+    for j, (x, y, g_x, g_y) in enumerate(pairs):
         d = y - x
         nd = problem.metric.norm(d)
         if np.isfinite(nd) and nd > 1e-14:
-            kept.append((x, d, nd, g_y - g_x))
-    Hds = _hess_products(problem, [k[0] for k in kept], [k[1] for k in kept])
+            kept.append((j, x, d, nd, g_y - g_x))
+    bases = [k[1] for k in kept]
+    Hs = _hess_products(problem, bases * (2 if rounding else 1),
+                        [k[2] for k in kept] + (bases if rounding else []))
     errs = _squared_dual_norms(problem,
-                               [k[3] - Hd for k, Hd in zip(kept, Hds)])
-    best = 0.0
-    for (_, _, nd, _), e2 in zip(kept, errs):
+                               [k[4] - Hd for k, Hd in zip(kept, Hs)])
+    scale = 0.0
+    if rounding:
+        scale = (problem.dim * np.finfo(float).eps
+                 / math.sqrt(problem.metric.lambda_min_bound()))
+    out = [None] * len(pairs)
+    for i, ((j, _, _, nd, _), e2) in enumerate(zip(kept, errs)):
         r = math.sqrt(max(0.0, e2)) / nd
-        if np.isfinite(r):
-            best = max(best, r)
-    return best
+        if not np.isfinite(r):
+            continue
+        allowance = 0.0
+        if rounding:
+            _, _, g_x, g_y = pairs[j]
+            Hd, Hx = Hs[i], Hs[len(kept) + i]
+            allowance = scale * (
+                float(np.linalg.norm(g_x)) + float(np.linalg.norm(g_y))
+                + float(np.linalg.norm(Hd))
+                + 2.0 * float(np.linalg.norm(Hx))
+                + 2.0 * float(np.linalg.norm(Hx + Hd))) / nd
+        out[j] = (r, allowance)
+    return out
 
 
 def _model_error_blocks(problem: Problem, items, width=lambda item: 1):
-    """The blocks ``_model_error`` takes ``items`` (a base point's sample,
+    """The blocks ``_model_errors`` takes ``items`` (a base point's sample,
     or an iterate pair, each ``width(item)`` directions) in: whole items,
     drawn as needed, and at most ``_width`` directions (or one item) per
     block, so that a large problem holds a bounded block of points and
@@ -286,27 +322,17 @@ def _sample_groups(problem: Problem):
         yield [x, lo + span * rng.uniforms(problem.dim),
                x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)]
 
-    if problem.near_kink is not None:
-        for _ in range(max(4, MODEL_ERROR_BASES // 4)):
-            x = np.asarray(problem.near_kink(rng), dtype=float)
-            pts = [x, x + 1e-7 * rng.normals(problem.dim),
-                   x + 1e-2 * span * (rng.uniforms(problem.dim) - 0.5)]
-            for i in (rng.raw(4) % np.uint64(problem.dim)).astype(int):
-                y = x.copy()
-                y[i] -= 4e-9 * float(rng.signs(1)[0])
-                pts.append(y)
-            yield pts
-
 
 def assumption2_sample(problem: Problem) -> float:
-    """Sampled model-error constant: max ratio over base points and partners.
+    """The model-error constant L: the problem's ``model_error_bound``,
+    without sampling, when it declares one; else the largest ratio over
+    sampled base points and their partners.
 
     Each box base point gets a box-scale and a short-range partner inside
-    the sampling box.  When the problem exposes a ``near_kink`` sampler,
-    further base points sit at the active-set boundary, with partners
-    that straddle it: dense short steps plus single-coordinate crossings,
-    which realise the worst per-component curvature jumps.
+    the sampling box.  A sample can only undershoot the supremum L.
     """
+    if problem.model_error_bound is not None:
+        return float(problem.model_error_bound(problem.metric))
     best = 0.0
     groups = _sample_groups(problem)
     for block in _model_error_blocks(problem, groups, lambda g: len(g) - 1):
@@ -315,7 +341,7 @@ def assumption2_sample(problem: Problem) -> float:
         for x, *partners in block:
             g_x = next(grads)
             pairs += [(x, y, g_x, next(grads)) for y in partners]
-        best = max(best, _model_error(problem, pairs))
+        best = max([best] + [e[0] for e in _model_errors(problem, pairs) if e])
     return best
 
 
@@ -325,7 +351,7 @@ _VERDICT_CHECKS = {
     "monotone_ok": ("monotone_F",),
     "acceptance_ok": ("acceptance_gradient", "acceptance_decrease",
                       "objective_cache", "gradient_cache", "psi_subgradient"),
-    "lambda_bound_ok": ("lambda_bound",),
+    "lambda_bound_ok": ("lambda_bound", "model_error_bound"),
     "step_count_ok": ("step_count",),
     "step_length_ok": ("step_length",),
     "sublinear_envelope_ok": ("sublinear_envelope",),
@@ -340,9 +366,12 @@ class RateReport:
     Booleans are per-check verdicts; ``None`` marks a check whose
     required declarations (positive semidefinite H, solution-set
     projector, PL modulus) the problem does not supply — not-applicable is
-    reported, never silently passed.  ``violations`` holds one (k, name,
-    lhs, rhs) tuple per failed inequality; it is empty exactly when every
-    applicable check passed.
+    reported, never silently passed.  ``L_hat`` is the model-error constant
+    the audit used and ``L_source`` where it came from: ``"certified"``,
+    the problem's ``model_error_bound``, or ``"sampled"``, the ``L_hat``
+    argument folded with the run's iterate pairs.  ``violations`` holds
+    one (k, name, lhs, rhs) tuple per failed inequality; it is empty
+    exactly when every applicable check passed.
     """
     monotone_ok: bool
     acceptance_ok: bool
@@ -354,6 +383,7 @@ class RateReport:
     superlinear_detected: bool
     lambda_to_zero: bool
     L_hat: float
+    L_source: str
     violations: list = field(default_factory=list)
 
     @property
@@ -377,10 +407,15 @@ def _solution_point(trace: Trace, problem: Problem) -> Optional[np.ndarray]:
 def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0) -> RateReport:
     """Re-derive every audited inequality of a finished run.
 
-    The solver constants come from ``trace.config``.  ``L_hat`` is the
-    sampled model-error constant (see ``assumption2_sample``); the
-    trace's own consecutive-iterate pairs are folded in, since the theory
-    bounds must hold along the segments the run actually visited.
+    The solver constants come from ``trace.config``.  The model-error
+    constant L of the ceiling and the step-count bound is the problem's
+    ``model_error_bound`` when it declares one, and the model error of
+    every consecutive-iterate pair, up to its rounding allowance (see
+    ``_model_errors``), is checked against it (``model_error_bound``), so
+    a bound the run itself contradicts fails the audit.  Otherwise L is
+    ``L_hat``, the sampled constant (see ``assumption2_sample``), with the
+    pairs folded in, since the theory bounds must hold along the segments
+    the run actually visited.
     The fresh f' at each iterate (x0 included) is checked against the
     stored ``trace.grads``, never replaced by them, and each recorded
     decrease F_i - F_{i+1} against F(x_i) - F(x_{i+1}) (``objective_cache``).
@@ -397,10 +432,17 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0) -> RateRepor
 
     xs = [trace.x0] + list(trace.iterates)
     fgrads = [_grad(problem, x) for x in xs]
-    L_eff = float(L_hat)
+    certified = problem.model_error_bound is not None
     pairs = zip(xs, xs[1:], fgrads, fgrads[1:])
-    for block in _model_error_blocks(problem, pairs):
-        L_eff = max(L_eff, _model_error(problem, block))
+    errors = [e for block in _model_error_blocks(problem, pairs)
+              for e in _model_errors(problem, block, rounding=certified)]
+    if certified:
+        L_eff = float(problem.model_error_bound(problem.metric))
+        for r, e in zip(recs, errors):
+            if e is not None and e[0] > L_eff * (1.0 + SLACK) + e[1]:
+                violations.append((r.k, "model_error_bound", e[0], L_eff))
+    else:
+        L_eff = max([float(L_hat)] + [e[0] for e in errors if e])
     lam_bar = max(2.0 * m * L_INFLATION * L_eff, Lam0)
 
     # (a) monotone objective
@@ -507,6 +549,7 @@ def audit_trace(trace: Trace, problem: Problem, L_hat: float = 0.0) -> RateRepor
     lam_zero, superlinear = superlinear_check(trace)
     return RateReport(**verdicts, superlinear_detected=bool(superlinear),
                       lambda_to_zero=bool(lam_zero), L_hat=L_eff,
+                      L_source="certified" if certified else "sampled",
                       violations=violations)
 
 

@@ -358,6 +358,38 @@ def test_verify_flags_a_hess_apply_that_ignores_column_bases(tmp_path,
     assert "hess_symmetry" in {v[1] for v in report["violations"]}
 
 
+def test_verify_flags_a_model_error_bound_that_is_too_small(tmp_path,
+                                                          monkeypatch):
+    # plate at n = 17 and gamma = 1e5 crosses kinks; its certified L
+    # declared 1e3 times too small fails verify on the run's iterate
+    # pairs, and the report names the source of L
+    out = tmp_path / "v"
+    args = ("verify", "--problem", "plate", "--n", "17", "--gamma", "1e5")
+    assert _run(*args, "--out", str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["audit"][
+        "L_source"] == "certified"
+    build = cli.build_problem
+
+    def too_small(*knobs):
+        prob = build(*knobs)
+        bound = prob.model_error_bound
+        return dataclasses.replace(
+            prob, model_error_bound=lambda metric: bound(metric) / 1e3)
+
+    monkeypatch.setattr(cli, "build_problem", too_small)
+    assert _run(*args, "--out", str(out)) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert "model_error_bound" in {v[1] for v in report["violations"]}
+    assert report["audit"]["lambda_bound_ok"] is False
+
+
+def test_verify_samples_l_without_a_certified_bound(tmp_path):
+    out = tmp_path / "v"
+    assert _run("verify", "--problem", "rosenbrock", "--out", str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["audit"][
+        "L_source"] == "sampled"
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_uncertified_metric_is_a_one_line_error(tmp_path, capsys,
                                                 monkeypatch, command):

@@ -12,6 +12,7 @@ from leapssn import hilbert
 from leapssn import (Metric, NumericalError, Operator, Problem, smooth_step,
                      solve_posdef)
 from leapssn.hilbert import cg_certified
+from leapssn.suite import laplacian_2d
 from leapssn.suite.obstacle import plate_problem
 
 
@@ -421,3 +422,87 @@ def test_a_solved_rung_is_freed_without_the_cycle_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+def _plate_metric(n):
+    """plate's metric R = A + h^2 I at mesh size n, and h^2: A is singular
+    (its kernel is the rigid motions), so lambda_min(R) = h^2."""
+    return plate_problem(n, 1e4).metric.A, 1.0 / (n - 1) ** 2
+
+
+def _spectrum(evals, seed=3):
+    """A dense symmetric matrix with the eigenvalues ``evals``."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((len(evals), len(evals))))
+    A = (Q * evals) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def test_eigenvalue_certificate_accepts_mu_below_lambda_min():
+    R, h2 = _plate_metric(9)
+    A = _spectrum(np.geomspace(1.0, 10.0, 8))
+    for mu in (0.0, h2 / 8, h2 / 2, 0.99 * h2):
+        assert hilbert.certifies_eigenvalue_bound(R, mu)
+    for mu in (-1.0, 0.5, 0.999):
+        assert hilbert.certifies_eigenvalue_bound(A, mu)
+    for t in (10.01, 16.0):
+        assert hilbert.certifies_eigenvalue_bound(A, t, largest=True)
+
+
+def test_eigenvalue_certificate_refuses_mu_at_or_above_lambda_min():
+    # R - h^2 I is plate's singular A; A's rounded spectrum [1, 10] is
+    # probed off its ends, where the verdict does not depend on rounding
+    R, h2 = _plate_metric(9)
+    for mu in (h2, 1.01 * h2, 4.0 * h2, 1.0):
+        assert not hilbert.certifies_eigenvalue_bound(R, mu)
+    A = _spectrum(np.geomspace(1.0, 10.0, 8))
+    for mu in (1.001, 2.0, 11.0):
+        assert not hilbert.certifies_eigenvalue_bound(A, mu)
+    for t in (1.0, 9.99):
+        assert not hilbert.certifies_eigenvalue_bound(A, t, largest=True)
+
+
+def test_eigenvalue_bound_is_the_power_of_two_next_to_the_eigenvalue():
+    # plate: lambda_min(R) = h^2 = 2^-6 itself is refused, so 2^-7
+    R, h2 = _plate_metric(9)
+    assert h2 == 2.0 ** -6
+    assert hilbert.certified_eigenvalue_bound(R) == 2.0 ** -7
+    A = _spectrum(np.array([0.3, 1.0, 5.0, 7.5]))
+    assert hilbert.certified_eigenvalue_bound(A) == 0.25
+    assert hilbert.certified_eigenvalue_bound(A, largest=True) == 8.0
+    # an indefinite matrix has no certified solve, hence no lambda_min bound
+    assert hilbert.certified_eigenvalue_bound(np.diag([1.0, -1.0])) is None
+
+
+@pytest.mark.parametrize("largest", [False, True], ids=["min", "max"])
+def test_dense_and_sparse_eigenvalue_certificates_agree(largest):
+    # the 5-point Laplacian on 7 x 7 nodes: lambda_min = 4 - 4 cos(pi/8)
+    # = 0.304 and lambda_max = 4 + 4 cos(pi/8) = 7.696
+    S = laplacian_2d(7)
+    D = S.toarray()
+    value = hilbert.certified_eigenvalue_bound(S, largest)
+    assert value == hilbert.certified_eigenvalue_bound(D, largest)
+    assert value == (8.0 if largest else 0.25)
+    for s in (0.125, 0.25, 0.3, 0.31, 0.5, 4.0, 7.5, 7.69, 7.7, 8.0):
+        assert (hilbert.certifies_eigenvalue_bound(S, s, largest)
+                == hilbert.certifies_eigenvalue_bound(D, s, largest)), s
+
+
+def test_the_metric_caches_its_lambda_min_certificate(monkeypatch):
+    R, _ = _plate_metric(9)
+    metric = Metric(R)
+    calls = []
+    certify = hilbert.certifies_eigenvalue_bound
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "certifies_eigenvalue_bound", counted)
+    assert metric.lambda_min_bound() == 2.0 ** -7
+    assert calls == [2.0 ** -6, 2.0 ** -7]
+    assert metric.lambda_min_bound() == 2.0 ** -7 and len(calls) == 2
+    assert Metric().lambda_min_bound() == 1.0 and len(calls) == 2
+    broken = Metric(sp.diags(np.r_[1.0, -1.0, np.ones(6)]).tocsr())
+    with pytest.raises(NumericalError):
+        broken.lambda_min_bound()

@@ -24,6 +24,7 @@ from leapssn.suite import (GridImage, add_noise, l1_svm_problem,
                            write_svm_data)
 from leapssn.suite.registry import PROBLEM_NAMES, build_problem, default_tol
 from leapssn.suite.rng import SplitMix64
+from leapssn.verify import assumption2_sample
 
 
 def test_export_lists_resolve():
@@ -583,3 +584,45 @@ def test_registry_builds_with_overrides():
     assert q.dim == 3
     t = build_problem("tv", n=16)
     assert t.noisy_image.data.shape == (16, 16)
+
+
+# ------------------------------------------------------- model-error bound
+
+@pytest.mark.parametrize("name, gamma, n, mu, bound", [
+    ("membrane", 1e4, 17, 2.0 ** -4, 625.0),
+    ("membrane", 1e4, 65, 2.0 ** -8, 625.0),
+    ("plate", 1e2, 17, 2.0 ** -9, 200.0),
+    ("plate", 1e5, 65, 2.0 ** -13, 2e5),
+    ("tv", 1e4, 16, 2.0 ** -8, 2e4 * 2.0 ** 8),
+    ("tv", 1e4, 64, 2.0 ** -12, 2e4 * 2.0 ** 12),
+    ("svm", 1.0, 2, 1.0, 2.0 * 2.0 ** 12),
+    ("partial_smooth", None, None, 1.0, 4.0),
+    ("quadratic", None, None, 1.0, 0.0),
+])
+def test_certified_model_error_bounds(name, gamma, n, mu, bound):
+    # L <= c t / mu: mu the metric's certified power of two below
+    # lambda_min(R), t the power of two at or above lambda_max(K'K) (1 for
+    # -I, 2 for [I; -I], certified for the SVM's dense rows); the exact
+    # values repeat at any BLAS thread count.  A sample never exceeds it
+    # (quadratic's, 2.4e-12, is rounding of f', and its metric is unread)
+    prob = build_problem(name, gamma, n, None)
+    assert prob.model_error_bound(prob.metric) == bound
+    if bound:
+        assert prob.metric.lambda_min_bound() == mu
+    if bound and prob.dim <= 300:
+        sampled = dataclasses.replace(prob, model_error_bound=None)
+        assert assumption2_sample(sampled) <= bound
+
+
+def test_certified_model_error_bound_of_the_dense_svm_benchmark():
+    # 10^4 samples, 200 features: lambda_max(K'K) = 3.3e4 lies below the
+    # certified t = 2^16, so L = 2 gamma 2^16
+    prob = svm_problem(*svm_data(10_000, 200, 1), 1e3)
+    assert prob.model_error_bound(prob.metric) == 2e3 * 2.0 ** 16
+
+
+def test_the_model_error_bound_follows_the_problem_metric():
+    # the bound reads the metric it is given, so a problem rebuilt on
+    # another metric (dataclasses.replace) gets that metric's mu
+    prob = membrane_problem(17, 1e4)
+    assert prob.model_error_bound(leapssn.Metric()) == 1e4 / 16 ** 2

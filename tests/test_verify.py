@@ -116,11 +116,17 @@ def test_sample_points_default_to_the_radius_box():
     assert max(np.abs(x).max() for x in pts) > BOX_RADIUS / 2
 
 
+def _sampled(problem):
+    """The problem without its certified model-error bound, so that the
+    audit takes L from assumption2_sample's sample."""
+    return dataclasses.replace(problem, model_error_bound=None)
+
+
 def test_curvature_ratio_estimates():
     # constant Hessian: the second-order model is exact, ratio ~ 0
-    assert assumption2_sample(quadratic()) <= 1e-9
+    assert assumption2_sample(_sampled(quadratic())) <= 1e-9
     # piecewise-quadratic with a curvature jump of 2 across the kink
-    est = assumption2_sample(partial_smooth_2d())
+    est = assumption2_sample(_sampled(partial_smooth_2d()))
     assert 1.0 <= est <= 2.0 + 1e-6
 
 
@@ -129,7 +135,7 @@ VERDICT_NAMES = {
     "monotone_ok": {"monotone_F"},
     "acceptance_ok": {"acceptance_gradient", "acceptance_decrease",
                       "objective_cache", "gradient_cache", "psi_subgradient"},
-    "lambda_bound_ok": {"lambda_bound"},
+    "lambda_bound_ok": {"lambda_bound", "model_error_bound"},
     "step_count_ok": {"step_count"},
     "step_length_ok": {"step_length"},
     "sublinear_envelope_ok": {"sublinear_envelope"},
@@ -183,8 +189,10 @@ def _widths(blocks):
 
 
 def test_each_point_is_evaluated_once():
-    # 40 box base points with 2 partners, 10 near-kink ones with 6: 190
-    # points and 140 directions.  One rule for every problem: a block
+    # 40 box base points with 2 partners: 120 points and 80 directions,
+    # without the certified bounds, which skip the sample (and the
+    # audit's pair check, which adds H(x) x products).  One rule for
+    # every problem: a block
     # holds whole base points and at most _width directions (50 with
     # f_grads on dense rows, else BLOCK_DIRECTIONS), in drawn order;
     # hess_apply and Metric.solve are called once per block and f_grads
@@ -195,6 +203,7 @@ def test_each_point_is_evaluated_once():
                                 f_values=None, f_grads=None)
     for problem, tol in ((partial_smooth_2d(), 1e-10), (plain, 1e-10),
                          (_svm(), 1e-6), (_plate(), 1e-8)):
+        problem = _sampled(problem)
         prob, calls = _counted(problem)
         assumption2_sample(prob)
         width = _width(problem)
@@ -203,26 +212,26 @@ def test_each_point_is_evaluated_once():
         bases = [x for x, *ys in groups for _ in ys]
         dirs = [y - x for x, *ys in groups for y in ys]
 
-        # blocks of whole groups (box points: 2 directions, near-kink: 6)
+        # blocks of whole groups (2 directions each)
         per_block = _widths(calls["solve"])
         ends = set(np.cumsum([len(g) - 1 for g in groups]))
         assert set(np.cumsum(per_block)) <= ends
         assert max(per_block) <= width
         if width == 50:
-            # 25 box points; 15 box and 3 near-kink; 7 near-kink
-            assert per_block == [50, 48, 42]
+            # 25 box points; 15 box points
+            assert per_block == [50, 30]
         else:
             assert width == BLOCK_DIRECTIONS
-            assert per_block == [8] * 10 + [6] * 10
+            assert per_block == [8] * 10
 
         if problem.f_grads is not None:
-            # 75, 66 and 49 points in those blocks, 50 per f_grads call
-            assert _widths(calls["f_grads"]) == [50, 25, 50, 16, 49]
+            # 75 and 45 points in those blocks, 50 per f_grads call
+            assert _widths(calls["f_grads"]) == [50, 25, 45]
             np.testing.assert_array_equal(np.hstack(calls["f_grads"]),
                                           np.column_stack(points))
             assert not calls["f_grad"]
         else:
-            assert not calls["f_grads"] and len(calls["f_grad"]) == 190
+            assert not calls["f_grads"] and len(calls["f_grad"]) == 120
             assert all(np.array_equal(a, b)
                        for a, b in zip(calls["f_grad"], points))
         if problem.hess_apply is not None:
@@ -232,7 +241,7 @@ def test_each_point_is_evaluated_once():
             np.testing.assert_array_equal(np.hstack(V), np.column_stack(dirs))
             assert not calls["hess"]
         else:
-            assert not calls["hess_apply"] and len(calls["hess"]) == 140
+            assert not calls["hess_apply"] and len(calls["hess"]) == 80
             assert all(np.array_equal(x, b)
                        for x, b in zip(calls["hess"], bases))
 
@@ -290,7 +299,7 @@ def test_each_point_is_evaluated_once():
 @pytest.mark.parametrize("build", [_svm, _plate], ids=["svm", "plate"])
 def test_hess_apply_leaves_the_model_error_constant(build):
     # the hook against the per-column fallback, on dense and sparse rows
-    prob = build()
+    prob = _sampled(build())
     plain = dataclasses.replace(prob, hess_apply=None)
     a, b = assumption2_sample(prob), assumption2_sample(plain)
     assert abs(a - b) <= 1e-12 * b
@@ -298,6 +307,41 @@ def test_hess_apply_leaves_the_model_error_constant(build):
     a = audit_trace(trace, prob).L_hat
     b = audit_trace(trace, plain).L_hat
     assert b > 0 and abs(a - b) <= 1e-12 * b
+
+
+def test_a_certified_zero_model_error_survives_the_converged_tail():
+    # quadratic: constant H, so its certified L is 0.  The rounding of f'
+    # over the converged tail's short steps (ratios up to 1.4e-7, which
+    # the sampled path folds into L) stays within each pair's rounding
+    # allowance and raises no model_error_bound violation
+    prob = quadratic()
+    assert prob.model_error_bound(prob.metric) == 0.0
+    trace = leap_ssn(prob).trace
+    rep = audit_trace(trace, prob)
+    _assert_verdicts(rep)
+    assert rep.ok, rep.violations
+    assert (rep.L_hat, rep.L_source) == (0.0, "certified")
+    sampled = audit_trace(trace, _sampled(prob))
+    assert sampled.L_source == "sampled" and 0.0 < sampled.L_hat < 1e-6
+
+
+@pytest.mark.parametrize("build", [lambda: plate_problem(17, 1e5), _svm],
+                         ids=["plate", "svm"])
+def test_audit_flags_a_model_error_bound_that_is_too_small(build):
+    # runs that cross kinks: a bound declared 1e3 times too small is below
+    # the model error of some iterate pair, and below the ceiling the run
+    # needed
+    prob = build()
+    trace = leap_ssn(prob).trace
+    rep = audit_trace(trace, prob)
+    assert rep.ok and rep.L_source == "certified"
+    bound = prob.model_error_bound
+    bad = dataclasses.replace(
+        prob, model_error_bound=lambda metric: bound(metric) / 1e3)
+    rep = audit_trace(trace, bad)
+    _assert_verdicts(rep)
+    assert rep.lambda_bound_ok is False
+    assert "model_error_bound" in {v[1] for v in rep.violations}
 
 
 def test_audit_clean_run():
