@@ -405,8 +405,9 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = subs.add_parser("verify", help="derivative checks + trace audit",
-                            description="Check gradients, sample the model-"
-                            "error constant, audit a run; writes report.json.")
+                            description="Check gradients, take the model-"
+                            "error constant from its certified bound, else a "
+                            "sample, audit a run; writes report.json.")
     _add_common(p_ver, gamma_help="penalty parameter")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -59,17 +59,12 @@ class Problem:
     it, with dense or sparse rows.  ``verify.hess_symmetry_check``
     compares it with ``hess``.
 
-    ``f_values(X)`` and ``f_grads(X)`` optionally evaluate f and f' at
-    each column of a dim x k block ``X``, returning the k values and a
-    dim x k block of gradients.  They are audit-only performance hooks
-    too: the verification harness evaluates its sample points through
-    them, and ``verify.grad_check`` compares them with ``f_value`` and
-    ``f_grad``.  They need not round as the per-point calls do, so the
-    solver and ``audit_trace``, which compares f' with the solver's own
-    stored gradients bit for bit, never call them.  Every block the
-    harness evaluates has up to 50 columns on a problem with ``f_grads``,
-    else 8.  Without them the audit of the dense SVM benchmark jobs took
-    1.27-1.42 s instead of 0.38-0.44 s.
+    ``f_values(X)`` optionally evaluates f at each column of a dim x k
+    block ``X``, returning the k values.  It is an audit-only performance
+    hook too: the verification harness evaluates its blocks of points
+    through it (up to 50 columns on a problem with it, else 8), and
+    ``verify.grad_check`` compares it with ``f_value``.  It need not round
+    as ``f_value`` does, so the solver never calls it.
 
     ``project_solution(x)`` optionally declares the solution set: it
     returns the set's point nearest to ``x`` (a constant map for a unique
@@ -79,7 +74,8 @@ class Problem:
     constant L of the convergence theory: a certified bound on
     ``||f'(y) - f'(x) - H(x)(y - x)||_* / ||y - x||`` over all x and y in
     the norms of ``metric`` (the problem's own).  Every penalised quadratic
-    has it (``suite.penalty``), computed on first call and cached.  The
+    has it (``suite.penalty``), computed on first call and cached, and so
+    does ``rank_deficient_ls``, whose model error is 0.  The
     audit takes L from it and checks every iterate pair of the run
     against it; a problem without it gets L from
     ``verify.assumption2_sample``'s random sample, which can only
@@ -100,7 +96,6 @@ class Problem:
     psi_decrease: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     f_values: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    f_grads: Optional[Callable[[np.ndarray], np.ndarray]] = None
     x0: Optional[np.ndarray] = None
     lambda0: Optional[float] = None   # preferred solver constants, used
     alpha: Optional[float] = None     # when the caller sets none

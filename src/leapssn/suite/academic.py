@@ -55,7 +55,9 @@ def rank_deficient_ls(n: int = 20, rank: int = 12, seed: int = 0) -> Problem:
     f(x) = 0.5 ||B (x - xbar)||^2 with rank(B) = ``rank`` < n.  The
     solution set is the affine subspace xbar + null(B); the problem has
     no strong convexity, but satisfies a gradient-growth inequality
-    whose modulus is the smallest positive eigenvalue of B^T B.
+    whose modulus is the smallest positive eigenvalue of B^T B.  f' is
+    affine and H constant, so the model error is identically 0, which
+    the problem declares as its ``model_error_bound``.
     """
     if not 1 <= rank <= n:
         raise ValueError("rank must lie in [1, n]")
@@ -103,6 +105,7 @@ def rank_deficient_ls(n: int = 20, rank: int = 12, seed: int = 0) -> Problem:
         strong_convexity=mu,
         project_solution=project_solution,
         sample_box=(xbar - 2.0, xbar + 2.0),
+        model_error_bound=lambda metric: 0.0,
     )
 
 

@@ -27,15 +27,15 @@ O(l n^2) per column for l rows and n unknowns.  With a sparse K it is
 block, where ``hess`` pays a scipy sparse sum and ``diags`` for each
 column, several times the cost of a column of the block.
 
-A dense K also gets the block hooks ``f_values``/``f_grads``, which
-evaluate f and f' at a block of points from one product of K with the
-block.  Each value's totals are still contiguous dot products, one per
-point, as in ``f_value``: a column-wise reduction over the block rounds
-worse, and the finite differences of ``verify.grad_check`` divide that
-rounding by their step.  A sparse K does not: its per-point f and f'
-already cost O(nnz), and block versions of them saved at most 0.02 s per
-benchmark job while their temporaries raised the peak memory of the
-large meshes.  Without them the harness's blocks hold 8 columns, not 50.
+A dense K also gets the block hook ``f_values``, which evaluates f at a
+block of points from one product of K with the block.  Each value's
+totals are still contiguous dot products, one per point, as in
+``f_value``: a column-wise reduction over the block rounds worse, and the
+finite differences of ``verify.grad_check`` divide that rounding by their
+step.  A sparse K does not: its per-point f already costs O(nnz), and a
+block version saved at most 0.02 s per benchmark job while its
+temporaries raised the peak memory of the large meshes.  Without it the
+harness's blocks hold 8 columns, not 50.
 
 Every penalised quadratic gets ``model_error_bound(metric)``, a certified
 model-error constant.  At s = Kx - r and d = y - x the model error
@@ -95,7 +95,7 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
             D += Q @ V
             return D
 
-        f_values = f_grads = None
+        f_values = None
     else:
         # f, f' and f_decrease take Q as given (the SVM's diagonal stays
         # sparse); H is dense here, so hess and hess_apply densify it
@@ -119,26 +119,18 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
             KV[~((M[:k] - r) >= 0.0)] = 0.0
             return Qd @ V + c * (KV @ K).T
 
-        # the block hooks work on the rows P = X' (one point per row), so
-        # each point's penalty terms are a contiguous row of one k x l
-        # block, clipped in place; f_values takes the O(n^2) quadratic part
-        # per point, as f_value does, since a block product rounds it
-        # differently
-        def penalty_rows(X):
+        # f_values works on the rows P = X' (one point per row), so each
+        # point's penalty terms are a contiguous row of one k x l block,
+        # clipped in place; it takes the O(n^2) quadratic part per point,
+        # as f_value does, since a block product rounds it differently
+        def f_values(X):
             P = np.ascontiguousarray(X.T)
             M = P @ K.T
             M -= r
-            return P, np.maximum(M, 0.0, out=M)
-
-        def f_values(X):
-            P, M = penalty_rows(X)
+            np.maximum(M, 0.0, out=M)
             return np.array([0.5 * float(p @ (Q @ p)) + float(q @ p) + const
                              + 0.5 * c * float(m @ m)
                              for p, m in zip(P, M)])
-
-        def f_grads(X):
-            P, M = penalty_rows(X)
-            return (P @ Q + q + c * (M @ K)).T
 
     @functools.cache
     def penalty_scale():
@@ -174,6 +166,6 @@ def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:
 
     return Problem(dim=Q.shape[0], f_value=f_value, f_grad=f_grad, hess=hess,
                    f_decrease=f_decrease, hess_apply=hess_apply,
-                   f_values=f_values, f_grads=f_grads,
+                   f_values=f_values,
                    model_error_bound=model_error_bound,
                    hess_psd=True, **declarations)

@@ -7,8 +7,8 @@ Two layers:
   model-error constant L of the regularised Newton model, the supremum of
   ``||f'(y) - f'(x) - H(x)(y-x)||_* / ||y-x||``: the problem's certified
   ``model_error_bound`` when it declares one (every penalised quadratic
-  does), else the largest ratio over sampled base points x and their
-  random and short-range partners y;
+  and ``rank_deficient_ls`` do), else the largest ratio over sampled base
+  points x and their random and short-range partners y;
 
 * trace audits — ``audit_trace`` re-derives every promise the adaptive
   driver makes (monotone objective, both acceptance inequalities, the
@@ -22,22 +22,22 @@ Two layers:
 
 Each point is evaluated once, and all evaluation takes one path
 (``_columns``): a list of columns goes through a block hook
-(``f_values``, ``f_grads``, ``hess_apply``, or ``Metric.solve`` for the
-dual norms ``||.||_*``) in dim x k blocks of at most ``_width`` columns,
-each column with its own base point, or, when the problem lacks the
-hook, through ``f_value``, ``f_grad`` or ``hess(x) @ d`` column by
-column.  ``_width`` is ``GRAD_DIRECTIONS`` with the ``f_grads`` hook
-(dense rows), else ``BLOCK_DIRECTIONS``, which bounds what a large mesh
-holds.  The model errors of ``assumption2_sample`` and of
-``audit_trace``'s iterate pairs come in blocks of whole base points (or
-iterate pairs) of at most ``_width`` directions, drawn as needed; each
-block's points, directions and dual norms are such lists, and so are
+(``f_values``, ``hess_apply``, or ``Metric.solve`` for the dual norms
+``||.||_*``) in dim x k blocks of at most ``_width`` columns, each column
+with its own base point, or, when the problem lacks the hook, through
+``f_value`` or ``hess(x) @ d`` column by column.  ``_width`` is
+``GRAD_DIRECTIONS`` with the ``f_values`` hook (dense rows), else
+``BLOCK_DIRECTIONS``, which bounds what a large mesh holds.  f' is
+always the per-point ``f_grad``.  The model errors of
+``assumption2_sample``'s pairs and of ``audit_trace``'s iterate pairs
+come in blocks of at most ``_width`` pairs, drawn as needed; each block's
+points, directions and dual norms are such lists, and so are
 ``grad_check``'s shifted points x + step d and x - step d of a point.
-``audit_trace`` evaluates f' once per iterate, by ``f_grad``, for its
-gradient checks and its iterate pairs, since its cache check compares
-with the solver's stored gradients bit for bit, and f once per iterate,
-through ``_values``, for its objective check.  Sample sizes and seeds
-are fixed module constants, so an audit of a given trace always repeats.
+``audit_trace`` evaluates f' once per iterate, for its gradient checks
+and its iterate pairs, since its cache check compares with the solver's
+stored gradients bit for bit, and f once per iterate, through
+``_values``, for its objective check.  Sample sizes and seeds are fixed
+module constants, so an audit of a given trace always repeats.
 
 Every envelope check is one-sided: the harness asserts trace <= bound,
 never tightness.  A sampled L may undershoot the truth (a certified one
@@ -48,6 +48,7 @@ are reported as not-applicable (None), never silently passed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -65,7 +66,7 @@ L_INFLATION = 1.05  # a sampled model-error constant may undershoot the truth
 GRAD_STEP = 1e-6    # central-difference base step
 MAX_COORD_DIM = 200  # coordinate-wise differences up to here, directions beyond
 GRAD_DIRECTIONS = 50  # random directions beyond, and columns per block
-BLOCK_DIRECTIONS = 8  # columns per block without f_grads
+BLOCK_DIRECTIONS = 8  # columns per block without f_values
 HOOK_WEIGHT = 1e4   # scale of a block hook's mismatch in grad_check
 BOX_RADIUS = 2.0    # half-width of the sampling box when none is declared
 SAMPLE_SEED = 0x5EEDB0C5
@@ -98,9 +99,9 @@ def sample_points(problem: Problem, count: int) -> list:
 
 def _width(problem: Problem) -> int:
     """Columns per block of the audit: ``GRAD_DIRECTIONS`` with the
-    ``f_grads`` hook (dense rows), else ``BLOCK_DIRECTIONS``, which bounds
-    what a large mesh holds."""
-    return GRAD_DIRECTIONS if problem.f_grads is not None else BLOCK_DIRECTIONS
+    ``f_values`` hook (dense rows), else ``BLOCK_DIRECTIONS``, which
+    bounds what a large mesh holds."""
+    return GRAD_DIRECTIONS if problem.f_values is not None else BLOCK_DIRECTIONS
 
 
 def _columns(problem: Problem, hook, per_column, *cols) -> list:
@@ -123,11 +124,6 @@ def _values(problem: Problem, pts) -> list:
             _columns(problem, problem.f_values, problem.f_value, pts)]
 
 
-def _grads(problem: Problem, pts) -> list:
-    """f' at each point of ``pts``, through ``f_grads``."""
-    return _columns(problem, problem.f_grads, lambda x: _grad(problem, x), pts)
-
-
 def _hess_products(problem: Problem, bases, dirs) -> list:
     """H(x) d for each base point x of ``bases`` and direction d of
     ``dirs``, through ``hess_apply`` whatever the columns' base points,
@@ -144,17 +140,16 @@ def _squared_dual_norms(problem: Problem, vecs) -> list:
             for g, s in zip(vecs, _columns(problem, solve, solve, vecs))]
 
 
-def _block_hook_error(problem: Problem, points, grads) -> float:
-    """Largest relative mismatch of ``_values`` and ``_grads`` against
-    per-point ``f_value`` and the per-point ``grads`` at ``points``, times
-    ``HOOK_WEIGHT`` (0 without the ``f_values`` and ``f_grads`` hooks)."""
+def _block_hook_error(problem: Problem, points) -> float:
+    """Largest relative mismatch of the ``f_values`` hook against
+    per-point ``f_value`` at ``points``, times ``HOOK_WEIGHT`` (0 without
+    the hook)."""
+    if problem.f_values is None:
+        return 0.0
     worst = 0.0
     for x, w in zip(points, _values(problem, points)):
         v = float(problem.f_value(x))
         worst = max(worst, abs(w - v) / max(1.0, abs(v)))
-    for g, h in zip(grads, _grads(problem, points)):
-        gn = float(np.linalg.norm(g))
-        worst = max(worst, float(np.linalg.norm(h - g)) / max(1.0, gn))
     return HOOK_WEIGHT * worst
 
 
@@ -167,12 +162,12 @@ def grad_check(problem: Problem, points) -> float:
     point's shifted points x + step d and x - step d are evaluated as two
     blocks when the problem has the ``f_values`` hook.
 
-    The ``f_values`` and ``f_grads`` hooks are compared with per-point
-    ``f_value`` and ``f_grad`` at ``points``, and their largest relative
-    mismatch, times ``HOOK_WEIGHT``, is folded in.  A hook re-evaluates
-    the same f, so it agrees to rounding (~1e-15), which adds ~1e-11,
-    below the differences' own error; a hook off by 1e-9 or more reaches
-    the 1e-5 tolerance that ``leapssn verify`` holds this check to.
+    The ``f_values`` hook is compared with per-point ``f_value`` at
+    ``points``, and its largest relative mismatch, times ``HOOK_WEIGHT``,
+    is folded in.  The hook re-evaluates the same f, so it agrees to
+    rounding (~1e-15), which adds ~1e-11, below the differences' own
+    error; a hook off by 1e-9 or more reaches the 1e-5 tolerance that
+    ``leapssn verify`` holds this check to.
     """
     points = [np.asarray(x, dtype=float) for x in points]
     coords = problem.dim <= MAX_COORD_DIM
@@ -186,10 +181,8 @@ def grad_check(problem: Problem, points) -> float:
             d /= np.linalg.norm(d)
             dirs.append(d)
     worst = 0.0
-    grads = []
     for x in points:
         g = _grad(problem, x)
-        grads.append(g)
         step = GRAD_STEP * (1.0 + float(np.linalg.norm(x)))
         f_plus = _values(problem, [x + step * d for d in dirs])
         f_minus = _values(problem, [x - step * d for d in dirs])
@@ -202,7 +195,7 @@ def grad_check(problem: Problem, points) -> float:
         for fp, fm, slope, scale in zip(f_plus, f_minus, slopes, scales):
             fd = (fp - fm) / (2 * step)
             worst = max(worst, abs(fd - slope) / scale)
-    return max(worst, _block_hook_error(problem, points, grads))
+    return max(worst, _block_hook_error(problem, points))
 
 
 def hess_symmetry_check(problem: Problem, points) -> float:
@@ -293,34 +286,13 @@ def _model_errors(problem: Problem, pairs, rounding=False) -> list:
     return out
 
 
-def _model_error_blocks(problem: Problem, items, width=lambda item: 1):
-    """The blocks ``_model_errors`` takes ``items`` (a base point's sample,
-    or an iterate pair, each ``width(item)`` directions) in: whole items,
-    drawn as needed, and at most ``_width`` directions (or one item) per
-    block, so that a large problem holds a bounded block of points and
-    gradients at a time."""
-    limit = _width(problem)
-    block, cols = [], 0
-    for item in items:
-        if block and cols + width(item) > limit:
-            yield block
-            block, cols = [], 0
-        block.append(item)
-        cols += width(item)
-    if block:
+def _model_error_blocks(problem: Problem, pairs):
+    """The blocks ``_model_errors`` takes ``pairs`` in: at most ``_width``
+    pairs each, drawn as needed, so that a large problem holds a bounded
+    block of points and gradients at a time."""
+    pairs, width = iter(pairs), _width(problem)
+    while block := list(itertools.islice(pairs, width)):
         yield block
-
-
-def _sample_groups(problem: Problem):
-    """``assumption2_sample``'s points in SplitMix64 order, one list per
-    base point: the base point, then its partners."""
-    rng = SplitMix64(MODEL_ERROR_SEED)
-    lo, hi = _sample_bounds(problem)
-    span = hi - lo
-    for _ in range(MODEL_ERROR_BASES):
-        x = lo + span * rng.uniforms(problem.dim)
-        yield [x, lo + span * rng.uniforms(problem.dim),
-               x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)]
 
 
 def assumption2_sample(problem: Problem) -> float:
@@ -328,21 +300,27 @@ def assumption2_sample(problem: Problem) -> float:
     without sampling, when it declares one; else the largest ratio over
     sampled base points and their partners.
 
-    Each box base point gets a box-scale and a short-range partner inside
-    the sampling box.  A sample can only undershoot the supremum L.
+    Each box base point x gets a box-scale and a short-range partner y
+    inside the sampling box, drawn in that order, and f'(x) is taken once
+    for its two pairs (x, y).  A sample can only undershoot the supremum
+    L.
     """
     if problem.model_error_bound is not None:
         return float(problem.model_error_bound(problem.metric))
-    best = 0.0
-    groups = _sample_groups(problem)
-    for block in _model_error_blocks(problem, groups, lambda g: len(g) - 1):
-        grads = iter(_grads(problem, [p for group in block for p in group]))
-        pairs = []
-        for x, *partners in block:
-            g_x = next(grads)
-            pairs += [(x, y, g_x, next(grads)) for y in partners]
-        best = max([best] + [e[0] for e in _model_errors(problem, pairs) if e])
-    return best
+    rng = SplitMix64(MODEL_ERROR_SEED)
+    lo, hi = _sample_bounds(problem)
+    span = hi - lo
+
+    def pairs():
+        for _ in range(MODEL_ERROR_BASES):
+            x = lo + span * rng.uniforms(problem.dim)
+            g_x = _grad(problem, x)
+            for y in (lo + span * rng.uniforms(problem.dim),
+                      x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)):
+                yield x, y, g_x, _grad(problem, y)
+
+    return max([0.0] + [e[0] for block in _model_error_blocks(problem, pairs())
+                        for e in _model_errors(problem, block) if e])
 
 
 #: The violation names each verdict flag of a :class:`RateReport` owns: a

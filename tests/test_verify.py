@@ -17,8 +17,9 @@ from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
                            plate_problem, quadratic, rank_deficient_ls,
                            rosenbrock, svm_data, svm_problem)
 from leapssn.suite.registry import broken_gradient_problem
-from leapssn.verify import (BLOCK_DIRECTIONS, BOX_RADIUS, _sample_groups,
-                            _width, assumption2_sample)
+from leapssn.verify import (BLOCK_DIRECTIONS, BOX_RADIUS, MODEL_ERROR_BASES,
+                            MODEL_ERROR_SEED, _sample_bounds, _width,
+                            assumption2_sample)
 from stepmaps import step_length_bound, step_shift_bound
 
 
@@ -45,7 +46,7 @@ def _svm():
 
 
 def _plate():
-    # sparse penalty rows: hess_apply without f_values/f_grads
+    # sparse penalty rows: hess_apply without f_values
     return plate_problem(9, 1e4)
 
 
@@ -79,7 +80,7 @@ def test_hess_symmetry_flags_a_hess_apply_that_ignores_column_bases():
         assert hess_symmetry_check(bad, pts) > HESS_SYM_TOL
 
 
-@pytest.mark.parametrize("hook", ["f_values", "f_grads"])
+@pytest.mark.parametrize("hook", ["f_values"])
 def test_grad_check_flags_a_wrong_block_hook(hook):
     for prob in (_svm(), partial_smooth_2d()):
         pts = sample_points(prob, 4)
@@ -93,7 +94,7 @@ def test_grad_check_flags_a_wrong_block_hook(hook):
 def test_block_hooks_leave_grad_check_near_its_pointwise_error():
     # 251 unknowns: the direction branch, two 50-point blocks per base point
     prob = svm_problem(*svm_data(1000, 250, 1), 1.0)
-    plain = dataclasses.replace(prob, f_values=None, f_grads=None)
+    plain = dataclasses.replace(prob, f_values=None)
     pts = sample_points(prob, 4)
     a, b = grad_check(prob, pts), grad_check(plain, pts)
     assert 0 < a <= 2 * b <= 1e-9
@@ -130,6 +131,17 @@ def test_curvature_ratio_estimates():
     assert 1.0 <= est <= 2.0 + 1e-6
 
 
+@pytest.mark.parametrize("build, L", [
+    (rosenbrock, 2710.951866250383),
+    (broken_gradient_problem, 1.528193144275358e-16),
+    (lambda: _sampled(_plate()), 15.6617843803097),
+], ids=["rosenbrock", "broken_gradient", "plate"])
+def test_the_model_error_sample_is_pinned(build, L):
+    # the seeded sample, f' by f_grad and H(x) d by hess or hess_apply,
+    # gives these values bit for bit at any BLAS thread count
+    assert assumption2_sample(build()) == L
+
+
 # the violation names each RateReport verdict owns
 VERDICT_NAMES = {
     "monotone_ok": {"monotone_F"},
@@ -157,7 +169,7 @@ def _assert_verdicts(rep):
             assert verdict is names.isdisjoint(owned), flag
 
 
-HOOKS = ("f_value", "f_values", "f_grad", "f_grads", "hess", "hess_apply")
+HOOKS = ("f_value", "f_values", "f_grad", "hess", "hess_apply")
 
 
 def _counted(problem):
@@ -188,34 +200,45 @@ def _widths(blocks):
     return [B.shape[1] for B in blocks]
 
 
+def _drawn_groups(problem):
+    """assumption2_sample's points in SplitMix64 order, one list per base
+    point: the base point, its box partner, its short-range partner."""
+    rng = SplitMix64(MODEL_ERROR_SEED)
+    lo, hi = _sample_bounds(problem)
+    span = hi - lo
+    groups = []
+    for _ in range(MODEL_ERROR_BASES):
+        x = lo + span * rng.uniforms(problem.dim)
+        groups.append([x, lo + span * rng.uniforms(problem.dim),
+                       x + 1e-3 * span * (rng.uniforms(problem.dim) - 0.5)])
+    return groups
+
+
 def test_each_point_is_evaluated_once():
-    # 40 box base points with 2 partners: 120 points and 80 directions,
+    # 40 box base points with 2 partners: 120 points and 80 pairs,
     # without the certified bounds, which skip the sample (and the
     # audit's pair check, which adds H(x) x products).  One rule for
-    # every problem: a block
-    # holds whole base points and at most _width directions (50 with
-    # f_grads on dense rows, else BLOCK_DIRECTIONS), in drawn order;
-    # hess_apply and Metric.solve are called once per block and f_grads
-    # once per 50 of its points.  Without the hooks f' is one f_grad call
-    # per point and H is formed once per direction.  Either way each
-    # point and each direction sits in exactly one column, in drawn order
+    # every problem: a block holds at most _width pairs (50 with f_values
+    # on dense rows, else BLOCK_DIRECTIONS), in drawn order, so an even
+    # _width keeps each base point's two pairs in one block; hess_apply
+    # and Metric.solve are called once per block, and f' is one f_grad
+    # call per point, in drawn order.  Without hess_apply H is formed
+    # once per pair.  Either way each direction sits in exactly one
+    # column, in drawn order
     plain = dataclasses.replace(partial_smooth_2d(), hess_apply=None,
-                                f_values=None, f_grads=None)
+                                f_values=None)
     for problem, tol in ((partial_smooth_2d(), 1e-10), (plain, 1e-10),
                          (_svm(), 1e-6), (_plate(), 1e-8)):
         problem = _sampled(problem)
         prob, calls = _counted(problem)
         assumption2_sample(prob)
         width = _width(problem)
-        groups = list(_sample_groups(problem))
+        groups = _drawn_groups(problem)
         points = [p for g in groups for p in g]
         bases = [x for x, *ys in groups for _ in ys]
         dirs = [y - x for x, *ys in groups for y in ys]
 
-        # blocks of whole groups (2 directions each)
         per_block = _widths(calls["solve"])
-        ends = set(np.cumsum([len(g) - 1 for g in groups]))
-        assert set(np.cumsum(per_block)) <= ends
         assert max(per_block) <= width
         if width == 50:
             # 25 box points; 15 box points
@@ -224,16 +247,9 @@ def test_each_point_is_evaluated_once():
             assert width == BLOCK_DIRECTIONS
             assert per_block == [8] * 10
 
-        if problem.f_grads is not None:
-            # 75 and 45 points in those blocks, 50 per f_grads call
-            assert _widths(calls["f_grads"]) == [50, 25, 45]
-            np.testing.assert_array_equal(np.hstack(calls["f_grads"]),
-                                          np.column_stack(points))
-            assert not calls["f_grad"]
-        else:
-            assert not calls["f_grads"] and len(calls["f_grad"]) == 120
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(calls["f_grad"], points))
+        assert len(calls["f_grad"]) == 120
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(calls["f_grad"], points))
         if problem.hess_apply is not None:
             X, V = zip(*calls["hess_apply"])
             assert _widths(V) == per_block
@@ -248,8 +264,7 @@ def test_each_point_is_evaluated_once():
         # grad_check: x + step d and x - step d as two f_values blocks per
         # base point (dim <= 50 directions each), and one more block and
         # one f_value per point to check the hook; without it f_value per
-        # point and coordinate direction, and twice per point for the
-        # hook check, which then compares f_value with itself
+        # point and coordinate direction, and no hook check
         for log in calls.values():
             log.clear()
         grad_check(prob, sample_points(prob, 4))
@@ -257,7 +272,7 @@ def test_each_point_is_evaluated_once():
             assert (len(calls["f_values"]), len(calls["f_value"])) == (9, 4)
         else:
             assert not calls["f_values"]
-            assert len(calls["f_value"]) == 4 * 2 * problem.dim + 8
+            assert len(calls["f_value"]) == 4 * 2 * problem.dim
 
         # audit_trace: f_grad once per iterate; f once per iterate, by
         # f_values in blocks of at most _width iterates, else by f_value,
@@ -272,7 +287,6 @@ def test_each_point_is_evaluated_once():
             log.clear()
         audit_trace(res.trace, prob)
         assert len(calls["f_grad"]) == pairs + 1
-        assert not calls["f_grads"]
         projections = int(problem.project_solution is not None)
         if problem.f_values is not None:
             assert _widths(calls["f_values"]) == [
