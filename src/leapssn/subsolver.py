@@ -10,7 +10,15 @@ For smooth problems (``psi == 0``) the minimiser solves the SPD system
 minimised by a monotone accelerated proximal-gradient loop with adaptive
 restart.  That loop evaluates each candidate's model once, value and
 gradient from one product with ``H``; the momentum point's gradient follows
-from two of those by linearity.  It returns the prox step whose fixed-point
+from two of those by linearity.  Once its prox steps have left the same
+coordinates fixed for two iterations, the loop also tries one Newton step
+on the coordinates left free (the prox has identified the active manifold:
+Lewis, *Active sets, nonsmoothness, and sensitivity*, SIAM J. Optim. 2002;
+Bareilles, Iutzeler and Malick, Math. Program. 2023).  On a separable
+polyhedral ``psi`` (l1 with a free intercept, say) ``psi`` is affine on
+the identified piece, so that step is the piece's exact minimiser; on any
+other ``psi`` it is a candidate that the monotone safeguard admits or
+refuses.  Either way the loop returns the prox step whose fixed-point
 residual passed its test, so the prox fixed-point identity hands back an
 exact subgradient of ``psi`` at the returned point.  Both steps return that
 subgradient (zeros on a smooth problem), so the driver scores every
@@ -30,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hilbert import Operator, solve_posdef
 from .problem import Problem
@@ -63,6 +72,22 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     return SubproblemResult(x + d, psi_grad=np.zeros_like(d))
 
 
+def _reduced_solve(H, lam, free, rhs):
+    """Certified solve of ``(H + lam I)_FF d = rhs`` on the coordinates
+    ``free`` (F) of the dense or sparse Operator ``H``, or ``None`` when it
+    cannot be certified or F is empty: a 0 x 0 factor has no pivots to
+    certify."""
+    if free.size == 0:
+        return None
+    if H.kind == "sparse":
+        block = (H.A.tocsr()[free][:, free]
+                 + lam * sp.identity(free.size, format="csr"))
+    else:
+        block = H.A[np.ix_(free, free)]
+        block[np.diag_indices_from(block)] += lam
+    return solve_posdef(block, rhs)
+
+
 def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     """Minimise the composite model with a monotone accelerated prox loop.
 
@@ -79,7 +104,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     when ``c == 0`` (the first iteration and after every restart).  An
     iteration therefore pays one product for each candidate it evaluates:
     a step makes ``it + r + 1`` products over ``it`` iterations and ``r``
-    function-value restarts.
+    function-value restarts, plus one for each Newton candidate (below).
 
     The momentum restarts in two ways (O'Donoghue and Candes, *Adaptive
     restart for accelerated gradient schemes*, Found. Comput. Math. 2015).
@@ -91,9 +116,34 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     product, and no prox, psi or ``H`` evaluation.  It is tested only
     when ``theta > 1`` and so never after a function-value restart; on
     the l1 SVM it halves the inner iterations.
-    Counts as one trial solve in the driver's accounting.  Passing ``H``
-    as an :class:`Operator` shares its cached step-size estimate across
-    the rungs of one outer iteration.
+
+    The Newton candidate finishes a rung on the manifold the prox has
+    identified.  Its fixed set Z holds the coordinates where the accepted
+    candidate equals the previous iterate bit for bit (l1 zeros that stay
+    zero, say).  When neither the residual test nor a dead-end exit has
+    ended an iteration, Z is the same as in the iteration before, and
+    this Z has not been tried in this rung, the loop solves
+    ``(H + lambda I)_FF d_F = -(g(y) + s)_F`` on the free coordinates F,
+    with ``d_Z = 0`` and ``s = (v - p) / t`` the subgradient the residual's
+    prox has just certified.  The solve is :func:`hilbert.solve_posdef` on
+    the sliced operator, pivot-floor certified for dense and sparse ``H``
+    alike; an all-fixed Z (empty F) or a refused solve skips the
+    candidate.  ``y + d`` is evaluated once and taken as the new ``y``,
+    with ``theta = 1`` and ``z = y``, when its model value is at most
+    ``m_best`` plus the safeguard's dead band; the residual test then runs
+    again at that ``y``.  (A candidate that meets an indefinite direction
+    ends the step, as any other does.)  On a separable polyhedral ``psi`` (l1 with a free
+    intercept, ``|x_0|``) ``psi`` is affine on the identified piece, where
+    its subgradient is ``s``, so ``y + d`` is that piece's exact
+    minimiser; on any other ``psi`` the safeguard admits or refuses it.
+    The returned point is still the residual's own prox, so its
+    subgradient stays exact.  A step makes ``it + r + 1 + n`` products
+    and ``2 it + r + a`` prox calls when ``n`` Newton candidates are
+    evaluated and ``a`` of them taken.  Its reduced solves are part of
+    the step, which counts as one trial solve in the driver's accounting
+    whatever the inner loop did.  Passing ``H`` as an :class:`Operator`
+    shares its cached step-size estimate across the rungs of one outer
+    iteration.
 
     A non-computable result says why in ``diagnostics["stop"]``, next to
     the true ``inner_iters``: ``"budget"`` after ``INNER_MAXIT``
@@ -112,7 +162,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
       the same values, is rejected the same way and gets the residual
       that has just failed.  The gradient restart does not disturb this:
       it needs ``theta > 1``, and a stalled iteration has just set
-      ``theta = 1``.
+      ``theta = 1``.  Nor does the Newton candidate: a stalled iteration
+      leaves every coordinate fixed, so no coordinate is free to solve for.
     * ``"nonfinite"``: ``y`` holds a NaN or an infinity.  Then so does
       ``g(y)`` at that entry, since its ``lambda (y - x)`` term is not
       finite and a sum with a non-finite term is not finite.  So do ``z``,
@@ -122,6 +173,9 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
       A prox that keeps a NaN entry non-finite (soft-thresholding and the
       identity do) makes every later candidate, and so every later
       residual, non-finite, and ``res <= threshold`` never holds again.
+      A Newton candidate keeps those entries too: it does not move a
+      fixed one, and a free one makes its solve's right-hand side
+      non-finite, which the solve's check refuses.
       ``y`` is scanned only once the residual is not finite, so the usual
       path pays nothing.
     """
@@ -150,6 +204,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     res_scale = max(1.0, float(np.linalg.norm(x)))
     threshold = INNER_TOL * res_scale
     stop = None
+    fixed_before = None   # the fixed set Z of the iteration before
+    tried = set()         # the fixed sets whose Newton step has been tried
     for it in range(INNER_MAXIT):
         cand = prox(z - t * g_z, t)
         m_cand, g_cand = model(cand)
@@ -180,6 +236,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         if indefinite:
             stop = "indefinite"
             break
+        fixed = cand == y
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         c = (theta - 1.0) / theta_next
         if c == 0.0:        # theta == 1: no momentum, and no 0 * inf
@@ -201,6 +258,29 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         if not np.isfinite(res) and not np.isfinite(y).all():
             stop = "nonfinite"
             break
+        # the Newton candidate on the coordinates the prox left free
+        key = fixed.tobytes()
+        if (fixed_before is not None and np.array_equal(fixed, fixed_before)
+                and key not in tried):
+            tried.add(key)
+            free = np.flatnonzero(~fixed)
+            step = _reduced_solve(H, lam, free, -(g_y + (v - p) / t)[free])
+            if step is not None:
+                newton = y.copy()
+                newton[free] += step
+                m_newton, g_newton = model(newton)
+                if indefinite:
+                    stop = "indefinite"
+                    break
+                if m_newton <= m_best + tau:
+                    y, g_y, z, g_z = newton, g_newton, newton, g_newton
+                    m_best, theta = min(m_best, m_newton), 1.0
+                    v = y - t * g_y
+                    p = prox(v, t)
+                    res = float(np.linalg.norm(y - p)) / t
+                    if res <= threshold:
+                        break
+        fixed_before = fixed
     else:
         stop = "budget"
     if stop is not None:
