@@ -4,8 +4,10 @@ Vectors are dense numpy arrays and the duality pairing is the plain dot
 product.  :class:`Operator` is the only code that looks at how a symmetric
 operator is stored (identity, dense ndarray or scipy sparse matrix).  It
 gives the curvature ``H(x)``, the shifted system ``H + lambda R`` and the
-metric ``R`` one interface: ``apply``, ``shift``, a cached certified
-``solver()`` and a cached power-iteration ``norm_estimate()``.
+metric ``R`` one interface: ``apply``, ``shift``, ``restrict``, a cached
+certified ``solver()`` and a cached power-iteration ``norm_estimate()``.
+``shift`` forms every shifted system, the composite Newton candidate's and
+the eigenvalue certificates' (which read only its ``.A``) included.
 Operators are applied, shifted and factored in the form they were given.
 
 Certificate: one rule, the pivot floor, for dense and sparse operators.  A
@@ -307,6 +309,11 @@ class Operator:
             M += lam * (R.A.toarray() if R.kind == "sparse" else R.A)
         return Operator(M)
 
+    def restrict(self, free):
+        """The principal block ``A_FF`` on the coordinates ``free``."""
+        A = self.A.tocsr() if self.kind == "sparse" else self.A
+        return Operator(A[free][:, free])
+
     def stores(self, A):
         """True when this sparse operator holds ``A`` exactly: a CSR or CSC
         matrix of the same format and shape with equal ``indptr``,
@@ -357,10 +364,9 @@ def certifies_eigenvalue_bound(A, s, largest=False):
     operator (an Operator or anything one accepts); the factor is dropped
     once its pivots have been read."""
     A = Operator.of(A)
-    eye = (sp.identity(A.dim, format="csr") if A.kind == "sparse"
-           else np.eye(A.dim))
-    shifted = A.A - s * eye
-    return _certified_factor(-shifted if largest else shifted) is not None
+    if largest:             # s I - A is -A shifted by s
+        A, s = Operator(-A.A), -s
+    return _certified_factor(A.shift(-s, Operator()).A) is not None
 
 
 def certified_eigenvalue_bound(A, largest=False):

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import Operator, solve_posdef
 from .problem import Problem
@@ -73,19 +72,12 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
 
 
 def _reduced_solve(H, lam, free, rhs):
-    """Certified solve of ``(H + lam I)_FF d = rhs`` on the coordinates
-    ``free`` (F) of the dense or sparse Operator ``H``, or ``None`` when it
-    cannot be certified or F is empty: a 0 x 0 factor has no pivots to
-    certify."""
+    """Certified solve of ``(H + lam I)_FF d = rhs``, which
+    :meth:`Operator.shift` forms on the coordinates ``free`` (F), or
+    ``None`` when it cannot be certified or F is empty (no pivots)."""
     if free.size == 0:
         return None
-    if H.kind == "sparse":
-        block = (H.A.tocsr()[free][:, free]
-                 + lam * sp.identity(free.size, format="csr"))
-    else:
-        block = H.A[np.ix_(free, free)]
-        block[np.diag_indices_from(block)] += lam
-    return solve_posdef(block, rhs)
+    return solve_posdef(H.restrict(free).shift(lam, Operator()), rhs)
 
 
 def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
@@ -94,6 +86,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     Termination is by the prox fixed-point residual ``||y - p|| / t`` of
     ``p = prox(v, t)``, ``v = y - t * g(y)``; the returned point is that
     ``p``, so ``(v - p)/t`` is an exact element of ``partial psi(p)``.
+    The test never demands less than the rounding floor ``4 eps ||y|| / t``
+    at the iterate, so a minimiser far larger than ``x`` certifies too.
     Each candidate's model value and gradient come from one product with
     ``H``, and the loop carries ``y``'s gradient into the restart, the
     residual and the certificate.  The model's smooth gradient
@@ -125,17 +119,18 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     this Z has not been tried in this rung, the loop solves
     ``(H + lambda I)_FF d_F = -(g(y) + s)_F`` on the free coordinates F,
     with ``d_Z = 0`` and ``s = (v - p) / t`` the subgradient the residual's
-    prox has just certified.  The solve is :func:`hilbert.solve_posdef` on
-    the sliced operator, pivot-floor certified for dense and sparse ``H``
-    alike; an all-fixed Z (empty F) or a refused solve skips the
-    candidate.  ``y + d`` is evaluated once and taken as the new ``y``,
-    with ``theta = 1`` and ``z = y``, when its model value is at most
-    ``m_best`` plus the safeguard's dead band; the residual test then runs
-    again at that ``y``.  (A candidate that meets an indefinite direction
-    ends the step, as any other does.)  On a separable polyhedral ``psi`` (l1 with a free
-    intercept, ``|x_0|``) ``psi`` is affine on the identified piece, where
-    its subgradient is ``s``, so ``y + d`` is that piece's exact
-    minimiser; on any other ``psi`` the safeguard admits or refuses it.
+    prox has just certified.  :meth:`Operator.shift` forms that system on ``H``
+    restricted to F, as for :func:`smooth_step`, and
+    :func:`hilbert.solve_posdef` certifies its solve; an all-fixed Z (empty F)
+    or a refused solve skips the candidate.  ``y + d`` is evaluated once and
+    taken as the new ``y``, with ``theta = 1`` and ``z = y``, when its model
+    value is at most ``m_best`` plus the safeguard's dead band; the residual
+    test then runs again at that ``y``.  (A candidate that meets an indefinite
+    direction ends the step, as any other does.)  On a separable polyhedral
+    ``psi`` (l1 with a free intercept, ``|x_0|``) ``psi`` is affine on the
+    identified piece, where its subgradient is ``s``, so ``y + d`` is that
+    piece's exact minimiser; on any other ``psi`` the safeguard admits or
+    refuses it.
     The returned point is still the residual's own prox, so its
     subgradient stays exact.  A step makes ``it + r + 1 + n`` products
     and ``2 it + r + a`` prox calls when ``n`` Newton candidates are
@@ -196,6 +191,12 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         value = float(grad @ d) + 0.5 * q + 0.5 * lam * dd + problem.psi(y)
         return value, grad + Hd + lam * d
 
+    def certified(res, y):
+        """The residual test, never stricter than the rounding floor at the
+        iterate ``y``, which exceeds the base point's when ``y`` is far
+        larger than ``x``."""
+        return res <= max(threshold, 4.0 * _EPS * float(np.linalg.norm(y)) / t)
+
     y = x.copy()
     z = x.copy()          # momentum point
     m_best, g_y = model(y)
@@ -249,7 +250,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         v = y - t * g_y
         p = prox(v, t)
         res = float(np.linalg.norm(y - p)) / t
-        if res <= threshold:
+        if certified(res, y):
             break
         # the two dead ends proved in the docstring
         if stalled:
@@ -278,7 +279,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
                     v = y - t * g_y
                     p = prox(v, t)
                     res = float(np.linalg.norm(y - p)) / t
-                    if res <= threshold:
+                    if certified(res, y):
                         break
         fixed_before = fixed
     else:

@@ -9,6 +9,7 @@ import pytest
 from leapssn import (Problem, backtracking_newton, driver, leap_ssn,
                      plain_newton)
 from leapssn.suite import partial_smooth_2d, plate_problem, quadratic, rosenbrock
+from leapssn.suite.registry import broken_gradient_problem
 
 
 def test_all_kinds_converge_in_one_solve_on_a_quadratic():
@@ -85,6 +86,28 @@ def test_a_failed_step_reports_only_recorded_state():
     assert res.F == res.trace.F0 == 180.5
     assert res.grad_dual_norm == res.trace.g0_norm == 19.0
     json.dumps(res.F, allow_nan=False)
+
+
+def test_an_exhausted_line_search_reports_the_start_state():
+    # broken_gradient's f' carries a bias of 1e-3 in x_0, so from x_0 =
+    # -9e-4 the Newton direction -f' = (-1e-4, 0) claims a descent slope
+    # while every step along it moves away from the minimiser at 0: each
+    # of the 41 dyadic step lengths fails the Armijo test
+    prob = broken_gradient_problem()
+    seen = []
+
+    def f_value(x):
+        seen.append(x.copy())
+        return prob.f_value(x)
+
+    res = backtracking_newton(dataclasses.replace(prob, f_value=f_value),
+                              x0=[-9e-4, 0.0])
+    assert res.status == "subproblem_failure"
+    assert res.iterations == 0 and res.solves == 1
+    assert len(seen) == 1 + 41
+    assert np.array_equal(res.x, res.trace.x0)
+    assert res.F == res.trace.F0 == prob.f_value(res.trace.x0)
+    assert res.grad_dual_norm == res.trace.g0_norm
 
 
 def test_baselines_reject_composite_problems():

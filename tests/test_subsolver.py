@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from leapssn import (Operator, composite_step, driver, hilbert, leap_ssn,
-                     smooth_step, subsolver)
+from leapssn import (Operator, Problem, composite_step, driver, hilbert,
+                     leap_ssn, smooth_step, subsolver)
 from leapssn.subsolver import INNER_MAXIT
 from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
                            quadratic, rosenbrock)
@@ -356,6 +356,43 @@ def test_an_all_fixed_set_is_skipped():
         assert subsolver._reduced_solve(Operator(A), 1.0, none, empty) is None
 
 
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+@pytest.mark.parametrize("make, counts", [
+    (partial_smooth_2d, (6, 6, 6)),
+    (lambda: l1_svm_problem(300, 20, 2, 1.0), (12, 11, 12)),
+], ids=["partial_smooth_2d", "l1_svm"])
+def test_a_sparse_hessian_takes_the_dense_twins_ladder(make, counts, fmt,
+                                                      monkeypatch):
+    """The same composite problem with H returned sparse: the prox loop
+    applies it and the Newton candidate's reduced system is sliced and
+    shifted from it (a COO H is sliced in CSR form).  Each record takes
+    the rung its dense twin takes, with as many solves, iterations and
+    reduced solves: (solves, iterations, reduced solves) == counts."""
+    reduced = subsolver._reduced_solve
+
+    def run(prob):
+        calls = []
+
+        def counted(H, lam, free, rhs):
+            calls.append(H.kind)
+            return reduced(H, lam, free, rhs)
+
+        monkeypatch.setattr(subsolver, "_reduced_solve", counted)
+        res = leap_ssn(prob, grad_tol=1e-6)
+        assert res.status == "converged"
+        return [r.j for r in res.trace.records], calls, (
+            res.solves, res.iterations, len(calls))
+
+    prob = make()
+    sparse = dataclasses.replace(
+        prob, hess=lambda x: sp.csr_matrix(prob.hess(x)).asformat(fmt))
+    ladder, kinds, dense_counts = run(prob)
+    sparse_ladder, sparse_kinds, sparse_counts = run(sparse)
+    assert set(kinds) == {"dense"} and set(sparse_kinds) == {"sparse"}
+    assert sparse_ladder == ladder
+    assert sparse_counts == dense_counts == counts
+
+
 def test_composite_step_gives_up_on_indefinite_model():
     """With negative curvature the model has no minimiser: the first
     candidate meets a direction with <(H + lambda) d, d> <= 0 and the trial
@@ -391,6 +428,29 @@ def test_composite_step_stops_at_its_iteration_budget(monkeypatch):
     res = composite_step(prob, x, prob.f_grad(x), prob.hess(x), 1.0)
     assert not res.computable
     assert res.diagnostics == {"inner_iters": 2, "stop": "budget"}
+
+
+def test_a_far_minimiser_certifies_at_its_own_rounding_floor():
+    """f(y) = 1/2 ||y - b||^2 with b = (0.5, 1e7) and psi = |y_0|, from
+    x = 0 at lambda = 2: the minimiser (0, b_1 / 3) lies far from x, and
+    the rounding of its second coordinate alone leaves the residual above
+    INNER_TOL times the base point's scale, 1.  Floored at the iterate's
+    own rounding level the test passes after 2 iterations, where a test
+    at the base point's scale alone never passes and runs out all
+    INNER_MAXIT."""
+    b = np.array([0.5, 1e7])
+
+    def prox(v, t):
+        return np.array([np.sign(v[0]) * max(abs(v[0]) - t, 0.0), v[1]])
+
+    prob = Problem(dim=2, f_value=lambda y: 0.5 * float((y - b) @ (y - b)),
+                   f_grad=lambda y: y - b, hess=lambda y: np.eye(2),
+                   psi_value=lambda y: abs(float(y[0])), prox=prox)
+    x = np.zeros(2)
+    res = composite_step(prob, x, prob.f_grad(x), np.eye(2), 2.0)
+    assert res.diagnostics == {"inner_iters": 2}
+    assert res.x_plus[0] == 0.0 and res.psi_grad[0] == 0.5
+    assert res.x_plus[1] == pytest.approx(b[1] / 3.0, rel=1e-15)
 
 
 def _l1_svm_rungs(newton=True):

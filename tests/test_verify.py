@@ -406,6 +406,29 @@ def test_audit_flags_tampered_gradient_cache():
     assert any(v[1] == "gradient_cache" for v in rep.violations)
 
 
+def test_audit_flags_a_trace_above_either_envelope():
+    # quadratic() declares a projector and a PL modulus, so both envelopes
+    # apply; a first gradient norm a million times the recorded one rises
+    # above the sublinear envelope, and a last F put back at F0 above the
+    # linear one (it also breaks monotonicity and the objective cache)
+    prob = quadratic()
+    res = leap_ssn(prob, x0=prob.project_solution(prob.x0) + 2.0)
+    rep = audit_trace(res.trace, prob)
+    assert (rep.sublinear_envelope_ok, rep.pl_linear_envelope_ok) == (True, True)
+    bad = copy.deepcopy(res.trace)
+    bad.records[0].grad_dual_norm *= 1e6
+    rep = audit_trace(bad, prob)
+    _assert_verdicts(rep)
+    assert "sublinear_envelope" in {v[1] for v in rep.violations}
+    assert rep.sublinear_envelope_ok is False
+    bad = copy.deepcopy(res.trace)
+    bad.records[-1].F = bad.F0
+    rep = audit_trace(bad, prob)
+    _assert_verdicts(rep)
+    assert "pl_envelope" in {v[1] for v in rep.violations}
+    assert rep.pl_linear_envelope_ok is False
+
+
 def test_audit_flags_tampered_psi_subgradient():
     prob = partial_smooth_2d()
     res = leap_ssn(prob, grad_tol=1e-10)
