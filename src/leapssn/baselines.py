@@ -57,7 +57,7 @@ def _newton(problem, x0, solver, grad_tol, max_solves) -> Result:
             break
         d = solve_posdef(problem.hess(x), -g)
         solves += 1
-        if d is None or not np.all(np.isfinite(d)) or np.abs(d).max() > _STEP_LIMIT:
+        if d is None or np.abs(d).max() > _STEP_LIMIT:  # finite when certified
             status = SUBPROBLEM_FAILURE
             break
 

@@ -241,9 +241,9 @@ def cmd_run(ns) -> int:
 
 def _compare_cell(solver, problem, budget, settings):
     if solver != "leapssn" and not problem.smooth:
-        return None     # the baselines take smooth problems only
+        return "-"      # the baselines take smooth problems only
     res = _run_solver(solver, problem, None, budget, settings)
-    return res.solves if res.converged else None
+    return str(res.solves) if res.converged else "-"
 
 
 def cmd_compare(ns) -> int:
@@ -271,12 +271,12 @@ def cmd_compare(ns) -> int:
     header = ["gamma"] + [f"{s}@n={nv}" if multi_n else s for s, nv in columns]
     rows = []
     for gamma in sweep:
-        row = [f"{gamma:g}"]
-        for s, nv in columns:
+        cells = {}      # one instance per (gamma, n) serves every solver
+        for nv in sizes:
             problem = build_problem(name, gamma, nv, settings["seed"])
-            cell = _compare_cell(s, problem, budget, settings)
-            row.append("-" if cell is None else str(cell))
-        rows.append(row)
+            for s in solvers:
+                cells[s, nv] = _compare_cell(s, problem, budget, settings)
+        rows.append([f"{gamma:g}"] + [cells[col] for col in columns])
 
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths))
@@ -337,16 +337,17 @@ def cmd_gen_data(ns) -> int:
     name = settings["problem"]
     if name not in ("svm", "tv"):
         raise ValueError(f"gen-data supports 'svm' and 'tv', not {name!r}")
-    # the data of the instance ``run`` builds from the same settings
-    problem = _problem(settings)
+    # the data ``run`` builds its instance from with the same settings
+    settings.update(problem_knobs(name, settings["gamma"], settings["n"],
+                                  settings["seed"]))
     n, seed = settings["n"], settings["seed"]
     if name == "svm":
         X, y = svm_data(SVM_SAMPLES, n, seed)
         files = {f"svm_l{SVM_SAMPLES}_n{n}_s{seed}.txt":
                  lambda path: write_svm_data(path, X, y)}
     else:
-        files = {f"tv_n{n}_s{seed}.pgm":
-                 lambda path: write_pgm(problem.noisy_image, path)}
+        noisy = build_problem(name, settings["gamma"], n, seed).noisy_image
+        files = {f"tv_n{n}_s{seed}.pgm": lambda path: write_pgm(noisy, path)}
     _write(settings["out"], files)
     print(os.path.join(settings["out"], *files))
     return 0

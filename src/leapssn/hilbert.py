@@ -145,16 +145,16 @@ def _certified_factor(A, lasting=False):
     """The solve ``rhs -> x`` of a factor of ``A`` that clears the pivot
     floor, or ``None`` when none does.
 
-    Dense ``A`` gets Cholesky (pivots ``c_ii**2``), sparse ``A`` symmetric-
-    mode SuperLU, whose U diagonal holds the pivots when no rows were
-    exchanged.  Reading U makes the SuperLU object keep full copies of L
-    and U, so a ``lasting`` factor (one kept as long as its problem) is
-    computed again after the certificate and the read one is dropped
-    (keeping it raised the contact benchmark's peak memory by 4-10 MB).
+    Dense ``A`` gets Cholesky of its upper triangle as given (pivots
+    ``c_ii**2``), sparse ``A`` symmetric-mode SuperLU, whose U diagonal
+    holds the pivots when no rows were exchanged.  Reading U makes
+    SuperLU keep full copies of L and U, so a ``lasting`` factor (one
+    kept as long as its problem) is computed again after the certificate
+    and the read one dropped (keeping it cost the contact benchmark 4-10 MB).
     """
     if not sp.issparse(A):
         try:
-            c = sla.cho_factor(0.5 * (A + A.T), check_finite=False)
+            c = sla.cho_factor(A, check_finite=False)
         except (sla.LinAlgError, ValueError):
             return None
         if not _pivots_clear_floor(np.diag(c[0]) ** 2):
@@ -312,7 +312,7 @@ class Operator:
     def restrict(self, free):
         """The principal block ``A_FF`` on the coordinates ``free``."""
         A = self.A.tocsr() if self.kind == "sparse" else self.A
-        return Operator(A[free][:, free])
+        return Operator(A[np.ix_(free, free)])
 
     def stores(self, A):
         """True when this sparse operator holds ``A`` exactly: a CSR or CSC

@@ -95,10 +95,10 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     the momentum point ``z = y+ + c (y+ - y)``, ``c = (theta - 1) /
     theta+``, gets ``g(z) = (1 + c) g(y+) - c g(y)`` from the two
     gradients the loop holds, and ``z = y+``, ``g(z) = g(y+)`` as they are
-    when ``c == 0`` (the first iteration and after every restart).  An
-    iteration therefore pays one product for each candidate it evaluates:
-    a step makes ``it + r + 1`` products over ``it`` iterations and ``r``
-    function-value restarts, plus one for each Newton candidate (below).
+    when ``c == 0`` (the first iteration and after every restart).  The
+    start ``y = x`` costs no product (its model is ``psi(x)``, ``f'(x)``),
+    and each candidate one: a step makes ``it + r`` products over ``it``
+    iterations and ``r`` restarts, plus one per Newton candidate (below).
 
     The momentum restarts in two ways (O'Donoghue and Candes, *Adaptive
     restart for accelerated gradient schemes*, Found. Comput. Math. 2015).
@@ -132,13 +132,13 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     piece's exact minimiser; on any other ``psi`` the safeguard admits or
     refuses it.
     The returned point is still the residual's own prox, so its
-    subgradient stays exact.  A step makes ``it + r + 1 + n`` products
-    and ``2 it + r + a`` prox calls when ``n`` Newton candidates are
-    evaluated and ``a`` of them taken.  Its reduced solves are part of
-    the step, which counts as one trial solve in the driver's accounting
-    whatever the inner loop did.  Passing ``H`` as an :class:`Operator`
-    shares its cached step-size estimate across the rungs of one outer
-    iteration.
+    subgradient stays exact.  A step makes ``it + r + n`` products, ``it +
+    r + n + 1`` psi evaluations and ``2 it + r + a`` prox calls when ``n``
+    Newton candidates are evaluated and ``a`` of them taken.  Its reduced
+    solves are part of the step, which counts as one trial solve in the
+    driver's accounting whatever the inner loop did.  Passing ``H`` as an
+    :class:`Operator` shares its cached step-size estimate across the
+    rungs of one outer iteration.
 
     A non-computable result says why in ``diagnostics["stop"]``, next to
     the true ``inner_iters``: ``"budget"`` after ``INNER_MAXIT``
@@ -197,9 +197,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         larger than ``x``."""
         return res <= max(threshold, 4.0 * _EPS * float(np.linalg.norm(y)) / t)
 
-    y = x.copy()
-    z = x.copy()          # momentum point
-    m_best, g_y = model(y)
+    y = z = x             # z: momentum point; x, y, z are never written to
+    m_best, g_y = problem.psi(x), grad   # the model at y = x: no product
     g_z = g_y             # the model gradient is affine: z's is carried
     theta = 1.0
     res_scale = max(1.0, float(np.linalg.norm(x)))

@@ -10,6 +10,7 @@ with c = gamma * h^2.  The generalized second derivative is
 (boundary case included).  Both are :func:`.penalty.penalised_quadratic`
 with (Q, q, const, K, r, c) = (A, -b, 0, -I, -phi, c); that builder holds
 f, f', H and f_decrease, and this module only the meshes and obstacles.
+R does not depend on gamma: the problems on one mesh share one Metric.
 
 The *membrane* uses the Dirichlet 5-point Laplacian on the interior nodes
 of the unit square and the energy metric R = A.  Its clamped systems are
@@ -30,27 +31,11 @@ modes).
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 import scipy.sparse as sp
 
-from ..hilbert import Metric
 from ..problem import Problem
-from .penalty import penalised_quadratic
-
-
-# one Metric per (family, n), shared by every live problem on that mesh: R
-# does not depend on gamma, so a gamma sweep factors it once
-_METRICS = weakref.WeakValueDictionary()
-
-
-def _shared_metric(family, n, build):
-    """The live Metric of ``family`` at mesh size ``n``, else ``build()``'s."""
-    metric = _METRICS.get((family, n))
-    if metric is None:
-        metric = _METRICS[family, n] = Metric(build())
-    return metric
+from .penalty import penalised_quadratic, shared_metric
 
 
 def _contact_problem(A, b, c, phi, name, metric, **extra):
@@ -98,7 +83,7 @@ def membrane_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     c = gamma * h * h
 
     return _contact_problem(
-        A, b, c, phi, "membrane", _shared_metric("membrane", n, lambda: A),
+        A, b, c, phi, "membrane", shared_metric("membrane", n, lambda: A),
         strong_convexity=1.0,                       # R = A: energy norm
     )
 
@@ -152,7 +137,7 @@ def plate_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     phi = punch_obstacle(n)
 
     A = plate_bending_operator(n, h)
-    metric = _shared_metric(
+    metric = shared_metric(
         "plate", n, lambda: (A + (h * h) * sp.identity(n * n)).tocsr())
     b = (h * h) * np.full(n * n, -12.0)
     c = gamma * h * h

@@ -55,12 +55,25 @@ and t is kept with the problem; with c = 0 or no rows the bound is 0.
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..hilbert import certified_eigenvalue_bound, power_of_two_at_least
+from ..hilbert import Metric, certified_eigenvalue_bound, power_of_two_at_least
 from ..problem import Problem
+
+# one Metric per (family, n), shared by every live problem on that mesh: R
+# does not depend on the penalty, so a sweep factors and certifies it once
+_METRICS = weakref.WeakValueDictionary()
+
+
+def shared_metric(family, n, build):
+    """The live Metric of ``family`` at mesh size ``n``, else ``build()``'s."""
+    metric = _METRICS.get((family, n))
+    if metric is None:
+        metric = _METRICS[family, n] = Metric(build())
+    return metric
 
 
 def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:

@@ -41,7 +41,7 @@ def svm_data(n_samples: int, n_features: int, seed: int):
     y = rng.signs(n_samples)
     shift = 0.5 * SEPARATION / np.sqrt(n_features)
     X = rng.normals(n_samples * n_features).reshape(n_samples, n_features)
-    X += np.outer(y, np.full(n_features, shift))
+    X += (shift * y)[:, None]   # broadcast: no second l x n array
     return X, y
 
 

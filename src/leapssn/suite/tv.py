@@ -16,7 +16,8 @@ differences of neighbouring face values (a broken discrete-gradient
 smoother).  The penalty confines each flux component to [-delta, delta];
 gamma controls how hard the box is enforced.  The Newton derivative adds
 gamma times the diagonal active-box indicator; the metric is the SPD
-flux-space operator div'div + eps G'G + 1e-8 I.
+flux-space operator div'div + eps G'G + 1e-8 I, which depends on n only:
+the live instances on one mesh share it (:func:`.penalty.shared_metric`).
 
 This is :func:`.penalty.penalised_quadratic` with Q = div'div + 2 eps G'G
 (cell measure included), q = h^2 div'omega, const = h^2/2 ||omega||^2,
@@ -43,10 +44,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..hilbert import Metric
 from ..problem import Problem
 from .imaging import GridImage
-from .penalty import penalised_quadratic
+from .penalty import penalised_quadratic, shared_metric
 
 C0 = 1e-8          # SPD safeguard on the metric (flux constants are G-null)
 DIV_SCALE = 200.0  # flux-to-image coupling of the divergence (see module docstring)
@@ -105,14 +105,14 @@ def tv_dual_problem(omega, gamma: float) -> Problem:
     GtG = (G.T @ G).tocsr()
     M = (DtD + 2.0 * eps * GtG).tocsr()        # smooth quadratic Hessian
     Dtw = (h * h * c) * (B.T @ w)
-    R = (DtD + eps * GtG + C0 * sp.identity(dim)).tocsr()
     const = 0.5 * h * h * float(w @ w)
 
     eye = sp.identity(dim, format="csr")
     prob = penalised_quadratic(
         M, Dtw, const, sp.vstack([eye, -eye]).tocsr(), np.full(2 * dim, delta),
         gamma,
-        metric=Metric(R),
+        metric=shared_metric("tv", n, lambda: (
+            DtD + eps * GtG + C0 * sp.identity(dim)).tocsr()),
         name="tv",
         x0=-delta * np.sign(B.T @ w),
         # the imaging configuration: alpha = 1e-4 carries the acceptance

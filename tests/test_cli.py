@@ -228,6 +228,32 @@ def test_compare_table_and_csv(tmp_path):
     assert (out / "compare.txt").exists()
 
 
+def test_compare_and_gen_data_build_each_instance_once(tmp_path,
+                                                       monkeypatch):
+    # compare builds each (gamma, n) instance once for all its solvers,
+    # and gen-data builds none for the SVM data and one for the TV image
+    built = []
+    build = cli.build_problem
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    assert _run("compare", "--problem", "svm", "--n", "5,8",
+                "--gamma", "1e1,1e2", "--solvers", "leapssn,plain,backtracking",
+                "--out", str(tmp_path / "compare")) == 0
+    assert sorted(built) == [("svm", gamma, n, None)
+                             for gamma in (10.0, 100.0) for n in (5, 8)]
+    built.clear()
+    assert _run("gen-data", "--problem", "svm", "--n", "3",
+                "--out", str(tmp_path / "svm")) == 0
+    assert built == []
+    assert _run("gen-data", "--problem", "tv", "--n", "16",
+                "--out", str(tmp_path / "tv")) == 0
+    assert built == [("tv", 1e4, 16, 5)]
+
+
 @pytest.mark.parametrize("flag,flags", [
     ("--gamma", ("--gamma", "")),
     ("--n", ("--gamma", "1e2", "--n", "")),

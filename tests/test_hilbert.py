@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -139,6 +140,19 @@ def test_solve_posdef_matches_numpy_on_spd():
     x = solve_posdef(A, b)
     assert x is not None
     assert np.allclose(A @ x, b, atol=1e-8)
+
+
+def test_a_dense_operator_is_factored_as_given():
+    # Cholesky reads A's upper triangle and no symmetrised copy is made:
+    # with a rounding-sized asymmetry below the diagonal the certified
+    # solve is cho_solve(cho_factor(A), b) bit for bit, and its check
+    # still holds it against all of A
+    A = _spd(12, seed=4)
+    A[7, 2] *= 1.0 + 1e-13
+    b = np.arange(12, dtype=float)
+    x = solve_posdef(A, b)
+    assert x is not None
+    assert np.array_equal(x, sla.cho_solve(sla.cho_factor(A), b))
 
 
 def test_solve_posdef_rejects_indefinite_and_singular():
@@ -506,3 +520,34 @@ def test_the_metric_caches_its_lambda_min_certificate(monkeypatch):
     broken = Metric(sp.diags(np.r_[1.0, -1.0, np.ones(6)]).tocsr())
     with pytest.raises(NumericalError):
         broken.lambda_min_bound()
+
+
+def test_a_power_estimate_is_zero_on_a_refused_or_vanishing_map():
+    assert hilbert._power_estimate(lambda v: None, 3) == 0.0
+    assert hilbert._power_estimate(lambda v: 0.0 * v, 3) == 0.0
+    # nilpotent: the second iterate is mapped to zero
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert hilbert._power_estimate(N.__matmul__, 2) == 0.0
+    assert hilbert._power_estimate(lambda v: 2.0 * v, 3) == pytest.approx(2.0)
+
+
+def test_no_certified_power_of_two_gives_no_eigenvalue_bound():
+    # lambda_max = 2^1023: 2^1023 I - A is singular and the next power of
+    # two overflows, so no power of two is certified above lambda_max
+    # (||A v||^2 overflows in the power estimate on the way)
+    A = np.array([[2.0 ** 1023]])
+    with np.errstate(over="ignore"):
+        assert hilbert.certified_eigenvalue_bound(A, largest=True) is None
+
+
+@pytest.mark.parametrize("free", [[0, 2, 3, 6], [5, 1], []],
+                         ids=["sorted", "unsorted", "empty"])
+def test_restrict_takes_the_same_block_from_every_storage(free):
+    A = _spd(7, seed=2)
+    free = np.array(free, dtype=np.intp)
+    want = A[free][:, free]
+    for B in (A, sp.csr_matrix(A), sp.coo_matrix(A)):
+        block = Operator(B).restrict(free)
+        assert block.kind == ("sparse" if sp.issparse(B) else "dense")
+        got = block.A.toarray() if sp.issparse(block.A) else block.A
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -7,8 +7,10 @@ reproducibility contract, so any drift is a breaking change).
 """
 
 import numpy as np
+import pytest
 
 from leapssn.suite import SplitMix64
+from leapssn.suite.rng import _BLOCK
 
 _M64 = (1 << 64) - 1
 
@@ -75,3 +77,33 @@ def test_streams_with_same_seed_are_identical():
     assert np.array_equal(a, b)
     c = SplitMix64(124).normals(64)
     assert not np.array_equal(a, c)
+
+
+def _unblocked_normals(seed, count):
+    """Box-Muller normals from one full-size vectorised draw of the stream."""
+    pairs = (count + 1) // 2
+    i = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    z = np.uint64(seed) + i * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    u = ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    th = (2.0 * np.pi) * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(th)
+    out[1::2] = r * np.sin(th)
+    return out[:count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 3])
+def test_block_edges_do_not_change_the_normals(count):
+    # a draw is made in blocks of _BLOCK values; the normals are those of
+    # one unblocked draw bit for bit, and the stream goes on after the
+    # last uniform used (an odd count uses both of its last pair's)
+    rng = SplitMix64(7)
+    got = rng.normals(count)
+    assert got.tobytes() == _unblocked_normals(7, count).tobytes()
+    used = 2 * ((count + 1) // 2)
+    assert [int(v) for v in rng.raw(1)] == _ref_stream(7, used + 1)[-1:]

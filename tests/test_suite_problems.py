@@ -352,6 +352,22 @@ def test_tv_dual_gradient_is_consistent():
         assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-8)
 
 
+def test_tv_instances_on_one_mesh_share_one_metric(counted):
+    # R depends on n only: a gamma sweep, on any noise draw, factors R and
+    # certifies lambda_min(R) once, and another mesh gets its own metric
+    sweep = [tv_dual_problem(add_noise(phantom(8), 0.1, seed).data, gamma)
+             for seed, gamma in ((3, 1e2), (4, 1e3), (3, 1e4))]
+    assert all(prob.metric is sweep[0].metric for prob in sweep)
+    sweep[0].metric.lambda_min_bound()
+    splu = counted["splu"]
+    for prob in sweep:
+        prob.metric.lambda_min_bound()
+        prob.metric.solve(prob.f_grad(prob.x0))
+    assert counted["splu"] == splu
+    other = tv_dual_problem(add_noise(phantom(9), 0.1, 3).data, 1e2)
+    assert other.metric is not sweep[0].metric
+
+
 # ---------------------------------------------------------------- penalised quadratic
 
 def _box_points(prob, seed, count):

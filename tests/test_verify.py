@@ -11,7 +11,9 @@ import pytest
 from leapssn import (audit_trace, dm_condition_sample, grad_check,
                      hess_symmetry_check, leap_ssn, manifold_check,
                      sample_points, superlinear_check)
+from leapssn import verify
 from leapssn.driver import Record, Trace
+from leapssn.subsolver import SubproblemResult
 from leapssn.cli import GRAD_CHECK_TOL, HESS_SYM_TOL
 from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
                            plate_problem, quadratic, rank_deficient_ls,
@@ -539,6 +541,28 @@ def test_dm_ratios_vanish_for_constant_hessian():
     ratios = dm_condition_sample(res.trace, prob)
     assert ratios is not None and len(ratios) > 0
     assert max(ratios) <= 1e-12
+
+
+def test_dm_ratios_skip_a_refused_step_and_zero_a_null_one(monkeypatch):
+    # a half-regularised step the subproblem refuses gives no ratio, and
+    # one that does not move gives 0.0, not a division by its length
+    prob = rosenbrock(n=4)
+    res = leap_ssn(prob)
+    ratios = dm_condition_sample(res.trace, prob)
+    assert len(ratios) >= 3 and min(ratios[2:]) > 0.0
+    step, calls = verify.smooth_step, []
+
+    def refused_then_null(problem, x, grad, H, lam):
+        calls.append(lam)
+        if len(calls) == 1:
+            return SubproblemResult(None)
+        if len(calls) == 2:
+            return SubproblemResult(x.copy(), psi_grad=np.zeros_like(x))
+        return step(problem, x, grad, H, lam)
+
+    monkeypatch.setattr(verify, "smooth_step", refused_then_null)
+    assert dm_condition_sample(res.trace, prob) == [0.0] + ratios[2:]
+    assert len(calls) == len(ratios)
 
 
 def test_dm_ratios_project_the_final_iterate_without_a_solution():
