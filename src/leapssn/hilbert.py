@@ -187,7 +187,11 @@ def _power_estimate(apply, dim):
         w = apply(v)
         if w is None:
             return 0.0
-        est = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            est = float(np.linalg.norm(w))
+        if est == math.inf and np.isfinite(w).all():    # ||w||^2 overflowed
+            top = float(np.abs(w).max())
+            est = top * float(np.linalg.norm(w / top))
         if est == 0.0:
             break
         v = w / est

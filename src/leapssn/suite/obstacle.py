@@ -10,7 +10,7 @@ with c = gamma * h^2.  The generalized second derivative is
 (boundary case included).  Both are :func:`.penalty.penalised_quadratic`
 with (Q, q, const, K, r, c) = (A, -b, 0, -I, -phi, c); that builder holds
 f, f', H and f_decrease, and this module only the meshes and obstacles.
-R does not depend on gamma: the problems on one mesh share one Metric.
+A and R do not depend on gamma: the live problems on one mesh share them.
 
 The *membrane* uses the Dirichlet 5-point Laplacian on the interior nodes
 of the unit square and the energy metric R = A.  Its clamped systems are
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..problem import Problem
-from .penalty import penalised_quadratic, shared_metric
+from .penalty import penalised_quadratic, shared, shared_metric
 
 
 def _contact_problem(A, b, c, phi, name, metric, **extra):
@@ -78,7 +78,7 @@ def membrane_problem(n: int = 65, gamma: float = 1e4) -> Problem:
 
     phi = (0.25 - ((X - 0.5) ** 2 + (Y - 0.5) ** 2)).ravel()
 
-    A = laplacian_2d(m)
+    A = shared("membrane", n, "A", lambda: laplacian_2d(m))
     b = (h * h) * np.full(m * m, -10.0)
     c = gamma * h * h
 
@@ -136,7 +136,7 @@ def plate_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     h = 1.0 / (n - 1)
     phi = punch_obstacle(n)
 
-    A = plate_bending_operator(n, h)
+    A = shared("plate", n, "A", lambda: plate_bending_operator(n, h))
     metric = shared_metric(
         "plate", n, lambda: (A + (h * h) * sp.identity(n * n)).tocsr())
     b = (h * h) * np.full(n * n, -12.0)

@@ -50,6 +50,10 @@ two at or above its largest entry; with a dense K, t is certified by a
 factor of ``t I - K'K`` (``hilbert.certified_eigenvalue_bound``).  Both
 are computed on the bound's first call, not when the problem is built,
 and t is kept with the problem; with c = 0 or no rows the bound is 0.
+
+The mesh families build a mesh's penalty-free operators and its Metric
+through :func:`shared`: the live problems on one mesh hold one of each,
+so a gamma sweep assembles, factors and certifies each once.
 """
 
 from __future__ import annotations
@@ -63,17 +67,22 @@ import scipy.sparse as sp
 from ..hilbert import Metric, certified_eigenvalue_bound, power_of_two_at_least
 from ..problem import Problem
 
-# one Metric per (family, n), shared by every live problem on that mesh: R
-# does not depend on the penalty, so a sweep factors and certifies it once
-_METRICS = weakref.WeakValueDictionary()
+# (family, n, name) -> that mesh's object while a problem holds it; none
+# is ever written in place, so sharing it changes no bit of any result
+_SHARED = weakref.WeakValueDictionary()
+
+
+def shared(family, n, name, build):
+    """The live ``name`` of ``family`` at mesh size ``n``, else ``build()``."""
+    obj = _SHARED.get((family, n, name))
+    if obj is None:
+        obj = _SHARED[family, n, name] = build()
+    return obj
 
 
 def shared_metric(family, n, build):
     """The live Metric of ``family`` at mesh size ``n``, else ``build()``'s."""
-    metric = _METRICS.get((family, n))
-    if metric is None:
-        metric = _METRICS[family, n] = Metric(build())
-    return metric
+    return shared(family, n, "metric", lambda: Metric(build()))
 
 
 def penalised_quadratic(Q, q, const, K, r, c, **declarations) -> Problem:

@@ -16,8 +16,9 @@ differences of neighbouring face values (a broken discrete-gradient
 smoother).  The penalty confines each flux component to [-delta, delta];
 gamma controls how hard the box is enforced.  The Newton derivative adds
 gamma times the diagonal active-box indicator; the metric is the SPD
-flux-space operator div'div + eps G'G + 1e-8 I, which depends on n only:
-the live instances on one mesh share it (:func:`.penalty.shared_metric`).
+flux-space operator div'div + eps G'G + 1e-8 I.  It depends on n only, as
+do B and the smooth Hessian: the live instances on one mesh share all
+three (:func:`.penalty.shared`), and a fresh build assembles each once.
 
 This is :func:`.penalty.penalised_quadratic` with Q = div'div + 2 eps G'G
 (cell measure included), q = h^2 div'omega, const = h^2/2 ||omega||^2,
@@ -41,12 +42,14 @@ constant image this is exactly zero, which is already stationary.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
 from ..problem import Problem
 from .imaging import GridImage
-from .penalty import penalised_quadratic, shared_metric
+from .penalty import penalised_quadratic, shared, shared_metric
 
 C0 = 1e-8          # SPD safeguard on the metric (flux constants are G-null)
 DIV_SCALE = 200.0  # flux-to-image coupling of the divergence (see module docstring)
@@ -97,13 +100,16 @@ def tv_dual_problem(omega, gamma: float) -> Problem:
     delta, eps = DELTA, EPS
     w = om.ravel()
 
-    B = _face_incidence(n)
-    G = _face_gradient(n)
+    B = shared("tv", n, "B", lambda: _face_incidence(n))
     dim = B.shape[1]
-    a = h * h * c * c
-    DtD = (a * (B.T @ B)).tocsr()
-    GtG = (G.T @ G).tocsr()
-    M = (DtD + 2.0 * eps * GtG).tocsr()        # smooth quadratic Hessian
+
+    @functools.cache
+    def grams():    # (h^2 c^2 B'B, G'G), formed only for an M or R not live
+        G = _face_gradient(n)
+        return (h * h * c * c * (B.T @ B)).tocsr(), (G.T @ G).tocsr()
+
+    # the smooth quadratic Hessian
+    M = shared("tv", n, "M", lambda: grams()[0] + 2.0 * eps * grams()[1])
     Dtw = (h * h * c) * (B.T @ w)
     const = 0.5 * h * h * float(w @ w)
 
@@ -112,7 +118,7 @@ def tv_dual_problem(omega, gamma: float) -> Problem:
         M, Dtw, const, sp.vstack([eye, -eye]).tocsr(), np.full(2 * dim, delta),
         gamma,
         metric=shared_metric("tv", n, lambda: (
-            DtD + eps * GtG + C0 * sp.identity(dim)).tocsr()),
+            grams()[0] + eps * grams()[1] + C0 * sp.identity(dim)).tocsr()),
         name="tv",
         x0=-delta * np.sign(B.T @ w),
         # the imaging configuration: alpha = 1e-4 carries the acceptance

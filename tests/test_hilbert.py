@@ -1,6 +1,7 @@
 """Metric geometry and the certified SPD solve."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -534,10 +535,19 @@ def test_a_power_estimate_is_zero_on_a_refused_or_vanishing_map():
 def test_no_certified_power_of_two_gives_no_eigenvalue_bound():
     # lambda_max = 2^1023: 2^1023 I - A is singular and the next power of
     # two overflows, so no power of two is certified above lambda_max
-    # (||A v||^2 overflows in the power estimate on the way)
+    # (||A v||^2 overflows in the power estimate on the way, which scales
+    # it without a warning)
     A = np.array([[2.0 ** 1023]])
-    with np.errstate(over="ignore"):
-        assert hilbert.certified_eigenvalue_bound(A, largest=True) is None
+    assert hilbert.certified_eigenvalue_bound(A, largest=True) is None
+
+
+def test_power_estimate_survives_an_overflowing_square():
+    # ||A v||^2 overflows above 2^512: the estimate scales that norm, where
+    # the plain one gave inf, a zero next iterate and an estimate of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = Operator(np.diag([2.0 ** 520, 1.0])).norm_estimate()
+    assert est == pytest.approx(2.0 ** 520, rel=1e-12)
 
 
 @pytest.mark.parametrize("free", [[0, 2, 3, 6], [5, 1], []],

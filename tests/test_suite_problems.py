@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 import leapssn
 import leapssn.suite
-from leapssn import leap_ssn
+from leapssn import cli, leap_ssn
 from leapssn.suite import (GridImage, add_noise, l1_svm_problem,
                            laplacian_2d, membrane_problem, obstacle,
                            partial_smooth_2d, penalised_quadratic, phantom,
@@ -286,6 +286,52 @@ def test_one_metric_factorization_serves_a_gamma_sweep(counted):
     assert counted["splu"] == 4
 
 
+def _recorded(monkeypatch, module, name):
+    """Weak references to what each call of ``module.name`` returns."""
+    built, build = [], getattr(module, name)
+
+    def recording(*args):
+        out = build(*args)
+        built.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(module, name, recording)
+    return built
+
+
+def test_problems_on_one_mesh_share_its_operators(monkeypatch, tmp_path):
+    # the bending operator and the Laplacian depend on the mesh only: a
+    # gamma sweep assembles each once, beside the shared metric (whose
+    # matrix, for the plate, is A + h^2 I), and each goes with the last
+    # problem that holds it
+    gc.collect()
+    plates = _recorded(monkeypatch, obstacle, "plate_bending_operator")
+    laplacians = _recorded(monkeypatch, obstacle, "laplacian_2d")
+    sweep = [plate_problem(15, gamma) for gamma in (1e2, 1e5)]
+    assert len(plates) == 1 and sweep[0].metric is sweep[1].metric
+    A = plates[0]()
+    assert A is not None and A is not sweep[0].metric.A
+    membranes = [membrane_problem(15, gamma) for gamma in (1e2, 1e4)]
+    assert len(laplacians) == 1 and laplacians[0]() is not None
+    plate_problem(13, 1e4)
+    assert len(plates) == 2
+    # a solve and a verify audit (whose plate shares A too) only read A:
+    # its indices are unsorted, so an in-place sort would change the bits
+    # of every later product with it
+    assert not A.has_sorted_indices
+    arrays = ("indptr", "indices", "data")
+    before = [getattr(A, name).tobytes() for name in arrays]
+    assert leap_ssn(sweep[1], grad_tol=1e-8).status == "converged"
+    assert cli.main(["verify", "--problem", "plate", "--n", "15",
+                     "--gamma", "1e2", "--out", str(tmp_path)]) == 0
+    assert len(plates) == 2
+    assert [getattr(A, name).tobytes() for name in arrays] == before
+    del sweep, membranes, A
+    gc.collect()
+    assert plates[0]() is None and laplacians[0]() is None
+    plate_problem(15, 1e4)
+    assert len(plates) == 3
+
+
 # ---------------------------------------------------------------- imaging
 
 def test_psnr_reference_values():
@@ -352,12 +398,19 @@ def test_tv_dual_gradient_is_consistent():
         assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-8)
 
 
-def test_tv_instances_on_one_mesh_share_one_metric(counted):
+def test_tv_instances_on_one_mesh_share_one_metric(counted, monkeypatch):
     # R depends on n only: a gamma sweep, on any noise draw, factors R and
-    # certifies lambda_min(R) once, and another mesh gets its own metric
+    # certifies lambda_min(R) once, and another mesh gets its own metric;
+    # so do B and M, which the sweep assembles once (one B, and one G whose
+    # G'G serves both M and R), and which live as long as the sweep
+    gc.collect()
+    incidences = _recorded(monkeypatch, tv, "_face_incidence")
+    gradients = _recorded(monkeypatch, tv, "_face_gradient")
     sweep = [tv_dual_problem(add_noise(phantom(8), 0.1, seed).data, gamma)
              for seed, gamma in ((3, 1e2), (4, 1e3), (3, 1e4))]
     assert all(prob.metric is sweep[0].metric for prob in sweep)
+    assert len(incidences) == 1 and len(gradients) == 1
+    assert incidences[0]() is not None
     sweep[0].metric.lambda_min_bound()
     splu = counted["splu"]
     for prob in sweep:
@@ -366,6 +419,10 @@ def test_tv_instances_on_one_mesh_share_one_metric(counted):
     assert counted["splu"] == splu
     other = tv_dual_problem(add_noise(phantom(9), 0.1, 3).data, 1e2)
     assert other.metric is not sweep[0].metric
+    assert len(incidences) == 2 and len(gradients) == 2
+    del sweep, prob
+    gc.collect()
+    assert incidences[0]() is None
 
 
 # ---------------------------------------------------------------- penalised quadratic
