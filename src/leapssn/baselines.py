@@ -43,46 +43,45 @@ def _armijo_step(problem, x, d, F, slope):
 
 
 def _newton(problem, x0, solver, grad_tol, max_solves) -> Result:
-    """The baselines' Newton loop; the ``"plain"`` solver takes full steps."""
+    """The baselines' Newton loop; the ``"plain"`` solver takes full steps.
+    It returns at convergence (a start that meets ``grad_tol`` included) and
+    at either budget as :func:`driver.leap_ssn` does, and with
+    ``SUBPROBLEM_FAILURE`` at a refused or blown-up solve, a failed line
+    search or a non-finite F or f'."""
     if not problem.smooth:
         raise ValueError("baselines handle smooth problems only")
     x, g, trace = start_run(problem, x0, grad_tol, max_solves, solver=solver)
     if trace.g0_norm <= grad_tol:
         return trace.result(CONVERGED, 0)
-    F, solves, status = trace.F0, 0, OUTER_BUDGET
+    F, solves = trace.F0, 0
 
     for k in range(driver.MAX_OUTER):
         if max_solves is not None and solves >= max_solves:
-            status = SOLVE_BUDGET
-            break
+            return trace.result(SOLVE_BUDGET, solves)
         d = solve_posdef(problem.hess(x), -g)
         solves += 1
         if d is None or np.abs(d).max() > _STEP_LIMIT:  # finite when certified
-            status = SUBPROBLEM_FAILURE
-            break
+            return trace.result(SUBPROBLEM_FAILURE, solves)
 
         t, F_next = 1.0, None
         if solver == "backtracking":
             step = _armijo_step(problem, x, d, F, float(g @ d))
             if step is None:
-                status = SUBPROBLEM_FAILURE
-                break
+                return trace.result(SUBPROBLEM_FAILURE, solves)
             t, F_next = step    # the line search evaluated f there
         x = x + t * d
         g = np.asarray(problem.f_grad(x), dtype=float)
         gpn = problem.metric.dual_norm(g)
         F = float(problem.f_value(x)) if F_next is None else F_next
         if not np.isfinite(F) or not np.isfinite(gpn):
-            status = SUBPROBLEM_FAILURE
-            break
+            return trace.result(SUBPROBLEM_FAILURE, solves)
         trace.accept(x, g, k=k, j=0, lam=0.0, Lam=0.0, F=F,
                      grad_dual_norm=gpn, step_norm=problem.metric.norm(t * d),
                      cum_solves=solves)
         if gpn <= grad_tol:
-            status = CONVERGED
-            break
+            return trace.result(CONVERGED, solves)
 
-    return trace.result(status, solves)
+    return trace.result(OUTER_BUDGET, solves)
 
 
 def plain_newton(problem: Problem, x0=None, *, grad_tol=1e-8,

@@ -174,11 +174,7 @@ def _resolve_x0(spec, problem):
         return np.zeros(problem.dim)
     if spec == "ones":
         return np.ones(problem.dim)
-    x0 = np.loadtxt(spec).ravel()
-    if x0.shape != (problem.dim,):
-        raise ValueError(f"start point file has {x0.size} entries, "
-                         f"problem needs {problem.dim}")
-    return x0
+    return np.loadtxt(spec).ravel()
 
 
 def _run_solver(solver, problem, x0, budget, settings):

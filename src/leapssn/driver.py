@@ -184,11 +184,17 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_solves=None,
     """Run the adaptive solver on ``problem`` from ``x0``.
 
     Returns a :class:`Result` of the last accepted iterate, or of the start
-    point when no trial was accepted before the run stopped.  Convergence
-    is declared when the certified gradient at an *accepted* iterate has dual
-    norm at most ``grad_tol`` (the start point is never tested, so a trace is
-    never empty on the converged path).  The run stops after ``max_solves``
-    linear solves (None: no budget) or ``MAX_OUTER`` outer iterations.
+    point when no trial was accepted before the run stopped.  The run
+    returns where its outcome is decided: ``CONVERGED`` as soon as the
+    certified gradient at an *accepted* iterate has dual norm at most
+    ``grad_tol`` (the start point is never tested, so a trace is never
+    empty on the converged path); ``SOLVE_BUDGET`` when a trial would
+    exceed ``max_solves`` linear solves (None: no budget); when
+    ``MAX_TRIALS`` rungs of one ladder are all refused, ``INNER_BUDGET`` if
+    any of them was computable, else ``SUBPROBLEM_FAILURE``; and
+    ``OUTER_BUDGET`` after ``MAX_OUTER`` accepted iterations.  Each trial
+    is :func:`~leapssn.subsolver.smooth_step` on a smooth problem, else
+    :func:`~leapssn.subsolver.composite_step`, picked once per run.
     ``alpha`` and ``lambda0`` default to the problem's declarations, else
     to 0.5 and 1.  Raises ValueError unless ``grad_tol > 0``, the budget is
     None or at least 1, the constants meet the conditions of the
@@ -209,7 +215,7 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_solves=None,
                             alpha=alpha, beta=beta, m=M, lambda0=lambda0)
     F, Lam = trace.F0, lambda0
     solves = 0
-    status = OUTER_BUDGET
+    step = smooth_step if problem.smooth else composite_step
 
     H = None
     for k in range(MAX_OUTER):
@@ -218,17 +224,12 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_solves=None,
             H = None    # free the last H and its kept rung factor first
             H = Operator(hess)
 
-        accepted = False
         computable_seen = False
         for j in range(MAX_TRIALS):
             if max_solves is not None and solves >= max_solves:
-                status = SOLVE_BUDGET
-                break
+                return trace.result(SOLVE_BUDGET, solves)
             lam = (2.0 ** j) * Lam
-            if problem.smooth:
-                sub = smooth_step(problem, x, g, H, lam)
-            else:
-                sub = composite_step(problem, x, g, H, lam)
+            sub = step(problem, x, g, H, lam)
             solves += 1
             if not sub.computable:
                 continue
@@ -247,14 +248,10 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_solves=None,
             cond1 = float(g_plus @ (-d)) >= (alpha / lam) * gpn2
             cond2 = dec >= beta * lam * step2
             if cond1 and cond2:
-                accepted = True
                 break
-
-        if status == SOLVE_BUDGET:
-            break
-        if not accepted:
-            status = INNER_BUDGET if computable_seen else SUBPROBLEM_FAILURE
-            break
+        else:
+            return trace.result(INNER_BUDGET if computable_seen
+                                else SUBPROBLEM_FAILURE, solves)
 
         x, g, F = x_plus, fg_plus, F - dec
         trace.accept(x, g_plus, k=k, j=j, lam=lam, Lam=Lam, F=F,
@@ -263,7 +260,6 @@ def leap_ssn(problem: Problem, x0=None, *, grad_tol=1e-8, max_solves=None,
                      cum_solves=solves)
         Lam = lam / 2.0
         if gpn <= grad_tol:
-            status = CONVERGED
-            break
+            return trace.result(CONVERGED, solves)
 
-    return trace.result(status, solves)
+    return trace.result(OUTER_BUDGET, solves)

@@ -113,6 +113,9 @@ class Problem:
             raise ValueError("composite problems need a prox for psi")
         if self.psi_value is not None and self.metric.kind != "identity":
             raise ValueError("composite problems require the identity metric")
+        if self.metric.dim not in (None, self.dim):
+            raise ValueError(f"metric has shape {self.metric.A.shape}, "
+                             f"the problem needs {(self.dim, self.dim)}")
 
     @property
     def smooth(self) -> bool:
@@ -141,8 +144,13 @@ class Problem:
         return df + self.psi(x) - self.psi(x_plus)
 
     def start_point(self, x0=None) -> np.ndarray:
-        if x0 is not None:
-            return np.asarray(x0, dtype=float).copy()
-        if self.x0 is not None:
-            return np.asarray(self.x0, dtype=float).copy()
-        return np.zeros(self.dim)
+        """A copy of ``x0``, else of the problem's own ``x0``, else zeros;
+        raises ValueError unless it has shape ``(dim,)``."""
+        start = x0 if x0 is not None else self.x0
+        if start is None:
+            return np.zeros(self.dim)
+        x = np.array(start, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"start point has shape {x.shape}, "
+                             f"the problem needs {(self.dim,)}")
+        return x

@@ -141,7 +141,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     rungs of one outer iteration.
 
     A non-computable result says why in ``diagnostics["stop"]``, next to
-    the true ``inner_iters``: ``"budget"`` after ``INNER_MAXIT``
+    the true ``inner_iters``, and is returned at the line that decides
+    it: ``"budget"`` after ``INNER_MAXIT``
     iterations, ``"indefinite"`` as soon as the model meets a direction
     ``d = y - x`` with ``<H d, d> + lambda <d, d> <= 0 < <d, d>`` (the
     system is not positive definite: PCG's refusal at ``<Ap, p> <= 0``),
@@ -197,13 +198,17 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         larger than ``x``."""
         return res <= max(threshold, 4.0 * _EPS * float(np.linalg.norm(y)) / t)
 
+    def refused(stop):
+        """The non-computable result of the exit ``stop``."""
+        return SubproblemResult(None, diagnostics={"inner_iters": it + 1,
+                                                   "stop": stop})
+
     y = z = x             # z: momentum point; x, y, z are never written to
     m_best, g_y = problem.psi(x), grad   # the model at y = x: no product
     g_z = g_y             # the model gradient is affine: z's is carried
     theta = 1.0
     res_scale = max(1.0, float(np.linalg.norm(x)))
     threshold = INNER_TOL * res_scale
-    stop = None
     fixed_before = None   # the fixed set Z of the iteration before
     tried = set()         # the fixed sets whose Newton step has been tried
     for it in range(INNER_MAXIT):
@@ -234,8 +239,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
         if theta > 1.0 and float((z - cand) @ (cand - y)) > 0.0:
             theta = 1.0
         if indefinite:
-            stop = "indefinite"
-            break
+            return refused("indefinite")
         fixed = cand == y
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         c = (theta - 1.0) / theta_next
@@ -253,11 +257,9 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
             break
         # the two dead ends proved in the docstring
         if stalled:
-            stop = "stalled"
-            break
+            return refused("stalled")
         if not np.isfinite(res) and not np.isfinite(y).all():
-            stop = "nonfinite"
-            break
+            return refused("nonfinite")
         # the Newton candidate on the coordinates the prox left free
         key = fixed.tobytes()
         if (fixed_before is not None and np.array_equal(fixed, fixed_before)
@@ -270,8 +272,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
                 newton[free] += step
                 m_newton, g_newton = model(newton)
                 if indefinite:
-                    stop = "indefinite"
-                    break
+                    return refused("indefinite")
                 if m_newton <= m_best + tau:
                     y, g_y, z, g_z = newton, g_newton, newton, g_newton
                     m_best, theta = min(m_best, m_newton), 1.0
@@ -282,10 +283,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
                         break
         fixed_before = fixed
     else:
-        stop = "budget"
-    if stop is not None:
-        return SubproblemResult(None, diagnostics={"inner_iters": it + 1,
-                                                   "stop": stop})
+        return refused("budget")
 
     # the prox whose residual passed is the step: its fixed-point identity
     # hands back an exact subgradient of psi at the returned point

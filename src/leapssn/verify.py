@@ -20,6 +20,34 @@ Two layers:
   local regime, ``manifold_check`` the finite identification of the
   nonsmooth manifold.
 
+The audit projects the final iterate to x* by the problem's
+``project_solution`` (a constant map for a unique minimiser): the rate
+envelopes take F* = F(x*), and Dennis-More ratios are taken against x*;
+without a projector there are no envelopes and no ratios.  Two envelopes
+are audited: the sublinear one, on the running minimum of the gradient
+norm, and, where the problem declares a PL modulus mu (``1/2 ||F'||_*^2
+>= mu (F - F*)``), the linear one on F - F*.  The convex O(1/k) rate of
+F - F* is not audited: its bound needs the diameter of the sublevel set,
+which no problem declares and which is infinite on ``rank_deficient``,
+and every convex problem with a projector declares a PL modulus, whose
+linear envelope is audited.  The step-length bound needs ``hess_psd``.
+The ``objective_cache`` check compares each recorded decrease of F with
+F itself at the two iterates, so a wrong ``f_decrease`` or
+``psi_decrease`` hook fails the audit.  ``manifold_check`` looks at
+every coordinate.
+
+The model-error constant L sets the audited ceiling on lambda and the
+step-count bound.  A penalised quadratic certifies ``L <= c t / mu``,
+with t a power of two at or above ``lambda_max(K'K)`` and mu one below
+``lambda_min(R)``, each certified by a factor that clears the pivot
+floor (``hilbert.certified_eigenvalue_bound``); ``rank_deficient``
+declares its exact bound 0.  The audit checks the model error of every
+iterate pair of the run against that L, up to a rounding allowance (a
+``model_error_bound`` violation, owned by ``lambda_bound_ok``), and the
+report names its source, ``L_source = "certified"``.  A problem without
+a bound gets L from ``MODEL_ERROR_BASES`` seeded base points with two
+partners each, folded with the run's iterate pairs (``"sampled"``).
+
 Each point is evaluated once, and all evaluation takes one path
 (``_columns``): a list of columns goes through a block hook
 (``f_values``, ``hess_apply``, or ``Metric.solve`` for the dual norms
@@ -33,6 +61,9 @@ always the per-point ``f_grad``.  The model errors of
 come in blocks of at most ``_width`` pairs, drawn as needed; each block's
 points, directions and dual norms are such lists, and so are
 ``grad_check``'s shifted points x + step d and x - step d of a point.
+``hess_symmetry_check`` compares ``hess_apply``, on blocks that span its
+points, with ``hess(x)``, and ``grad_check`` compares ``f_values`` with
+the per-point ``f_value``.
 ``audit_trace`` evaluates f' once per iterate, for its gradient checks
 and its iterate pairs, since its cache check compares with the solver's
 stored gradients bit for bit, and f once per iterate, through

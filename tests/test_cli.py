@@ -15,7 +15,7 @@ from leapssn import Metric, cli
 from leapssn.cli import main
 from leapssn.driver import TRACE_HEADER, leap_ssn
 from leapssn.suite import quadratic, read_pgm, read_svm_data
-from leapssn.suite.registry import DEFAULT_SEEDS
+from leapssn.suite.registry import DEFAULT_SEEDS, build_problem, default_tol
 
 SUMMARY_KEYS = {"problem", "solver", "seed", "status", "iterations",
                 "linear_solves", "final_F", "final_grad_dual_norm",
@@ -164,6 +164,17 @@ def test_run_x0_presets(tmp_path):
     assert code == 1
 
 
+def test_run_x0_zeros_starts_at_the_origin(tmp_path):
+    # partial_smooth's own start is (1, 1)
+    out = tmp_path / "zeros"
+    assert _run("run", "--problem", "partial_smooth", "--x0", "zeros",
+                "--out", str(out)) == 0
+    prob, tol = build_problem("partial_smooth"), default_tol("partial_smooth")
+    trace = leap_ssn(prob, np.zeros(2), grad_tol=tol).trace.csv()
+    assert (out / "trace.csv").read_text() == trace
+    assert trace != leap_ssn(prob, grad_tol=tol).trace.csv()
+
+
 def test_run_is_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -191,6 +202,39 @@ def test_config_file_and_flag_precedence(tmp_path):
     s2 = json.loads((out2 / "summary.json").read_text())
     assert s2["final_grad_dual_norm"] <= 1e-10
     assert s2["linear_solves"] > s1["linear_solves"]
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a run\n\n   \nproblem = quadratic\n  # tol = 1\n"
+                   "n = 4\n")
+    assert cli.parse_config_file(str(cfg)) == {"problem": "quadratic", "n": 4}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tol 1e-3", "expected 'key = value'"),
+    ("n = five", "bad value for 'n': 'five'"),
+], ids=["no_equals", "wrong_type"])
+def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, line,
+                                               message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"problem = quadratic\n{line}\n")
+    out = tmp_path / "o"
+    assert _run("run", "--config", str(cfg), "--out", str(out)) == 1
+    assert f"bad.cfg:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_without_a_problem_is_a_usage_error(tmp_path, capsys):
+    assert _run("compare", "--gamma", "1e2", "--out", str(tmp_path)) == 1
+    assert "compare needs --problem" in capsys.readouterr().err
+
+
+def test_an_out_path_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert _run("run", "--problem", "quadratic", "--out", str(out)) == 1
+    assert "cannot write outputs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["shenanigans = 3", "m = 2"],

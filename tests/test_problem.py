@@ -1,9 +1,12 @@
 """Problem container invariants: validation, F assembly, prox certificates."""
 
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from leapssn import Metric, Problem
+from leapssn import Metric, Problem, backtracking_newton, leap_ssn, plain_newton
 from leapssn.suite import SplitMix64, partial_smooth_2d, quadratic
 
 
@@ -33,6 +36,28 @@ def test_composite_requires_identity_metric():
                 metric=Metric(np.diag([2.0, 1.0])),
                 psi_value=lambda x: abs(x[0]),
                 prox=_soft0)
+
+
+@pytest.mark.parametrize("solver", [leap_ssn, plain_newton,
+                                    backtracking_newton])
+@pytest.mark.parametrize("shape", [(3,), (8, 1), ()],
+                         ids=["3", "8x1", "scalar"])
+def test_a_start_of_the_wrong_shape_is_refused(solver, shape):
+    """Every solver refuses a start point that is not of shape (dim,),
+    naming both shapes."""
+    prob = quadratic()
+    assert prob.dim == 8
+    with pytest.raises(ValueError, match=re.escape(f"{shape}, the problem "
+                                                   "needs (8,)")):
+        solver(prob, x0=np.zeros(shape))
+
+
+@pytest.mark.parametrize("R", [sp.identity(4, format="csr"), np.eye(2)])
+def test_a_metric_of_the_wrong_shape_is_refused(R):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{R.shape}, the problem needs (3, 3)")):
+        Problem(dim=3, f_value=lambda x: 0.0, f_grad=lambda x: x,
+                hess=lambda x: np.eye(3), metric=Metric(R))
 
 
 def test_smooth_flag_and_objective_assembly():

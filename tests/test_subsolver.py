@@ -410,6 +410,30 @@ def test_composite_step_gives_up_on_indefinite_model():
     assert res.diagnostics == {"inner_iters": 1, "stop": "indefinite"}
 
 
+def test_an_indefinite_newton_candidate_ends_the_step(monkeypatch):
+    """The prox steps can keep to directions of positive curvature while
+    the Newton candidate takes one of negative curvature.  With psi =
+    1000 |y_0| the loop pins y_0 at 0 and certifies (H + I)_FF = 1 on
+    F = {1}, but the candidate's step from x, about (-1, -7), has
+    <(H + I) d, d> < 0: the step ends there, after its one certified
+    reduced solve (n) and the candidate's psi (s)."""
+    def prox(v, t):
+        out = v.copy()
+        out[0] = np.sign(v[0]) * max(abs(v[0]) - 1000.0 * t, 0.0)
+        return out
+
+    H = np.array([[49.0, -7.5], [-7.5, 0.0]])
+    prob = Problem(dim=2, f_value=lambda x: 0.0,
+                   f_grad=lambda x: np.array([0.0, -0.5]), hess=lambda x: H,
+                   psi_value=lambda y: 1000.0 * abs(y[0]), prox=prox)
+    res, log = _counted_step(prob, np.array([1.0, 0.0]), 1.0, monkeypatch)
+    assert not res.computable
+    assert res.diagnostics == {"inner_iters": 3, "stop": "indefinite"}
+    assert log["events"].count("n") == 1 and log["events"].endswith("ns")
+    d = log["points"][-1] - np.array([1.0, 0.0])
+    assert d @ (H + np.eye(2)) @ d < 0.0
+
+
 def test_composite_step_gives_up_on_a_nonfinite_iterate():
     # a NaN gradient on a positive definite model makes the first iterate
     # non-finite; the loop stops there, not at INNER_MAXIT

@@ -175,6 +175,28 @@ def test_svm_data_refuses_ragged_rows(tmp_path):
         read_svm_data(path)
 
 
+def test_svm_data_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("+1 0.5 1.5\n\n   \n-1 0.25 2\n\n")
+    X, y = read_svm_data(path)
+    assert np.array_equal(X, [[0.5, 1.5], [0.25, 2.0]])
+    assert np.array_equal(y, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: svm_problem(np.ones((4, 2)), np.ones(3), 1.0), "matching labels"),
+    (lambda: rank_deficient_ls(rank=0), r"rank must lie in \[1, n\]"),
+    (lambda: quadratic(n=0), "quadratic needs n >= 1"),
+    (lambda: plate_problem(n=4), "n must be at least 5"),
+    (lambda: tv_dual_problem(np.zeros((4, 5)), 1.0), "square image"),
+    (lambda: tv_dual_problem(np.zeros((2, 2)), 1.0), "image too small"),
+], ids=["svm_labels", "rank_0", "quadratic_0", "plate_4", "tv_4x5",
+        "tv_2x2"])
+def test_builders_refuse_bad_sizes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------- obstacle
 
 def test_laplacian_eigenvalue_oracle():
@@ -360,6 +382,34 @@ def test_pgm_round_trip(tmp_path):
     path2 = tmp_path / "img2.pgm"
     write_pgm(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_image_helpers_refuse_bad_shapes():
+    with pytest.raises(ValueError, match="must be 2-D"):
+        GridImage(np.zeros(4))
+    with pytest.raises(ValueError, match="equal shape"):
+        psnr(GridImage(np.zeros((2, 2))), GridImage(np.zeros((2, 3))))
+    img = phantom(8)
+    assert psnr(img, GridImage(img.data.copy())) == np.inf
+
+
+def test_read_pgm_takes_a_header_comment(tmp_path):
+    path = tmp_path / "comment.pgm"
+    path.write_bytes(b"P5\n# made by hand\n2 1\n255\n" + bytes([0, 255]))
+    assert np.array_equal(read_pgm(path).data, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P2\n2 1\n255\n0 255\n", r"not a binary PGM \(P5\)"),
+    (b"P5\n2 1\n65535\n" + bytes(4), "only maxval 255"),
+    (b"P5\n2 1", "truncated PGM header"),
+    (b"P5\n2 2\n255\n" + bytes(3), "truncated PGM pixel data"),
+], ids=["P2", "maxval", "header", "pixels"])
+def test_read_pgm_refuses_what_it_cannot_read(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message):
+        read_pgm(path)
 
 
 def test_noise_is_seeded():

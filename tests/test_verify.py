@@ -144,6 +144,22 @@ def test_the_model_error_sample_is_pinned(build, L):
     assert assumption2_sample(build()) == L
 
 
+@pytest.mark.parametrize("rounding", [False, True])
+def test_a_pair_with_a_nonfinite_ratio_is_skipped(rounding):
+    """An infinite f'(y) gives an infinite model-error ratio: that pair
+    gets None, and the finite pair beside it keeps its ratio."""
+    prob = quadratic()
+    x = prob.x0.astype(float)
+    y = x + 1.0
+    g_x, g_y = prob.f_grad(x), prob.f_grad(y)
+    bad = g_y.copy()
+    bad[0] = np.inf
+    good, skipped = verify._model_errors(
+        prob, [(x, y, g_x, g_y), (x, y, g_x, bad)], rounding=rounding)
+    assert skipped is None
+    assert 0.0 <= good[0] <= 1e-12 and np.isfinite(good[1])
+
+
 # the violation names each RateReport verdict owns
 VERDICT_NAMES = {
     "monotone_ok": {"monotone_F"},
