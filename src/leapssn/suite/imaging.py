@@ -1,4 +1,4 @@
-"""Grayscale image helpers: clamped [0,1] grids, binary PGM, PSNR, phantom.
+"""Grayscale helpers: clamped [0,1] grids, binary PGM output, PSNR, phantom.
 
 Images live on the unit square with |Omega| = 1, so the continuous mean
 square error is just the pixel mean and PSNR = 10 log10(1 / MSE).
@@ -45,41 +45,6 @@ def write_pgm(img: GridImage, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(px.tobytes())
-
-
-def read_pgm(path) -> GridImage:
-    """Read a binary PGM written by :func:`write_pgm` (P5, maxval 255)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    # header: magic, width, height, maxval -- whitespace separated, with
-    # optional '#' comment lines
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        if i >= len(raw):
-            raise ValueError("truncated PGM header")
-        ch = raw[i:i + 1]
-        if ch == b"#":
-            while i < len(raw) and raw[i:i + 1] != b"\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(raw) and not raw[j:j + 1].isspace():
-                j += 1
-            tokens.append(raw[i:j])
-            i = j
-    if tokens[0] != b"P5":
-        raise ValueError("not a binary PGM (P5) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise ValueError("only maxval 255 is supported")
-    i += 1  # single whitespace byte after maxval
-    px = np.frombuffer(raw[i:i + w * h], dtype=np.uint8)
-    if px.size != w * h:
-        raise ValueError("truncated PGM pixel data")
-    return GridImage(px.reshape(h, w).astype(float) / 255.0)
 
 
 # (intensity, semi-axis a, semi-axis b, centre x0, centre y0, angle degrees)

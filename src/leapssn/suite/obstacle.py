@@ -127,12 +127,14 @@ def plate_problem(n: int = 65, gamma: float = 1e4) -> Problem:
     Small gamma lets the plate penetrate down to the terraces and floor
     (wide, well-spread contact set); large gamma confines contact to the
     plateau column, whose clamped system loses the cross-tilt rigid mode
-    and becomes singular.
+    and becomes singular.  gamma = 0 is refused: the constants lie in the
+    kernel of A and the load does not sum to zero, so without the penalty
+    f is unbounded below.
     """
     if n < 5:
         raise ValueError("n must be at least 5")
-    if not 0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     h = 1.0 / (n - 1)
     phi = punch_obstacle(n)
 

@@ -101,26 +101,14 @@ def l1_svm_problem(n_samples: int, n_features: int, seed: int,
 
 
 def write_svm_data(path, X, y) -> None:
-    """One sample per line: integer label, then the features."""
+    """One sample per line: integer label, then the features.
+
+    ``np.loadtxt(path)`` reads the file back bit for bit, with the labels
+    in column 0.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     with open(path, "w") as fh:
         for i in range(X.shape[0]):
             feats = " ".join(repr(float(v)) for v in X[i])
             fh.write(f"{int(y[i]):+d} {feats}\n")
-
-
-def read_svm_data(path):
-    """Inverse of :func:`write_svm_data`; returns (X, y)."""
-    rows = []
-    labels = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            labels.append(float(int(parts[0])))
-            rows.append([float(tok) for tok in parts[1:]])
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError("inconsistent feature counts")
-    return np.array(rows, dtype=float), np.array(labels, dtype=float)

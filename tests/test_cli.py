@@ -14,8 +14,9 @@ import scipy.sparse as sp
 from leapssn import Metric, cli
 from leapssn.cli import main
 from leapssn.driver import TRACE_HEADER, leap_ssn
-from leapssn.suite import quadratic, read_pgm, read_svm_data
-from leapssn.suite.registry import DEFAULT_SEEDS, build_problem, default_tol
+from leapssn.suite import quadratic, svm_data
+from leapssn.suite.registry import (DEFAULT_SEEDS, SVM_SAMPLES, build_problem,
+                                    default_tol)
 
 SUMMARY_KEYS = {"problem", "solver", "seed", "status", "iterations",
                 "linear_solves", "final_F", "final_grad_dual_norm",
@@ -366,13 +367,16 @@ def test_nonpositive_n_is_refused_by_the_builder(tmp_path, capsys, argv,
     (["run", "--problem", "membrane", "--gamma", "nan"], None,
      "gamma must be finite and nonnegative, got nan"),
     (["run", "--problem", "plate", "--gamma", "inf"], None,
-     "gamma must be finite and nonnegative, got inf"),
+     "gamma must be finite and positive, got inf"),
+    (["run", "--problem", "plate", "--n", "9", "--gamma", "0"], None,
+     "gamma must be finite and positive, got 0.0"),
     (["run", "--problem", "tv", "--n", "8", "--gamma", "nan"], None,
      "gamma must be finite and positive, got nan"),
     (["run", "--problem", "quadratic", "--x0", "x0.txt"], None,
      "F or f' is not finite at the start point (F = nan)"),
 ], ids=["lambda0-nan", "lambda0-inf", "svm-gamma-nan", "svm-gamma-inf",
-        "membrane-gamma-nan", "plate-gamma-inf", "tv-gamma-nan", "x0-nan"])
+        "membrane-gamma-nan", "plate-gamma-inf", "plate-gamma-0",
+        "tv-gamma-nan", "x0-nan"])
 def test_nonfinite_input_is_a_one_line_error(tmp_path, capsys, monkeypatch,
                                              argv, config, message):
     monkeypatch.chdir(tmp_path)
@@ -475,6 +479,14 @@ def test_uncertified_metric_is_a_one_line_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def _pgm_pixels(path, n):
+    """The pixels of an n x n binary PGM (P5, maxval 255), scaled to [0, 1]."""
+    raw = path.read_bytes()
+    header = f"P5\n{n} {n}\n255\n".encode("ascii")
+    assert raw.startswith(header) and len(raw) == len(header) + n * n
+    return np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(n, n) / 255
+
+
 def test_gen_data_svm(tmp_path):
     out = tmp_path / "d"
     code = _run("gen-data", "--problem", "svm", "--n", "3", "--seed", "9",
@@ -482,9 +494,11 @@ def test_gen_data_svm(tmp_path):
     assert code == 0
     files = list(out.glob("svm_l*_n3_s9.txt"))
     assert len(files) == 1
-    X, y = read_svm_data(files[0])
-    assert X.shape[1] == 3
-    assert set(np.unique(y)) == {-1.0, 1.0}
+    # labels in column 0, then the features, bit for bit
+    X, y = svm_data(SVM_SAMPLES, 3, 9)
+    data = np.loadtxt(files[0])
+    assert np.array_equal(data[:, 0], y)
+    assert np.array_equal(data[:, 1:], X)
 
 
 def test_gen_data_tv(tmp_path):
@@ -492,8 +506,9 @@ def test_gen_data_tv(tmp_path):
     code = _run("gen-data", "--problem", "tv", "--n", "16", "--seed", "4",
                 "--out", str(out))
     assert code == 0
-    img = read_pgm(out / "tv_n16_s4.pgm")
-    assert img.data.shape == (16, 16)
+    noisy = build_problem("tv", 1e4, 16, 4).noisy_image
+    assert np.abs(_pgm_pixels(out / "tv_n16_s4.pgm", 16)
+                  - noisy.data).max() <= 0.5 / 255
 
 
 def test_gen_data_writes_the_image_run_solves(tmp_path):
@@ -516,8 +531,10 @@ def test_tv_run_writes_images(tmp_path):
     code = _run("run", "--problem", "tv", "--n", "16", "--gamma", "1e2",
                 "--budget", "120", "--out", str(out))
     assert code == 0
-    assert read_pgm(out / "restored.pgm").data.shape == (16, 16)
-    assert read_pgm(out / "noisy.pgm").data.shape == (16, 16)
+    _pgm_pixels(out / "restored.pgm", 16)
+    noisy = build_problem("tv", 1e2, 16, DEFAULT_SEEDS["tv"]).noisy_image
+    assert np.abs(_pgm_pixels(out / "noisy.pgm", 16)
+                  - noisy.data).max() <= 0.5 / 255
 
 
 def test_run_tv_uses_the_declared_constants(tmp_path, monkeypatch):

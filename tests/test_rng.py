@@ -107,3 +107,23 @@ def test_block_edges_do_not_change_the_normals(count):
     assert got.tobytes() == _unblocked_normals(7, count).tobytes()
     used = 2 * ((count + 1) // 2)
     assert [int(v) for v in rng.raw(1)] == _ref_stream(7, used + 1)[-1:]
+
+
+@pytest.mark.parametrize("seed", [7, _M64], ids=["7", "wrap"])
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 3])
+@pytest.mark.parametrize("draw", ["raw", "uniforms", "signs"])
+def test_block_edges_do_not_change_the_draws(draw, count, seed):
+    # each draw is that of the scalar stream bit for bit, with uniform
+    # ((z >> 11) + 1) 2^-53 and sign +1 where that is at most 1/2, and the
+    # stream goes on after the last output used
+    ref = _ref_stream(seed, count + 1)
+    z = np.array(ref[:count], dtype=np.uint64)
+    u = np.array([((v >> 11) + 1) * 2.0 ** -53 for v in ref[:count]])
+    expected = {"raw": z, "uniforms": u,
+                "signs": np.where(u <= 0.5, 1.0, -1.0)}[draw]
+    rng = SplitMix64(seed)
+    got = getattr(rng, draw)(count)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    assert [int(v) for v in rng.raw(1)] == ref[-1:]
