@@ -177,7 +177,9 @@ def _certified_factor(A, lasting=False):
 def _power_estimate(apply, dim):
     """``||M v||`` after ``POWER_ITERS`` steps of the power iteration of the
     linear map ``apply`` (M) from a fixed start, so never above ``||M||_2``;
-    0 when an iterate is mapped to zero or ``apply`` returns ``None``."""
+    0 when an iterate is mapped to zero or ``apply`` returns ``None``.  The
+    identity (``dim`` None) runs on one coordinate and gives exactly 1."""
+    dim = dim or 1
     v = np.ones(dim) / np.sqrt(dim)
     # break symmetry for checkerboard-null operators
     v[0] += 0.5 / np.sqrt(dim)
@@ -368,6 +370,8 @@ def certifies_eigenvalue_bound(A, s, largest=False):
     operator (an Operator or anything one accepts); the factor is dropped
     once its pivots have been read."""
     A = Operator.of(A)
+    if A.kind == "identity":    # its one eigenvalue is 1
+        return s > 1.0 if largest else s < 1.0
     if largest:             # s I - A is -A shifted by s
         A, s = Operator(-A.A), -s
     return _certified_factor(A.shift(-s, Operator()).A) is not None

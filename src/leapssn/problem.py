@@ -32,8 +32,7 @@ class Problem:
     The nonsmooth part is either absent (``psi_value is None``; the problem
     is smooth) or given by ``psi_value`` together with ``prox``, where
     ``prox(v, t)`` evaluates the Euclidean proximal map of ``t * psi`` at
-    ``v``.  Problems with a nontrivial ``psi`` must use the identity metric
-    (the proximal subsolver works in the coordinate inner product).
+    ``v``.
 
     ``f_decrease(x, x_plus)`` optionally evaluates ``f(x) - f(x_plus)`` in
     difference form.  Near tight tolerances the naive subtraction of two
@@ -111,8 +110,6 @@ class Problem:
     def __post_init__(self):
         if self.psi_value is not None and self.prox is None:
             raise ValueError("composite problems need a prox for psi")
-        if self.psi_value is not None and self.metric.kind != "identity":
-            raise ValueError("composite problems require the identity metric")
         if self.metric.dim not in (None, self.dim):
             raise ValueError(f"metric has shape {self.metric.A.shape}, "
                              f"the problem needs {(self.dim, self.dim)}")

@@ -71,13 +71,13 @@ def smooth_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     return SubproblemResult(x + d, psi_grad=np.zeros_like(d))
 
 
-def _reduced_solve(H, lam, free, rhs):
-    """Certified solve of ``(H + lam I)_FF d = rhs``, which
-    :meth:`Operator.shift` forms on the coordinates ``free`` (F), or
+def _reduced_solve(A, free, rhs):
+    """Certified solve of ``A_FF d = rhs``, the principal block on the
+    coordinates ``free`` (F) of the rung system ``A = H + lam R``, or
     ``None`` when it cannot be certified or F is empty (no pivots)."""
     if free.size == 0:
         return None
-    return solve_posdef(H.restrict(free).shift(lam, Operator()), rhs)
+    return solve_posdef(A.restrict(free), rhs)
 
 
 def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
@@ -88,17 +88,18 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     ``p``, so ``(v - p)/t`` is an exact element of ``partial psi(p)``.
     The test never demands less than the rounding floor ``4 eps ||y|| / t``
     at the iterate, so a minimiser far larger than ``x`` certifies too.
-    Each candidate's model value and gradient come from one product with
-    ``H``, and the loop carries ``y``'s gradient into the restart, the
-    residual and the certificate.  The model's smooth gradient
-    ``g(y) = f'(x) + H (y - x) + lambda (y - x)`` is affine in ``y``, so
+    The step is ``t = 1/(1.1 ||H|| + lambda ||R||)``, ``R`` the problem's
+    metric.  Each candidate's model value and gradient come from one product
+    with ``H`` and one with ``R``, and the loop carries ``y``'s gradient
+    into the restart, the residual and the certificate.  The smooth gradient
+    ``g(y) = f'(x) + H (y - x) + lambda R (y - x)`` is affine in ``y``, so
     the momentum point ``z = y+ + c (y+ - y)``, ``c = (theta - 1) /
     theta+``, gets ``g(z) = (1 + c) g(y+) - c g(y)`` from the two
     gradients the loop holds, and ``z = y+``, ``g(z) = g(y+)`` as they are
     when ``c == 0`` (the first iteration and after every restart).  The
     start ``y = x`` costs no product (its model is ``psi(x)``, ``f'(x)``),
-    and each candidate one: a step makes ``it + r`` products over ``it``
-    iterations and ``r`` restarts, plus one per Newton candidate (below).
+    and each candidate one of each: a step makes ``it + r`` of each over
+    ``it`` iterations and ``r`` restarts, plus one per Newton candidate.
 
     The momentum restarts in two ways (O'Donoghue and Candes, *Adaptive
     restart for accelerated gradient schemes*, Found. Comput. Math. 2015).
@@ -117,11 +118,11 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     zero, say).  When neither the residual test nor a dead-end exit has
     ended an iteration, Z is the same as in the iteration before, and
     this Z has not been tried in this rung, the loop solves
-    ``(H + lambda I)_FF d_F = -(g(y) + s)_F`` on the free coordinates F,
+    ``(H + lambda R)_FF d_F = -(g(y) + s)_F`` on the free coordinates F,
     with ``d_Z = 0`` and ``s = (v - p) / t`` the subgradient the residual's
-    prox has just certified.  :meth:`Operator.shift` forms that system on ``H``
-    restricted to F, as for :func:`smooth_step`, and
-    :func:`hilbert.solve_posdef` certifies its solve; an all-fixed Z (empty F)
+    prox has just certified: the block on F of the rung system that
+    :meth:`Operator.shift` forms, as for :func:`smooth_step`, whose solve
+    :func:`hilbert.solve_posdef` certifies.  An all-fixed Z (empty F)
     or a refused solve skips the candidate.  ``y + d`` is evaluated once and
     taken as the new ``y``, with ``theta = 1`` and ``z = y``, when its model
     value is at most ``m_best`` plus the safeguard's dead band; the residual
@@ -144,7 +145,7 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
     the true ``inner_iters``, and is returned at the line that decides
     it: ``"budget"`` after ``INNER_MAXIT``
     iterations, ``"indefinite"`` as soon as the model meets a direction
-    ``d = y - x`` with ``<H d, d> + lambda <d, d> <= 0 < <d, d>`` (the
+    ``d = y - x`` with ``<H d, d> + lambda <d, R d> <= 0 < <d, R d>`` (the
     system is not positive definite: PCG's refusal at ``<Ap, p> <= 0``),
     or one of two exits taken as soon as the loop provably cannot
     converge, where running on would only have ended the same way:
@@ -161,10 +162,10 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
       ``theta = 1``.  Nor does the Newton candidate: a stalled iteration
       leaves every coordinate fixed, so no coordinate is free to solve for.
     * ``"nonfinite"``: ``y`` holds a NaN or an infinity.  Then so does
-      ``g(y)`` at that entry, since its ``lambda (y - x)`` term is not
-      finite and a sum with a non-finite term is not finite.  So do ``z``,
-      ``g(z)`` and the prox input: each is such a sum, with a nonzero
-      multiple of those entries, or is the entry itself when ``c == 0``
+      ``g(y)`` at that entry: its ``lambda R (y - x)`` term is not finite
+      there (``R_ii > 0``), and a sum with a non-finite term is not finite.
+      So do ``z``, ``g(z)`` and the prox input: each is such a sum, with a
+      nonzero multiple of those entries, or is the entry itself when ``c == 0``
       (after a gradient restart too: a NaN dot product never resets).
       A prox that keeps a NaN entry non-finite (soft-thresholding and the
       identity do) makes every later candidate, and so every later
@@ -176,21 +177,21 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
       path pays nothing.
     """
     prox = problem.prox if not problem.smooth else (lambda v, t: v)
-    H = Operator.of(H)
-    t = 1.0 / (1.1 * H.norm_estimate() + lam)
+    H, R = Operator.of(H), problem.metric
+    t = 1.0 / (1.1 * H.norm_estimate() + lam * R.norm_estimate())
     indefinite = False
 
     def model(y):
         """The model's value at ``y`` and its smooth part's gradient there,
-        from one product with ``H``."""
+        from one product with ``H`` and one with ``R``."""
         nonlocal indefinite
         d = y - x
-        Hd = H.apply(d)
-        q, dd = float(d @ Hd), float(d @ d)
+        Hd, Rd = H.apply(d), R.apply(d)
+        q, dd = float(d @ Hd), float(d @ Rd)
         if q + lam * dd <= 0.0 < dd:
             indefinite = True
         value = float(grad @ d) + 0.5 * q + 0.5 * lam * dd + problem.psi(y)
-        return value, grad + Hd + lam * d
+        return value, grad + Hd + lam * Rd
 
     def certified(res, y):
         """The residual test, never stricter than the rounding floor at the
@@ -266,7 +267,8 @@ def composite_step(problem: Problem, x, grad, H, lam) -> SubproblemResult:
                 and key not in tried):
             tried.add(key)
             free = np.flatnonzero(~fixed)
-            step = _reduced_solve(H, lam, free, -(g_y + (v - p) / t)[free])
+            step = _reduced_solve(H.shift(lam, R), free,
+                                  -(g_y + (v - p) / t)[free])
             if step is not None:
                 newton = y.copy()
                 newton[free] += step

@@ -35,6 +35,32 @@ def test_identity_metric_basics():
     assert np.array_equal(m.apply(x), x)
 
 
+def test_the_identity_norm_estimate_is_one():
+    assert Metric().norm_estimate() == 1.0
+    assert Operator().norm_estimate() == 1.0
+
+
+@pytest.mark.parametrize("s, largest, certified", [
+    (0.5, False, True), (1.0, False, False),
+    (2.0, True, True), (1.0, True, False),
+])
+def test_the_identity_certifies_the_bounds_of_its_eigenvalue_one(
+        s, largest, certified):
+    """lambda_min > s exactly when s < 1, lambda_max < s when s > 1, with
+    no factorization, as for the dense identity."""
+    assert hilbert.certifies_eigenvalue_bound(Metric(), s, largest) is certified
+    assert hilbert.certifies_eigenvalue_bound(np.eye(3), s, largest) is certified
+
+
+def test_the_identity_certified_eigenvalue_bounds_are_its_strict_powers():
+    """The powers of two next to the eigenvalue 1 on each side, as for the
+    dense identity; the metric's own lower bound stays 1."""
+    for largest, bound in ((False, 0.5), (True, 2.0)):
+        assert hilbert.certified_eigenvalue_bound(Metric(), largest) == bound
+        assert hilbert.certified_eigenvalue_bound(np.eye(3), largest) == bound
+    assert Metric().lambda_min_bound() == 1.0
+
+
 def test_dense_metric_norms_against_direct_linear_algebra():
     R = np.array([[2.0, 0.5], [0.5, 1.0]])
     m = Metric(R)

@@ -27,15 +27,18 @@ def test_composite_requires_prox():
                 psi_value=lambda x: abs(x[0]))
 
 
-def test_composite_requires_identity_metric():
-    with pytest.raises(ValueError):
-        Problem(dim=2,
-                f_value=lambda x: 0.5 * float(x @ x),
-                f_grad=lambda x: x,
-                hess=lambda x: np.eye(2),
-                metric=Metric(np.diag([2.0, 1.0])),
-                psi_value=lambda x: abs(x[0]),
-                prox=_soft0)
+def test_a_composite_problem_takes_any_metric():
+    """The composite step minimises the model in the problem's metric, so
+    a composite problem need not use the identity."""
+    R = Metric(np.diag([2.0, 1.0]))
+    prob = Problem(dim=2,
+                   f_value=lambda x: 0.5 * float(x @ x),
+                   f_grad=lambda x: x,
+                   hess=lambda x: np.eye(2),
+                   metric=R,
+                   psi_value=lambda x: abs(x[0]),
+                   prox=_soft0)
+    assert prob.metric is R and not prob.smooth
 
 
 @pytest.mark.parametrize("solver", [leap_ssn, plain_newton,

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from leapssn import (Operator, Problem, composite_step, driver, hilbert,
-                     leap_ssn, smooth_step, subsolver)
+from leapssn import (Metric, Operator, Problem, composite_step, driver,
+                     hilbert, leap_ssn, smooth_step, subsolver)
 from leapssn.subsolver import INNER_MAXIT
 from leapssn.suite import (SplitMix64, l1_svm_problem, partial_smooth_2d,
                            quadratic, rosenbrock)
@@ -72,6 +72,26 @@ def test_composite_step_certificate_and_stationarity():
     d = xp - x
     model_g = g + H @ d + 1.0 * d
     assert np.linalg.norm(model_g + res.psi_grad) <= 1e-6
+
+
+@pytest.mark.parametrize("newton", [True, False], ids=["newton", "prox_only"])
+def test_the_metric_enters_the_composite_model(newton, monkeypatch):
+    """The model's proximal term is lambda/2 ||y - x||_R^2: with R = 4 I
+    at lambda = 1/2 it is the identity's model at lambda = 2, and the two
+    steps agree.  Their step sizes agree too, so with every reduced solve
+    refused the prox loops take the same iterations."""
+    if not newton:
+        monkeypatch.setattr(subsolver, "_reduced_solve", lambda *args: None)
+    prob = partial_smooth_2d()
+    scaled = dataclasses.replace(prob, metric=Metric(4.0 * np.eye(2)))
+    x = prob.start_point()
+    g, H = prob.f_grad(x), prob.hess(x)
+    res = composite_step(scaled, x, g, H, 0.5)
+    ref = composite_step(prob, x, g, H, 2.0)
+    assert res.computable and ref.computable
+    assert res.diagnostics == ref.diagnostics
+    assert np.allclose(res.x_plus, ref.x_plus, rtol=0.0, atol=1e-12)
+    assert np.allclose(res.psi_grad, ref.psi_grad, rtol=0.0, atol=1e-12)
 
 
 def test_composite_step_matches_smooth_step_when_psi_is_absent():
@@ -335,9 +355,9 @@ def test_each_fixed_set_is_tried_once_per_rung(make, lam, monkeypatch):
     sets = []
     reduced = subsolver._reduced_solve
 
-    def recorded(H, lam, free, rhs):
+    def recorded(A, free, rhs):
         sets.append(tuple(free))
-        return reduced(H, lam, free, rhs)
+        return reduced(A, free, rhs)
 
     monkeypatch.setattr(subsolver, "_reduced_solve", recorded)
     res = composite_step(prob, x, prob.f_grad(x), prob.hess(x), lam)
@@ -356,7 +376,7 @@ def test_an_all_fixed_set_is_skipped():
         hilbert._pivots_clear_floor(np.empty(0))
     none, empty = np.empty(0, dtype=int), np.empty(0)
     for A in (np.eye(3), sp.identity(3, format="csr")):
-        assert subsolver._reduced_solve(Operator(A), 1.0, none, empty) is None
+        assert subsolver._reduced_solve(Operator(A), none, empty) is None
 
 
 @pytest.mark.parametrize("fmt", ["csr", "coo"])
@@ -376,9 +396,9 @@ def test_a_sparse_hessian_takes_the_dense_twins_ladder(make, counts, fmt,
     def run(prob):
         calls = []
 
-        def counted(H, lam, free, rhs):
-            calls.append(H.kind)
-            return reduced(H, lam, free, rhs)
+        def counted(A, free, rhs):
+            calls.append(A.kind)
+            return reduced(A, free, rhs)
 
         monkeypatch.setattr(subsolver, "_reduced_solve", counted)
         res = leap_ssn(prob, grad_tol=1e-6)

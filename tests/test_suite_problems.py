@@ -23,7 +23,7 @@ from leapssn.suite import (GridImage, add_noise, l1_svm_problem,
                            tv_dual_problem, write_pgm, write_svm_data)
 from leapssn.suite.registry import PROBLEM_NAMES, build_problem, default_tol
 from leapssn.suite.rng import SplitMix64
-from leapssn.verify import assumption2_sample
+from leapssn.verify import assumption2_sample, audit_trace
 
 
 def test_export_lists_resolve():
@@ -217,6 +217,42 @@ def test_membrane_violation_shrinks_with_gamma():
         viols.append(float(np.max(np.maximum(phi - res.x, 0.0))))
     assert viols[0] > viols[1] > viols[2]
     assert viols[2] <= 1e-4
+
+
+def _exact_membrane(n):
+    """The membrane with exact contact: f without the penalty and psi the
+    indicator of {u >= phi}, whose prox is max(v, phi), in the membrane's
+    own metric A, with the builder's hooks and certified L = 0."""
+    base = membrane_problem(n, 0.0)
+    phi = base.obstacle
+    return dataclasses.replace(
+        base, psi_value=lambda u: 0.0 if np.all(u >= phi) else np.inf,
+        prox=lambda v, t: np.maximum(v, phi), psi_decrease=lambda x, y: 0.0,
+        x0=np.maximum(phi, 0.0)), phi
+
+
+def test_exact_contact_converges_mesh_independently_in_its_metric():
+    """The composite step minimises the model in the metric A, so the exact
+    membrane takes as many solves on every mesh, with a clean audit
+    against its certified L, and its solution is feasible."""
+    solves = []
+    for n in (17, 33, 65):
+        prob, phi = _exact_membrane(n)
+        res = leap_ssn(prob)
+        assert res.status == "converged"
+        report = audit_trace(res.trace, prob)
+        assert report.ok and report.L_source == "certified"
+        assert float((res.x - phi).min()) == 0.0
+        solves.append(res.solves)
+    assert solves == [8, 8, 8]
+
+
+def test_penalty_solutions_approach_the_exact_contact_as_one_over_gamma():
+    prob, _ = _exact_membrane(33)
+    u = leap_ssn(prob).x
+    errs = [float(np.abs(leap_ssn(membrane_problem(33, gamma)).x - u).max())
+            for gamma in (1e2, 1e4, 1e6)]
+    assert errs[1] <= errs[0] / 50 and errs[2] <= errs[1] / 50, errs
 
 
 def test_plate_operator_kernel_is_rigid_motions():
