@@ -94,7 +94,7 @@ class Trace:
     """Run history: scalar records plus the iterates the audit needs."""
     x0: np.ndarray
     F0: float
-    g0_norm: float
+    g0_norm: float  # ||x0 - prox(x0 - f'(x0), 1)||_*, ||f'(x0)||_* if psi = 0
     config: dict
     records: list = field(default_factory=list)
     iterates: list = field(default_factory=list)   # x_{k+1} per record
@@ -154,10 +154,10 @@ def start_run(problem, x0, grad_tol, max_solves, **config):
 
     Returns the start point ``x``, ``f'(x)`` and an empty :class:`Trace`
     whose config holds the problem, the solver's own ``config`` keys, the
-    tolerance, the solve budget and :func:`blas_threads`.  The trace's
-    start stationarity is ``||f'(x0)||_*`` on a smooth problem, else the
-    unit-step prox-gradient residual (a surrogate: convergence is only ever
-    tested on certified gradients at accepted iterates).  Raises ValueError
+    tolerance, the solve budget and :func:`blas_threads`.  The trace's start
+    stationarity is ``||x0 - prox(x0 - f'(x0), 1)||_*``, ``||f'(x0)||_*`` if
+    psi = 0 (else a surrogate: convergence is only ever tested on certified
+    gradients at accepted iterates).  Raises ValueError
     unless ``grad_tol > 0``, ``max_solves`` is None or at least 1 and F and
     f' are finite at the start point, where a solver could only fail.
     """
@@ -171,8 +171,8 @@ def start_run(problem, x0, grad_tol, max_solves, **config):
     if not (np.isfinite(F) and np.isfinite(g).all()):
         raise ValueError(f"F or f' is not finite at the start point "
                          f"(F = {F})")
-    g0_norm = (problem.metric.dual_norm(g) if problem.smooth
-               else float(np.linalg.norm(x - problem.prox(x - g, 1.0))))
+    g0_norm = problem.metric.dual_norm(
+        g if problem.smooth else x - problem.prox(x - g, 1.0))
     config = {"problem": problem.name, "dim": problem.dim, **config,
               "grad_tol": grad_tol, "max_solves": max_solves,
               "blas_threads": blas_threads()}

@@ -587,3 +587,16 @@ def test_restrict_takes_the_same_block_from_every_storage(free):
         assert block.kind == ("sparse" if sp.issparse(B) else "dense")
         got = block.A.toarray() if sp.issparse(block.A) else block.A
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_a_dense_h_shifted_by_a_metric_is_h_plus_lam_r(storage):
+    """A dense H shifted by a dense or CSR metric holds H + lam R bit for
+    bit, and its solver solves that system."""
+    H, R, lam = _spd(6, seed=3), _spd(6, seed=4), 0.75
+    metric = Metric(R if storage == "dense" else sp.csr_matrix(R))
+    S = Operator(H).shift(lam, metric)
+    assert S.kind == "dense" and np.array_equal(S.A, H + lam * R)
+    b = np.random.default_rng(5).standard_normal(6)
+    x = solve_posdef(S, b)
+    assert np.allclose((H + lam * R) @ x, b, rtol=0, atol=1e-12)

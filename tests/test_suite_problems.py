@@ -14,6 +14,7 @@ import scipy.sparse.linalg as spla
 import leapssn
 import leapssn.suite
 from leapssn import cli, leap_ssn
+from leapssn.driver import start_run
 from leapssn.suite import (GridImage, add_noise, l1_svm_problem,
                            laplacian_2d, membrane_problem, obstacle,
                            partial_smooth_2d, penalised_quadratic, phantom,
@@ -245,6 +246,23 @@ def test_exact_contact_converges_mesh_independently_in_its_metric():
         assert float((res.x - phi).min()) == 0.0
         solves.append(res.solves)
     assert solves == [8, 8, 8]
+
+
+def test_the_exact_contacts_start_row_is_measured_in_its_dual_norm():
+    """The start stationarity of a composite run is the dual norm of the
+    unit-step prox-gradient mapping, like every accepted row's; a run with
+    no accepted trial reports it as its gradient norm."""
+    for n in (17, 33, 65):
+        prob, _ = _exact_membrane(n)
+        x0 = prob.start_point()
+        want = prob.metric.dual_norm(
+            x0 - prob.prox(x0 - prob.f_grad(x0), 1.0))
+        _, _, trace = start_run(prob, None, 1e-8, None)
+        assert trace.g0_norm == want
+        assert trace.result("converged", 0).grad_dual_norm == want
+        if n == 33:
+            # the Euclidean residual is 0.16593518271687066
+            assert want == pytest.approx(0.15176472723611653, rel=1e-12)
 
 
 def test_penalty_solutions_approach_the_exact_contact_as_one_over_gamma():
